@@ -15,6 +15,19 @@ pub fn run(scale: Scale) {
 
 /// Runs the experiment; with `json` set, also writes `BENCH_e12.json`.
 pub fn run_opts(scale: Scale, json: bool) {
+    let (table, report) = report(scale);
+    print!("{table}");
+    println!("  keynote claim: at extreme scale faults are events, not exceptions; solvers");
+    println!("  must detect silent corruption and recover with bounded re-done work.");
+    if json {
+        write_report("BENCH_e12.json", &report);
+    }
+}
+
+/// Runs every (fault rate, strategy) cell and builds the rendered table
+/// plus the machine-readable report. The injector is seeded, so the same
+/// scale always gives the same bytes.
+pub fn report(scale: Scale) -> (String, Json) {
     let g = scale.pick(8, 16);
     let geom = Geometry::new(g, g, g);
     let a = build_matrix(geom);
@@ -64,17 +77,13 @@ pub fn run_opts(scale: Scale, json: bool) {
             ]));
         }
     }
-    t.print(&format!(
+    let table = t.render(&format!(
         "E12: fault-injected CG on the {g}^3 stencil — recovery strategies"
     ));
-    println!("  keynote claim: at extreme scale faults are events, not exceptions; solvers");
-    println!("  must detect silent corruption and recover with bounded re-done work.");
-    if json {
-        let report = Json::obj(vec![
-            ("experiment", Json::s("e12_resilience_cg")),
-            ("grid", Json::Int(g as i64)),
-            ("runs", Json::Arr(rows)),
-        ]);
-        write_report("BENCH_e12.json", &report);
-    }
+    let report = Json::obj(vec![
+        ("experiment", Json::s("e12_resilience_cg")),
+        ("grid", Json::Int(g as i64)),
+        ("runs", Json::Arr(rows)),
+    ]);
+    (table, report)
 }

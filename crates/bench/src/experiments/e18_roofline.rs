@@ -55,9 +55,7 @@ struct VariantArm {
 
 /// FNV-1a-style fold over the raw bits of `xs`, in storage order.
 fn bitwise_checksum(xs: &[f64]) -> u64 {
-    xs.iter().fold(0xcbf29ce484222325u64, |h, x| {
-        h.wrapping_mul(0x100000001b3).wrapping_add(x.to_bits())
-    })
+    crate::fnv1a(xs.iter().map(|x| x.to_bits()))
 }
 
 /// Times every available micro-kernel variant on the same `s x s x s`

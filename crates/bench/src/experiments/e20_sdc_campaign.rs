@@ -40,7 +40,7 @@ use crate::Scale;
 use std::time::Duration;
 use xsc_ft::inject::FaultKind;
 use xsc_ft::sdc::{
-    protected_pcg, unprotected_pcg, MemFaultPlan, ProtectConfig, SdcReport, SolverBuffer,
+    protected_pcg, unprotected_pcg, MemFaultPlan, ProtectConfig, SdcReport, SolverBuffer, DRIFT_TOL,
 };
 use xsc_runtime::RecoveryPolicy;
 use xsc_sparse::mg::{MgPreconditioner, Smoother};
@@ -99,7 +99,6 @@ fn campaign_config() -> ProtectConfig {
     ProtectConfig {
         checkpoint_interval: 2,
         drift_check_interval: 1,
-        ..ProtectConfig::default()
     }
 }
 
@@ -125,9 +124,9 @@ fn plan_for(rate: f64, trial: usize) -> MemFaultPlan {
 /// so the √n bridges the two; the extra 10x keeps the class boundary well
 /// clear of the detector threshold (bit-61 flips are bimodal — factors of
 /// `2^±512` — so essentially nothing lands near the boundary).
-fn is_detectable(inj: &xsc_ft::sdc::InjectionRecord, n: usize, cfg: &ProtectConfig) -> bool {
+fn is_detectable(inj: &xsc_ft::sdc::InjectionRecord, n: usize) -> bool {
     inj.buffer != SolverBuffer::SearchDirection
-        && inj.delta_rel > cfg.drift_tol * (n as f64).sqrt() * 10.0
+        && inj.delta_rel > DRIFT_TOL * (n as f64).sqrt() * 10.0
 }
 
 /// `true` when some detector fired in the same sweep at or after the
@@ -273,7 +272,7 @@ pub fn campaign_summary(scale: Scale) -> (String, Json) {
             for inj in &rep.injections {
                 if inj.buffer == SolverBuffer::SearchDirection {
                     p_faults += 1;
-                } else if !is_detectable(inj, n, &cfg) {
+                } else if !is_detectable(inj, n) {
                     subthreshold += 1;
                 } else {
                     detectable += 1;

@@ -2,17 +2,10 @@
 //! CG driver comparing recovery strategies (experiment E12).
 
 use crate::inject::FaultInjector;
+use std::ops::Deref;
 use xsc_core::blas1;
+use xsc_sparse::cg::{CgHooks, CgState, Flow, Identity, Preconditioner};
 use xsc_sparse::CsrMatrix;
-
-/// A saved solver state.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Iteration at which the state was saved.
-    pub iteration: usize,
-    /// Solution iterate.
-    pub x: Vec<f64>,
-}
 
 /// Recovery strategy for [`resilient_cg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +23,7 @@ pub enum Recovery {
 }
 
 /// Report from a fault-injected resilient CG run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ResilienceReport {
     /// Whether the tolerance was reached within the budget.
     pub converged: bool,
@@ -54,6 +47,10 @@ pub struct ResilienceReport {
 /// Faults fire per-iteration with the injector's rate and corrupt a random
 /// entry of the iterate `x` (a silent data corruption — the hardest case,
 /// invisible to the CG recurrences).
+///
+/// This is `xsc_sparse::cg`'s one CG recurrence (no preconditioner) under
+/// the E12 hook set; a recovery resets `r` to `b − Ax` and restarts the
+/// recurrence from it.
 #[allow(clippy::too_many_arguments)]
 pub fn resilient_cg(
     a: &CsrMatrix<f64>,
@@ -65,133 +62,108 @@ pub fn resilient_cg(
     check_interval: usize,
     detect_tol: f64,
 ) -> ResilienceReport {
-    let n = a.nrows();
-    assert_eq!(b.len(), n);
-    let bnorm = blas1::nrm2(b).max(f64::MIN_POSITIVE);
-
-    let mut x = vec![0.0f64; n];
-    let mut r = vec![0.0f64; n];
-    let mut p;
-    let mut ap = vec![0.0f64; n];
-    let mut rz;
-
-    // (Re)build the CG state from the current x.
-    macro_rules! rebuild {
-        () => {{
-            a.residual(&x, b, &mut r);
-            p = r.clone();
-            rz = blas1::dot_pairwise(&r, &r);
-        }};
-    }
-    rebuild!();
-
-    let mut checkpoint = Checkpoint {
-        iteration: 0,
-        x: x.clone(),
+    let mut x = vec![0.0f64; b.len()];
+    let mut hooks = Resilient {
+        injector,
+        recovery,
+        check_interval,
+        detect_tol,
+        tol,
+        saved_x: x.clone(),
+        scratch: vec![0.0; b.len()],
+        mark: 0,
+        report: ResilienceReport::default(),
     };
-    let mut iterations = 0;
-    let mut faults = 0;
-    let mut recoveries = 0;
-    let mut wasted = 0;
-    let mut converged = false;
-    let mut iters_since_ckpt = 0;
+    let state = CgState::new(a, b, &mut x, &Identity).unwrap_or_else(|e| panic!("{e}"));
+    let bnorm = state.bnorm;
+    let res = state.run(max_iters, tol, &Identity, &mut hooks);
+    a.residual(&x, b, &mut hooks.scratch);
+    let report = &mut hooks.report;
+    report.converged = res.converged;
+    report.iterations = res.iterations;
+    report.final_residual = blas1::nrm2(&hooks.scratch) / bnorm;
+    hooks.report
+}
 
-    while iterations < max_iters {
-        iterations += 1;
-        iters_since_ckpt += 1;
+/// The hook set of [`resilient_cg`]. Its residuals go through the unfused
+/// SpMV-then-subtract `CsrMatrix::residual`, as E12 always has.
+struct Resilient<'i> {
+    injector: &'i mut FaultInjector,
+    recovery: Recovery,
+    check_interval: usize,
+    detect_tol: f64,
+    tol: f64,
+    /// The iterate at the last checkpoint (checkpoint mode).
+    saved_x: Vec<f64>,
+    scratch: Vec<f64>,
+    /// Iteration of the last checkpoint or recovery: work since then is
+    /// what a rollback throws away.
+    mark: usize,
+    report: ResilienceReport,
+}
 
-        a.spmv(&p, &mut ap);
-        let pap = blas1::dot_pairwise(&p, &ap);
+impl Resilient<'_> {
+    /// Rolls `x` back to the checkpoint (checkpoint mode only), then resets
+    /// `r = b − Ax` and asks the loop to restart the recurrence.
+    fn recover<R: Deref<Target = CsrMatrix<f64>>>(&mut self, s: &mut CgState<'_, R>) -> Flow {
+        self.report.recoveries += 1;
+        if let Recovery::Checkpoint { .. } = self.recovery {
+            s.x.copy_from_slice(&self.saved_x);
+            self.report.wasted_iterations += s.iteration - self.mark;
+        }
+        self.mark = s.iteration;
+        s.a.residual(s.x, s.b, &mut s.r);
+        Flow::Restart
+    }
+}
+
+impl<R: Deref<Target = CsrMatrix<f64>>, P: Preconditioner> CgHooks<R, P> for Resilient<'_> {
+    /// State corrupted badly enough to break positive-definiteness.
+    fn curvature(&mut self, s: &mut CgState<'_, R>, pap: f64) -> Flow {
         if pap <= 0.0 {
-            // State corrupted badly enough to break positive-definiteness.
-            recoveries += 1;
-            match recovery {
-                Recovery::Checkpoint { .. } => {
-                    x.copy_from_slice(&checkpoint.x);
-                    wasted += iters_since_ckpt;
-                }
-                Recovery::Restart => {}
-            }
-            rebuild!();
-            iters_since_ckpt = 0;
-            continue;
+            return self.recover(s);
         }
-        let alpha = rz / pap;
-        blas1::axpy(alpha, &p, &mut x);
-        blas1::axpy(-alpha, &ap, &mut r);
-
-        // Fault window: silent corruption of the iterate.
-        if injector.should_fire() {
-            injector.corrupt_vector(&mut x);
-            faults += 1;
-        }
-
-        let rel = blas1::nrm2(&r) / bnorm;
-        if rel <= tol {
-            // Validate with the true residual before declaring victory —
-            // a corrupted x can leave the recurrence residual small.
-            let mut rt = vec![0.0; n];
-            a.residual(&x, b, &mut rt);
-            let true_rel = blas1::nrm2(&rt) / bnorm;
-            if true_rel <= tol * 10.0 {
-                converged = true;
-                break;
-            }
-        }
-
-        // Periodic silent-error detection: recurrence vs true residual.
-        if iterations.is_multiple_of(check_interval) {
-            let mut rt = vec![0.0; n];
-            a.residual(&x, b, &mut rt);
-            let drift = blas1::nrm2(
-                &rt.iter()
-                    .zip(r.iter())
-                    .map(|(a, b)| a - b)
-                    .collect::<Vec<_>>(),
-            ) / bnorm;
-            if drift > detect_tol {
-                recoveries += 1;
-                match recovery {
-                    Recovery::Checkpoint { .. } => {
-                        x.copy_from_slice(&checkpoint.x);
-                        wasted += iters_since_ckpt;
-                    }
-                    Recovery::Restart => {}
-                }
-                rebuild!();
-                iters_since_ckpt = 0;
-                continue;
-            }
-        }
-
-        // Checkpointing.
-        if let Recovery::Checkpoint { interval } = recovery {
-            if iterations.is_multiple_of(interval) {
-                checkpoint = Checkpoint {
-                    iteration: iterations,
-                    x: x.clone(),
-                };
-                iters_since_ckpt = 0;
-            }
-        }
-
-        let rz_new = blas1::dot_pairwise(&r, &r);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for (pi, &ri) in p.iter_mut().zip(r.iter()) {
-            *pi = ri + beta * *pi;
-        }
+        Flow::Continue
     }
 
-    let mut rt = vec![0.0; n];
-    a.residual(&x, b, &mut rt);
-    ResilienceReport {
-        converged,
-        iterations,
-        faults,
-        recoveries,
-        wasted_iterations: wasted,
-        final_residual: blas1::nrm2(&rt) / bnorm,
+    /// Fault window: silent corruption of the iterate.
+    fn updated(&mut self, s: &mut CgState<'_, R>, _rel: f64) -> Flow {
+        if self.injector.should_fire() {
+            self.injector.corrupt_vector(s.x);
+            self.report.faults += 1;
+        }
+        Flow::Continue
+    }
+
+    /// Validate with the true residual before declaring victory — a
+    /// corrupted `x` can leave the recurrence residual small.
+    fn converged(&mut self, s: &mut CgState<'_, R>) -> Flow {
+        s.a.residual(s.x, s.b, &mut self.scratch);
+        if blas1::nrm2(&self.scratch) / s.bnorm <= self.tol * 10.0 {
+            return Flow::Stop;
+        }
+        Flow::Continue
+    }
+
+    /// Periodic silent-error detection (recurrence vs true residual), then
+    /// checkpointing.
+    fn end(&mut self, s: &mut CgState<'_, R>) -> Flow {
+        if s.iteration.is_multiple_of(self.check_interval) {
+            s.a.residual(s.x, s.b, &mut self.scratch);
+            let diff: Vec<f64> = self.scratch.iter().zip(&s.r).map(|(t, r)| t - r).collect();
+            if blas1::nrm2(&diff) / s.bnorm > self.detect_tol {
+                return self.recover(s);
+            }
+        }
+        let interval = match self.recovery {
+            Recovery::Checkpoint { interval } => interval,
+            Recovery::Restart => return Flow::Continue,
+        };
+        if s.iteration.is_multiple_of(interval) {
+            self.saved_x.copy_from_slice(s.x);
+            self.mark = s.iteration;
+        }
+        Flow::Continue
     }
 }
 

@@ -25,7 +25,7 @@
 use crate::inject::FaultKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-use xsc_runtime::{Attempt, TaskFault, TaskId};
+use xsc_runtime::{mix, unit_f64, Attempt, TaskFault, TaskId};
 
 /// What an injected chaos event does to the victim task.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,18 +49,6 @@ pub enum Injection {
     Corrupt(FaultKind),
     /// Sleep for [`FaultPlan::stall_duration`] before (or while) running.
     Stall(Duration),
-}
-
-/// SplitMix64 finalizer — the same mixer the runtime's jittered backoff
-/// uses; cheap and well distributed.
-fn mix(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
-    h ^ (h >> 31)
-}
-
-fn unit_f64(word: u64) -> f64 {
-    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// A seeded, schedule-independent fault plan for one DAG execution (or an

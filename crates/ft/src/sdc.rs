@@ -26,11 +26,12 @@
 //! detectors — the control arm of the E20 chaos campaign.
 
 use crate::inject::FaultKind;
+use std::ops::DerefMut;
 use std::time::Duration;
 use xsc_core::blas1;
-use xsc_runtime::RecoveryPolicy;
+use xsc_runtime::{mix, unit_f64, RecoveryPolicy};
 use xsc_sparse::abft::{residual_drift, CheckedApply, SdcDetected, SpmvGuard};
-use xsc_sparse::cg::Preconditioner;
+use xsc_sparse::cg::{CgHooks, CgResult, CgState, Flow, Preconditioner};
 use xsc_sparse::ops::SparseOps;
 
 /// The long-lived solver buffers a memory-fault campaign can corrupt.
@@ -66,18 +67,6 @@ impl SolverBuffer {
             SolverBuffer::SearchDirection => "search_direction",
         }
     }
-}
-
-/// SplitMix64 finalizer — same mixer as the chaos plans and the runtime's
-/// jittered backoff.
-fn mix(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
-    h ^ (h >> 31)
-}
-
-fn unit_f64(word: u64) -> f64 {
-    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// A seeded, schedule-independent memory-fault plan for iterative solves.
@@ -242,7 +231,29 @@ impl SolverCheckpoint {
     }
 }
 
-/// Tuning of the protected loop's detectors and checkpoint cadence.
+/// Relative drift `‖r_rec − (b − Ax)‖ / ‖b‖` above which the protected
+/// loop declares the state corrupted.
+pub const DRIFT_TOL: f64 = 1e-6;
+
+/// Largest plausible one-iteration growth factor of `‖r‖/‖b‖`.
+pub const NORM_JUMP_LIMIT: f64 = 1e4;
+
+/// Relative tolerance of the SpMV column-sum checksum.
+pub const CHECKSUM_TOL: f64 = xsc_sparse::abft::DEFAULT_CHECKSUM_TOL;
+
+/// Consecutive iterations with a frozen `‖r‖` (relative change below
+/// `1e-12`) before the protected loop declares a stalled search direction.
+/// A huge corruption in `p` breaks no residual invariant — the state stays
+/// consistent — but drives `α` to zero; the freeze is its signature.
+/// Recovery is a direction restart (`p ← z`), not a rollback, because `x`
+/// and `r` are still valid.
+pub const STALL_WINDOW: usize = 4;
+
+/// Hard cap on total executed iterations, as a multiple of the caller's
+/// `max_iters` — bounds replay work when faults keep firing.
+pub const REPLAY_BUDGET_FACTOR: usize = 4;
+
+/// Cadence of the protected loop's checkpoints and drift checks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtectConfig {
     /// Capture a validated checkpoint every this many iterations.
@@ -250,23 +261,6 @@ pub struct ProtectConfig {
     /// Run the residual-drift check every this many iterations (it costs
     /// one SpMV, so it is the expensive detector).
     pub drift_check_interval: usize,
-    /// Relative drift `‖r_rec − (b − Ax)‖ / ‖b‖` above which the state is
-    /// declared corrupted.
-    pub drift_tol: f64,
-    /// Largest plausible one-iteration growth factor of `‖r‖/‖b‖`.
-    pub norm_jump_limit: f64,
-    /// Relative tolerance of the SpMV column-sum checksum.
-    pub checksum_tol: f64,
-    /// Consecutive iterations with a frozen `‖r‖` (relative change below
-    /// `1e-12`) before declaring a stalled search direction. A huge
-    /// corruption in `p` breaks no residual invariant — the state stays
-    /// consistent — but drives `α` to zero; the freeze is its signature.
-    /// Recovery is a direction restart (`p ← z`), not a rollback, because
-    /// `x` and `r` are still valid. `0` disables the detector.
-    pub stall_window: usize,
-    /// Hard cap on total executed iterations, as a multiple of the
-    /// caller's `max_iters` — bounds replay work when faults keep firing.
-    pub replay_budget_factor: usize,
 }
 
 impl Default for ProtectConfig {
@@ -274,11 +268,6 @@ impl Default for ProtectConfig {
         ProtectConfig {
             checkpoint_interval: 5,
             drift_check_interval: 2,
-            drift_tol: 1e-6,
-            norm_jump_limit: 1e4,
-            checksum_tol: xsc_sparse::abft::DEFAULT_CHECKSUM_TOL,
-            stall_window: 4,
-            replay_budget_factor: 4,
         }
     }
 }
@@ -291,7 +280,7 @@ pub enum AbortReason {
     /// checkpoint and every replay was flagged again.
     RollbackBudgetExhausted,
     /// Total executed iterations (originals plus replays) exceeded
-    /// `replay_budget_factor · max_iters`.
+    /// [`REPLAY_BUDGET_FACTOR`]` · max_iters`.
     ReplayBudgetExhausted,
 }
 
@@ -326,6 +315,16 @@ pub enum RecoveryOutcome {
     },
 }
 
+/// A solve that has not iterated yet.
+impl Default for RecoveryOutcome {
+    fn default() -> Self {
+        RecoveryOutcome::Unconverged {
+            iterations: 0,
+            rollbacks: 0,
+        }
+    }
+}
+
 impl RecoveryOutcome {
     /// `true` for the validated-convergence outcome.
     pub fn converged(&self) -> bool {
@@ -334,7 +333,7 @@ impl RecoveryOutcome {
 }
 
 /// Everything a chaos campaign needs to score one solve.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SdcReport {
     /// How the solve ended.
     pub outcome: RecoveryOutcome,
@@ -362,71 +361,313 @@ pub struct SdcReport {
     pub flops: u64,
 }
 
-/// Applies the drawn fault to the chosen buffer, recording it.
-#[allow(clippy::too_many_arguments)] // the injection site simply has this many coupled pieces of state
-fn inject<A: SparseOps + ?Sized>(
-    plan: &MemFaultPlan,
-    a: &mut A,
-    x: &mut [f64],
-    r: &mut [f64],
-    p: &mut [f64],
-    iteration: usize,
+/// The fault model both SDC drivers share, and the report they fill in:
+/// at the start of every pass it draws from the plan and corrupts the
+/// chosen buffer. On its own it is the hook set of [`unprotected_pcg`].
+struct Injector<'p> {
+    plan: &'p MemFaultPlan,
+    /// Rollback replays so far; the protected loop bumps it.
     sweep: u32,
-    bnorm_per_component: f64,
-    log: &mut Vec<InjectionRecord>,
-) {
-    let Some((buffer, kind)) = plan.draw(iteration, sweep) else {
-        return;
-    };
-    let target: &mut [f64] = match buffer {
-        SolverBuffer::MatrixValues => a.values_mut(),
-        SolverBuffer::Iterate => x,
-        SolverBuffer::Residual => r,
-        SolverBuffer::SearchDirection => p,
-    };
-    let Some(index) = plan.victim_index(target.len(), iteration, sweep) else {
-        return;
-    };
-    let old = target[index];
-    let new = kind.apply(old);
-    target[index] = new;
-    log.push(InjectionRecord {
-        iteration,
-        sweep,
-        buffer,
-        index,
-        old,
-        new,
-        delta_rel: (new - old).abs() / bnorm_per_component,
-    });
+    bnorm: f64,
+    report: SdcReport,
+}
+
+impl<'p> Injector<'p> {
+    fn new(plan: &'p MemFaultPlan, bnorm: f64) -> Self {
+        Injector {
+            plan,
+            sweep: 0,
+            bnorm,
+            report: SdcReport::default(),
+        }
+    }
+
+    /// Counts the pass, then applies the fault the plan draws for it.
+    fn inject<R: DerefMut<Target: SparseOps>>(&mut self, s: &mut CgState<'_, R>) {
+        self.report.executed_iterations += 1;
+        let (iteration, sweep) = (s.iteration, self.sweep);
+        let Some((buffer, kind)) = self.plan.draw(iteration, sweep) else {
+            return;
+        };
+        let target: &mut [f64] = match buffer {
+            SolverBuffer::MatrixValues => s.a.values_mut(),
+            SolverBuffer::Iterate => s.x,
+            SolverBuffer::Residual => &mut s.r,
+            SolverBuffer::SearchDirection => &mut s.p,
+        };
+        let Some(index) = self.plan.victim_index(target.len(), iteration, sweep) else {
+            return;
+        };
+        let old = target[index];
+        let new = kind.apply(old);
+        target[index] = new;
+        let per_component = self.bnorm / (s.b.len().max(1) as f64).sqrt();
+        self.report.injections.push(InjectionRecord {
+            iteration,
+            sweep,
+            buffer,
+            index,
+            old,
+            new,
+            delta_rel: (new - old).abs() / per_component.max(f64::MIN_POSITIVE),
+        });
+    }
+
+    /// Logs a detector verdict against the current sweep.
+    fn detected(&mut self, iteration: usize, what: SdcDetected) {
+        let sweep = self.sweep;
+        self.report.detections.push(DetectionRecord {
+            iteration,
+            sweep,
+            what,
+        });
+    }
+
+    /// Completes the report from the finished solve: `res`'s history and
+    /// flops, the outcome, and the recomputed `‖b − Ax‖/‖b‖` — immune to
+    /// recurrence corruption, so it is the ground truth campaigns score
+    /// against.
+    fn finish<A: SparseOps + ?Sized>(
+        mut self,
+        res: CgResult,
+        abort: Option<(usize, AbortReason)>,
+        a: &A,
+        b: &[f64],
+        x: &[f64],
+    ) -> SdcReport {
+        let rep = &mut self.report;
+        // Every detection but a stall verdict rolled back (or aborted).
+        let rollbacks = rep.detections.len() as u32 - rep.direction_restarts;
+        let iterations = res.iterations;
+        rep.outcome = match abort {
+            Some((at_iteration, reason)) => RecoveryOutcome::Aborted {
+                at_iteration,
+                rollbacks,
+                reason,
+            },
+            None if res.converged => RecoveryOutcome::Converged {
+                iterations,
+                rollbacks,
+            },
+            None => RecoveryOutcome::Unconverged {
+                iterations,
+                rollbacks,
+            },
+        };
+        let mut r = vec![0.0; b.len()];
+        a.fused_residual(x, b, &mut r);
+        rep.final_true_residual = blas1::nrm2(&r) / self.bnorm;
+        rep.flops = res.flops + 2 * a.nnz() as u64;
+        rep.residual_history = res.residual_history;
+        self.report
+    }
+}
+
+impl<R: DerefMut<Target: SparseOps>, P: Preconditioner> CgHooks<R, P> for Injector<'_> {
+    fn begin(&mut self, s: &mut CgState<'_, R>) -> Flow {
+        self.inject(s);
+        Flow::Continue
+    }
+}
+
+/// The hook set of [`protected_pcg`]: fault injection, the ABFT detectors,
+/// validated checkpoints and bounded rollback.
+struct Protect<'p> {
+    faults: Injector<'p>,
+    policy: &'p RecoveryPolicy,
+    drift_every: usize,
+    checkpoint_every: usize,
+    replay_budget: usize,
+    pristine: Vec<f64>,
+    guard: SpmvGuard,
+    scratch: Vec<f64>,
+    checkpoint: SolverCheckpoint,
+    consecutive_rollbacks: u32,
+    abort: Option<(usize, AbortReason)>,
+    stall_count: usize,
+}
+
+/// Snapshots the live solver state.
+fn snapshot<R>(s: &CgState<'_, R>) -> SolverCheckpoint {
+    SolverCheckpoint::capture(s.iteration, s.x, &s.r, &s.p, &s.z, s.rz, s.history.len())
+}
+
+impl Protect<'_> {
+    /// Acts on a detector's verdict. `Err` restores the last good
+    /// checkpoint (the operator's value slab included), charges backoff
+    /// and bumps the sweep — or aborts once the policy's
+    /// consecutive-rollback budget is spent.
+    fn audit<R>(&mut self, s: &mut CgState<'_, R>, verdict: Result<(), SdcDetected>) -> Flow
+    where
+        R: DerefMut<Target: SparseOps>,
+    {
+        let Err(what) = verdict else {
+            return Flow::Continue;
+        };
+        self.faults.detected(s.iteration, what);
+        self.consecutive_rollbacks += 1;
+        if self.consecutive_rollbacks > self.policy.max_attempts {
+            self.abort = Some((s.iteration, AbortReason::RollbackBudgetExhausted));
+            return Flow::Stop;
+        }
+        let (backoff, seed) = (self.policy.backoff, self.policy.seed);
+        let rep = &mut self.faults.report;
+        rep.simulated_backoff +=
+            backoff.delay(self.checkpoint.iteration, self.consecutive_rollbacks, seed);
+        s.a.values_mut().copy_from_slice(&self.pristine);
+        let (it, rz, history_len) = self.checkpoint.restore(s.x, &mut s.r, &mut s.p, &mut s.z);
+        rep.replayed_iterations += s.iteration.saturating_sub(it);
+        s.iteration = it;
+        s.rz = rz;
+        s.history.truncate(history_len);
+        self.faults.sweep += 1;
+        self.stall_count = 0;
+        Flow::Retry
+    }
+
+    /// Recurrence residual vs recomputed `b − Ax` (one SpMV). A NaN fails
+    /// the comparison, so it trips the detector too.
+    fn drift_check<R: DerefMut<Target: SparseOps>>(&mut self, s: &mut CgState<'_, R>) -> Flow {
+        let observed = residual_drift(&*s.a, s.x, s.b, &s.r, &mut self.scratch);
+        s.flops += 2 * s.a.nnz() as u64 + 3 * s.r.len() as u64;
+        let what = SdcDetected::ResidualDrift {
+            iteration: s.iteration,
+            observed,
+            tolerated: DRIFT_TOL,
+        };
+        self.audit(s, (observed <= DRIFT_TOL).then_some(()).ok_or(what))
+    }
+}
+
+impl<R: DerefMut<Target: SparseOps>, P: CheckedApply> CgHooks<R, P> for Protect<'_> {
+    /// The replay budget, then the fault model.
+    fn begin(&mut self, s: &mut CgState<'_, R>) -> Flow {
+        if self.faults.report.executed_iterations >= self.replay_budget {
+            // The pass `s.iteration` already counts never runs.
+            self.abort = Some((s.iteration - 1, AbortReason::ReplayBudgetExhausted));
+            return Flow::Stop;
+        }
+        self.faults.inject(s);
+        Flow::Continue
+    }
+
+    /// The SpMV column-sum checksum.
+    fn spmv(&mut self, s: &mut CgState<'_, R>) -> Flow {
+        s.flops += self.guard.flops_per_check();
+        let verdict = self.guard.check(&s.p, &s.ap);
+        self.audit(s, verdict)
+    }
+
+    /// `pᵀAp` must be positive and finite.
+    fn curvature(&mut self, s: &mut CgState<'_, R>, pap: f64) -> Flow {
+        let what = SdcDetected::NegativeCurvature {
+            iteration: s.iteration,
+            value: pap,
+        };
+        let healthy = pap > 0.0 && pap.is_finite();
+        self.audit(s, healthy.then_some(()).ok_or(what))
+    }
+
+    /// The norm-jump audit (a NaN trips it too), the stall count and the
+    /// periodic drift check.
+    fn updated(&mut self, s: &mut CgState<'_, R>, rel: f64) -> Flow {
+        let prev = s.history.last().copied().unwrap_or(f64::INFINITY);
+        let floor = prev.max(f64::MIN_POSITIVE);
+        let what = SdcDetected::NormJump {
+            iteration: s.iteration,
+            observed: rel / floor,
+            tolerated: NORM_JUMP_LIMIT,
+        };
+        // Count the stall first: a rollback resets the count anyway.
+        let frozen = (rel - prev).abs() <= 1e-12 * floor;
+        self.stall_count = if frozen { self.stall_count + 1 } else { 0 };
+        let plausible = rel <= NORM_JUMP_LIMIT * floor;
+        let flow = self.audit(s, plausible.then_some(()).ok_or(what));
+        if flow != Flow::Continue || !s.iteration.is_multiple_of(self.drift_every) {
+            return flow;
+        }
+        self.drift_check(s)
+    }
+
+    /// Validated convergence: confirm the recurrence against the
+    /// recomputed residual before believing it.
+    fn converged(&mut self, s: &mut CgState<'_, R>) -> Flow {
+        match self.drift_check(s) {
+            Flow::Continue => Flow::Stop,
+            flow => flow,
+        }
+    }
+
+    /// The self-checking preconditioner application.
+    fn precondition(&mut self, m: &P, s: &mut CgState<'_, R>) -> Flow {
+        let verdict = m.apply_checked(&s.r, &mut s.z);
+        s.flops += m.flops_per_checked_apply();
+        self.audit(s, verdict)
+    }
+
+    /// The stall verdict: a corrupted `p` cannot break the drift invariant
+    /// — `x` and `r` are updated consistently with whatever direction was
+    /// used — so the state is valid and the corruption lives in `p`.
+    /// Restart the direction instead of rolling back.
+    fn restart_direction(&mut self, s: &mut CgState<'_, R>) -> bool {
+        if self.stall_count < STALL_WINDOW {
+            return false;
+        }
+        let (iteration, window) = (s.iteration, STALL_WINDOW);
+        self.faults
+            .detected(iteration, SdcDetected::Stalled { iteration, window });
+        self.faults.report.direction_restarts += 1;
+        self.stall_count = 0;
+        true
+    }
+
+    /// The validated checkpoint: only capture state the drift check
+    /// vouches for, so an undetected corruption is never baked in.
+    fn end(&mut self, s: &mut CgState<'_, R>) -> Flow {
+        if !s.iteration.is_multiple_of(self.checkpoint_every) {
+            return Flow::Continue;
+        }
+        let flow = self.drift_check(s);
+        if flow == Flow::Continue {
+            self.checkpoint = snapshot(s);
+            self.consecutive_rollbacks = 0;
+        }
+        flow
+    }
 }
 
 /// Preconditioned CG under the `xsc-sparse` ABFT detector layer with
 /// bounded-rollback recovery.
 ///
-/// The loop mirrors [`xsc_sparse::cg::pcg`] operation-for-operation — on
-/// a fault-free run (`plan` rate 0) the iterates and residual history are
-/// bit-identical to the unprotected solver — and adds, per iteration:
+/// This is [`xsc_sparse::cg`]'s one PCG recurrence run under a hook set —
+/// on a fault-free run (`plan` rate 0) the iterates and residual history
+/// are bit-identical to [`xsc_sparse::cg::pcg`] — that adds, per
+/// iteration:
 ///
 /// 1. the memory-fault injection point (start of the iteration);
-/// 2. the checksummed SpMV (`cfg.checksum_tol`);
+/// 2. the checksummed SpMV ([`CHECKSUM_TOL`]);
 /// 3. a curvature audit (`pᵀAp` must be positive and finite);
-/// 4. a norm-jump audit (`‖r‖` must not grow by `cfg.norm_jump_limit`);
+/// 4. a norm-jump audit (`‖r‖` must not grow by [`NORM_JUMP_LIMIT`]);
 /// 5. a residual-drift check every `cfg.drift_check_interval` iterations;
 /// 6. the self-checking preconditioner application;
 /// 7. a *validated* checkpoint every `cfg.checkpoint_interval`
 ///    iterations — the drift check runs first, so a state that silently
 ///    absorbed a corruption is never captured;
 /// 8. validated convergence — the stopping test must be confirmed by the
-///    recomputed residual before the solve reports success.
+///    recomputed residual before the solve reports success;
+/// 9. a direction restart (`p ← z`) after [`STALL_WINDOW`] frozen
+///    iterations.
 ///
-/// Any detector verdict triggers rollback to the last good checkpoint:
-/// buffers and recurrence scalars are restored bit-exactly, the operator's
-/// value slab is restored from its pristine snapshot, the plan's sweep
-/// counter is bumped (replays roll fresh faults), and the recovery policy
-/// charges its seeded-jitter backoff. `policy.max_attempts` consecutive
-/// rollbacks of the same checkpoint — or a total replay budget of
-/// `cfg.replay_budget_factor · max_iters` iterations — abort the solve.
+/// Any other detector verdict triggers rollback to the last good
+/// checkpoint: buffers and recurrence scalars are restored bit-exactly, the
+/// operator's value slab is restored from its pristine snapshot, the plan's
+/// sweep counter is bumped (replays roll fresh faults), and the recovery
+/// policy charges its seeded-jitter backoff. `policy.max_attempts`
+/// consecutive rollbacks of the same checkpoint — or a total replay budget
+/// of [`REPLAY_BUDGET_FACTOR`]` · max_iters` iterations — abort the solve.
+///
+/// # Panics
+/// If `b` or `x` does not match the operator's size.
 #[allow(clippy::too_many_arguments)] // solver + fault plan + tuning + policy are irreducibly separate inputs
 pub fn protected_pcg<A: SparseOps + ?Sized, P: CheckedApply>(
     a: &mut A,
@@ -439,280 +680,35 @@ pub fn protected_pcg<A: SparseOps + ?Sized, P: CheckedApply>(
     cfg: &ProtectConfig,
     policy: &RecoveryPolicy,
 ) -> SdcReport {
-    let n = a.nrows();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    assert_eq!(x.len(), n, "solution length mismatch");
-
-    let pristine_values = a.values().to_vec();
-    let guard = SpmvGuard::with_tol(a, cfg.checksum_tol);
-
-    let mut flops = 0u64;
-    let nnz = a.nnz() as u64;
-    let nf = n as u64;
-
-    let bnorm = blas1::nrm2(b).max(f64::MIN_POSITIVE);
-    let bnorm_per_component = (bnorm / (n.max(1) as f64).sqrt()).max(f64::MIN_POSITIVE);
-    let mut r = vec![0.0; n];
-    a.fused_residual(x, b, &mut r);
-    flops += 2 * nnz;
-
-    let mut z = vec![0.0; n];
-    m.apply(&r, &mut z);
-    flops += m.flops_per_apply();
-
-    let mut p = z.clone();
-    let mut rz = blas1::dot_pairwise(&r, &z);
-    flops += 2 * nf;
-
-    let mut history = vec![blas1::nrm2(&r) / bnorm];
-    let mut ap = vec![0.0; n];
-    let mut scratch = vec![0.0; n];
-    let mut converged = history[0] <= tol;
-    let mut iterations = 0usize;
-
-    let mut injections = Vec::new();
-    let mut detections = Vec::new();
-    let mut checkpoint = SolverCheckpoint::capture(0, x, &r, &p, &z, rz, history.len());
-    let mut sweep = 0u32;
-    let mut rollbacks = 0u32;
-    let mut consecutive_rollbacks = 0u32;
-    let mut executed = 0usize;
-    let mut replayed = 0usize;
-    let mut backoff_total = Duration::ZERO;
-    let mut abort: Option<(usize, AbortReason)> = None;
-    let mut stall_count = 0usize;
-    let mut direction_restarts = 0u32;
-
-    let drift_every = cfg.drift_check_interval.max(1);
-    let ckpt_every = cfg.checkpoint_interval.max(1);
-    let replay_budget = cfg.replay_budget_factor.max(1) * max_iters.max(1);
-
-    // Rollback handler: restore the last good checkpoint (including the
-    // operator's value slab), charge backoff, bump the sweep, and either
-    // continue the outer loop or abort when a budget runs out.
-    macro_rules! detected {
-        ($what:expr) => {{
-            detections.push(DetectionRecord {
-                iteration: iterations,
-                sweep,
-                what: $what,
-            });
-            rollbacks += 1;
-            consecutive_rollbacks += 1;
-            if consecutive_rollbacks > policy.max_attempts {
-                abort = Some((iterations, AbortReason::RollbackBudgetExhausted));
-                break;
-            }
-            backoff_total +=
-                policy
-                    .backoff
-                    .delay(checkpoint.iteration, consecutive_rollbacks, policy.seed);
-            a.values_mut().copy_from_slice(&pristine_values);
-            let (it, rz_c, hist_len) = checkpoint.restore(x, &mut r, &mut p, &mut z);
-            replayed += iterations.saturating_sub(it);
-            iterations = it;
-            history.truncate(hist_len);
-            rz = rz_c;
-            sweep += 1;
-            converged = false;
-            stall_count = 0;
-            continue;
-        }};
-    }
-
-    while iterations < max_iters && !converged && abort.is_none() {
-        if executed >= replay_budget {
-            abort = Some((iterations, AbortReason::ReplayBudgetExhausted));
-            break;
-        }
-        iterations += 1;
-        executed += 1;
-
-        // 1. The fault model: a DRAM upset lands in one named buffer.
-        inject(
-            plan,
-            a,
-            x,
-            &mut r,
-            &mut p,
-            iterations,
-            sweep,
-            bnorm_per_component,
-            &mut injections,
-        );
-
-        // 2. Checksummed SpMV.
-        if let Err(d) = guard.spmv(a, &p, &mut ap) {
-            flops += 2 * nnz + guard.flops_per_check();
-            detected!(d);
-        }
-        flops += 2 * nnz + guard.flops_per_check();
-
-        // 3. Curvature audit.
-        let pap = blas1::dot_pairwise(&p, &ap);
-        flops += 2 * nf;
-        if !(pap > 0.0 && pap.is_finite()) {
-            detected!(SdcDetected::NegativeCurvature {
-                iteration: iterations,
-                value: pap,
-            });
-        }
-
-        let alpha = rz / pap;
-        blas1::axpy(alpha, &p, x);
-        blas1::axpy(-alpha, &ap, &mut r);
-        flops += 6 * nf;
-
-        // 4. Norm-jump audit.
-        let prev_rel = *history.last().unwrap_or(&f64::INFINITY);
-        let rel = blas1::nrm2(&r) / bnorm;
-        flops += 2 * nf;
-        // `!(.. <= ..)` so a NaN trips the detector too.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(rel <= cfg.norm_jump_limit * prev_rel.max(f64::MIN_POSITIVE)) {
-            detected!(SdcDetected::NormJump {
-                iteration: iterations,
-                observed: rel / prev_rel.max(f64::MIN_POSITIVE),
-                tolerated: cfg.norm_jump_limit,
-            });
-        }
-        history.push(rel);
-        if (rel - prev_rel).abs() <= 1e-12 * prev_rel.max(f64::MIN_POSITIVE) {
-            stall_count += 1;
-        } else {
-            stall_count = 0;
-        }
-
-        // 5. Periodic residual-drift check.
-        if iterations.is_multiple_of(drift_every) {
-            let drift = residual_drift(a, x, b, &r, &mut scratch);
-            flops += 2 * nnz + 3 * nf;
-            // `!(.. <= ..)` so a NaN trips the detector too.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(drift <= cfg.drift_tol) {
-                detected!(SdcDetected::ResidualDrift {
-                    iteration: iterations,
-                    observed: drift,
-                    tolerated: cfg.drift_tol,
-                });
-            }
-        }
-
-        // 8. Validated convergence: the recurrence says done — confirm
-        // against the recomputed residual before believing it.
-        if rel <= tol {
-            let drift = residual_drift(a, x, b, &r, &mut scratch);
-            flops += 2 * nnz + 3 * nf;
-            // `!(.. <= ..)` so a NaN trips the detector too.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(drift <= cfg.drift_tol) {
-                detected!(SdcDetected::ResidualDrift {
-                    iteration: iterations,
-                    observed: drift,
-                    tolerated: cfg.drift_tol,
-                });
-            }
-            converged = true;
-            break;
-        }
-
-        // 6. Self-checking preconditioner application.
-        if let Err(d) = m.apply_checked(&r, &mut z) {
-            flops += m.flops_per_checked_apply();
-            detected!(d);
-        }
-        flops += m.flops_per_checked_apply();
-
-        let rz_new = blas1::dot_pairwise(&r, &z);
-        flops += 2 * nf;
-        if cfg.stall_window > 0 && stall_count >= cfg.stall_window {
-            // 9. Stall verdict: a corrupted `p` cannot break the drift
-            // invariant — `x` and `r` are updated consistently with
-            // whatever direction was used — so the state is valid and the
-            // corruption lives in `p`. Restart the direction instead of
-            // rolling back.
-            detections.push(DetectionRecord {
-                iteration: iterations,
-                sweep,
-                what: SdcDetected::Stalled {
-                    iteration: iterations,
-                    window: cfg.stall_window,
-                },
-            });
-            rz = rz_new;
-            p.copy_from_slice(&z);
-            stall_count = 0;
-            direction_restarts += 1;
-        } else {
-            let beta = rz_new / rz;
-            rz = rz_new;
-            for (pi, &zi) in p.iter_mut().zip(z.iter()) {
-                *pi = zi + beta * *pi;
-            }
-            flops += 2 * nf;
-        }
-
-        // 7. Validated checkpoint: only capture state the drift check
-        // vouches for, so an undetected corruption is never baked in.
-        if iterations.is_multiple_of(ckpt_every) {
-            let drift = residual_drift(a, x, b, &r, &mut scratch);
-            flops += 2 * nnz + 3 * nf;
-            // `!(.. <= ..)` so a NaN trips the detector too.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(drift <= cfg.drift_tol) {
-                detected!(SdcDetected::ResidualDrift {
-                    iteration: iterations,
-                    observed: drift,
-                    tolerated: cfg.drift_tol,
-                });
-            }
-            checkpoint = SolverCheckpoint::capture(iterations, x, &r, &p, &z, rz, history.len());
-            consecutive_rollbacks = 0;
-        }
-    }
-
-    // The recomputed final residual is the ground truth the campaign
-    // scores against (and one more flop bill).
-    a.fused_residual(x, b, &mut scratch);
-    flops += 2 * nnz;
-    let final_true_residual = blas1::nrm2(&scratch) / bnorm;
-
-    let outcome = match abort {
-        Some((at_iteration, reason)) => RecoveryOutcome::Aborted {
-            at_iteration,
-            rollbacks,
-            reason,
-        },
-        None if converged => RecoveryOutcome::Converged {
-            iterations,
-            rollbacks,
-        },
-        None => RecoveryOutcome::Unconverged {
-            iterations,
-            rollbacks,
-        },
+    let state = CgState::new(&mut *a, b, &mut *x, m).unwrap_or_else(|e| panic!("{e}"));
+    let mut hooks = Protect {
+        faults: Injector::new(plan, state.bnorm),
+        policy,
+        drift_every: cfg.drift_check_interval.max(1),
+        checkpoint_every: cfg.checkpoint_interval.max(1),
+        replay_budget: REPLAY_BUDGET_FACTOR * max_iters.max(1),
+        pristine: state.a.values().to_vec(),
+        guard: SpmvGuard::with_tol(&*state.a, CHECKSUM_TOL),
+        scratch: vec![0.0; b.len()],
+        checkpoint: snapshot(&state),
+        consecutive_rollbacks: 0,
+        abort: None,
+        stall_count: 0,
     };
-    SdcReport {
-        outcome,
-        injections,
-        detections,
-        executed_iterations: executed,
-        replayed_iterations: replayed,
-        direction_restarts,
-        residual_history: history,
-        final_true_residual,
-        simulated_backoff: backoff_total,
-        flops,
-    }
+    let res = state.run(max_iters, tol, m, &mut hooks);
+    hooks.faults.finish(res, hooks.abort, a, b, x)
 }
 
-/// The control arm: the same CG loop with the same injection point and
-/// **no** detectors, checkpoints, or validation — what a solver that
+/// The control arm: the same CG recurrence with the same injection point
+/// and **no** detectors, checkpoints, or validation — what a solver that
 /// trusts its hardware looks like under the same fault schedule. The
 /// recurrence stopping test is taken at face value, so the reported
 /// outcome may claim convergence while [`SdcReport::final_true_residual`]
 /// shows the answer is wrong — exactly the silent-corruption hazard the
 /// protected loop exists to close.
+///
+/// # Panics
+/// If `b` or `x` does not match the operator's size.
 pub fn unprotected_pcg<A: SparseOps + ?Sized, P: Preconditioner>(
     a: &mut A,
     b: &[f64],
@@ -722,105 +718,10 @@ pub fn unprotected_pcg<A: SparseOps + ?Sized, P: Preconditioner>(
     m: &P,
     plan: &MemFaultPlan,
 ) -> SdcReport {
-    let n = a.nrows();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    assert_eq!(x.len(), n, "solution length mismatch");
-
-    let mut flops = 0u64;
-    let nnz = a.nnz() as u64;
-    let nf = n as u64;
-
-    let bnorm = blas1::nrm2(b).max(f64::MIN_POSITIVE);
-    let bnorm_per_component = (bnorm / (n.max(1) as f64).sqrt()).max(f64::MIN_POSITIVE);
-    let mut r = vec![0.0; n];
-    a.fused_residual(x, b, &mut r);
-    flops += 2 * nnz;
-
-    let mut z = vec![0.0; n];
-    m.apply(&r, &mut z);
-    flops += m.flops_per_apply();
-
-    let mut p = z.clone();
-    let mut rz = blas1::dot_pairwise(&r, &z);
-    flops += 2 * nf;
-
-    let mut history = vec![blas1::nrm2(&r) / bnorm];
-    let mut ap = vec![0.0; n];
-    let mut converged = history[0] <= tol;
-    let mut iterations = 0usize;
-    let mut injections = Vec::new();
-
-    while iterations < max_iters && !converged {
-        iterations += 1;
-        inject(
-            plan,
-            a,
-            x,
-            &mut r,
-            &mut p,
-            iterations,
-            0,
-            bnorm_per_component,
-            &mut injections,
-        );
-        a.spmv_par(&p, &mut ap);
-        flops += 2 * nnz;
-        let pap = blas1::dot_pairwise(&p, &ap);
-        flops += 2 * nf;
-        if pap <= 0.0 {
-            break;
-        }
-        let alpha = rz / pap;
-        blas1::axpy(alpha, &p, x);
-        blas1::axpy(-alpha, &ap, &mut r);
-        flops += 6 * nf;
-        let rel = blas1::nrm2(&r) / bnorm;
-        flops += 2 * nf;
-        history.push(rel);
-        if rel <= tol {
-            converged = true;
-            break;
-        }
-        m.apply(&r, &mut z);
-        flops += m.flops_per_apply();
-        let rz_new = blas1::dot_pairwise(&r, &z);
-        flops += 2 * nf;
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for (pi, &zi) in p.iter_mut().zip(z.iter()) {
-            *pi = zi + beta * *pi;
-        }
-        flops += 2 * nf;
-    }
-
-    let mut scratch = vec![0.0; n];
-    a.fused_residual(x, b, &mut scratch);
-    flops += 2 * nnz;
-    let final_true_residual = blas1::nrm2(&scratch) / bnorm;
-
-    let outcome = if converged {
-        RecoveryOutcome::Converged {
-            iterations,
-            rollbacks: 0,
-        }
-    } else {
-        RecoveryOutcome::Unconverged {
-            iterations,
-            rollbacks: 0,
-        }
-    };
-    SdcReport {
-        outcome,
-        injections,
-        detections: Vec::new(),
-        executed_iterations: iterations,
-        replayed_iterations: 0,
-        direction_restarts: 0,
-        residual_history: history,
-        final_true_residual,
-        simulated_backoff: Duration::ZERO,
-        flops,
-    }
+    let state = CgState::new(&mut *a, b, &mut *x, m).unwrap_or_else(|e| panic!("{e}"));
+    let mut faults = Injector::new(plan, state.bnorm);
+    let res = state.run(max_iters, tol, m, &mut faults);
+    faults.finish(res, None, a, b, x)
 }
 
 #[cfg(test)]
@@ -1042,17 +943,24 @@ mod tests {
             &ProtectConfig::default(),
             &RecoveryPolicy::with_max_attempts(25),
         );
-        assert!(report.outcome.converged(), "{:?}", report.outcome);
-        // Any matrix injection after the last rollback would linger; the
-        // validated convergence plus pristine restore on every rollback
-        // keeps the *answer* right regardless.
-        let matrix_faults = report
+        let RecoveryOutcome::Converged { rollbacks, .. } = report.outcome else {
+            panic!("{:?}", report.outcome);
+        };
+        assert!(report.final_true_residual <= 1e-7);
+        let last_matrix_fault = report
             .injections
             .iter()
             .filter(|i| i.buffer == SolverBuffer::MatrixValues)
-            .count();
-        let _ = pristine;
-        assert!(report.final_true_residual <= 1e-7);
-        assert!(matrix_faults > 0 || !report.injections.is_empty());
+            .map(|i| i.sweep)
+            .max()
+            .expect("the seed must land a matrix-value injection");
+        // Every rollback ends a sweep, so a matrix fault in an earlier
+        // sweep than the final one was rolled back — and the pristine
+        // restore must have brought the value slab back bit for bit.
+        assert!(
+            last_matrix_fault < rollbacks,
+            "last matrix fault in sweep {last_matrix_fault}, {rollbacks} rollbacks"
+        );
+        assert_eq!(a.values(), &pristine[..]);
     }
 }

@@ -56,5 +56,6 @@ pub mod trace;
 pub use executor::{Executor, SchedPolicy};
 pub use graph::{Access, DataId, TaskGraph, TaskId, NO_AFFINITY};
 pub use resilience::{
-    Attempt, Backoff, ExhaustedAction, RecoveryPolicy, ResilienceStats, TaskFault, TaskOutcome,
+    mix, unit_f64, Attempt, Backoff, ExhaustedAction, RecoveryPolicy, ResilienceStats, TaskFault,
+    TaskOutcome,
 };

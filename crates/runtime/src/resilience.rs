@@ -117,11 +117,18 @@ pub enum Backoff {
     },
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash.
-fn mix(mut h: u64) -> u64 {
+/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash. The one mixer
+/// behind the jittered backoff here and every seeded fault plan in
+/// `xsc-ft`, so a seed means the same thing everywhere.
+pub fn mix(mut h: u64) -> u64 {
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
     h ^ (h >> 31)
+}
+
+/// Maps a hash word to a uniform `f64` in `[0, 1)` with 53-bit resolution.
+pub fn unit_f64(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl Backoff {
@@ -138,7 +145,7 @@ impl Backoff {
                 let raw = scale_capped(base, factor, failed_attempt, max);
                 let h = mix(seed ^ mix(task as u64 ^ ((failed_attempt as u64) << 32)));
                 // Uniform in [0.5, 1.5) with 53-bit resolution.
-                let u = 0.5 + (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                let u = 0.5 + unit_f64(h);
                 Duration::from_secs_f64((raw.as_secs_f64() * u).min(max.as_secs_f64()))
             }
         }

@@ -1,7 +1,13 @@
 //! Preconditioned conjugate gradients with deterministic reductions.
+//!
+//! [`CgState::run`] is the workspace's one PCG recurrence. [`pcg`] and
+//! [`try_pcg`] run it bare; the fault-tolerant solvers in `xsc-ft` run it
+//! under [`CgHooks`] values that inject faults, audit invariants,
+//! checkpoint, and roll back or restart.
 
 use crate::error::SolverError;
 use crate::ops::SparseOps;
+use std::ops::Deref;
 use xsc_core::blas1;
 
 /// A (left) preconditioner: `z ≈ A⁻¹ r`.
@@ -55,6 +61,9 @@ impl CgResult {
 /// Generic over [`SparseOps`], so the same solver runs on any storage
 /// format; because every format folds rows identically, the iterates are
 /// bit-identical across formats too.
+///
+/// # Panics
+/// If `b` or `x` does not match the operator's size.
 pub fn pcg<A: SparseOps + ?Sized, P: Preconditioner>(
     a: &A,
     b: &[f64],
@@ -63,13 +72,8 @@ pub fn pcg<A: SparseOps + ?Sized, P: Preconditioner>(
     tol: f64,
     m: &P,
 ) -> CgResult {
-    let n = a.nrows();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    assert_eq!(x.len(), n, "solution length mismatch");
-    match pcg_core(a, b, x, max_iters, tol, m, false) {
-        Ok(r) => r,
-        Err(e) => unreachable!("lenient pcg core cannot fail: {e}"),
-    }
+    let s = CgState::new(a, b, x, m).unwrap_or_else(|e| panic!("{e}"));
+    s.run(max_iters, tol, m, &mut ())
 }
 
 /// Fallible form of [`pcg`]: mis-sized vectors and loss of positive
@@ -84,109 +88,242 @@ pub fn try_pcg<A: SparseOps + ?Sized, P: Preconditioner>(
     tol: f64,
     m: &P,
 ) -> Result<CgResult, SolverError> {
-    pcg_core(a, b, x, max_iters, tol, m, true)
+    let mut strict = Strict(None);
+    let res = CgState::new(a, b, x, m)?.run(max_iters, tol, m, &mut strict);
+    strict.0.map_or(Ok(res), Err)
 }
 
-/// Shared PCG body. With `strict` the indefinite-curvature breakdown is an
-/// error; without it the loop just stops (the legacy behavior). Shape
-/// errors are always typed here — [`pcg`] asserts before calling.
-fn pcg_core<A: SparseOps + ?Sized, P: Preconditioner>(
-    a: &A,
-    b: &[f64],
-    x: &mut [f64],
-    max_iters: usize,
-    tol: f64,
-    m: &P,
-    strict: bool,
-) -> Result<CgResult, SolverError> {
-    let n = a.nrows();
-    if b.len() != n {
-        return Err(SolverError::ShapeMismatch {
-            what: "rhs",
-            expected: n,
-            got: b.len(),
-        });
+/// What [`CgState::run`] does after a hook returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Carry on with the pass. From [`CgHooks::converged`]: reject the
+    /// convergence and keep iterating.
+    Continue,
+    /// Leave the loop. From [`CgHooks::converged`] this accepts
+    /// convergence; from any other hook the solve ends unconverged.
+    Stop,
+    /// Start the next pass from the state the hook restored (rollback).
+    Retry,
+    /// Restart the recurrence — `z ← M⁻¹r`, `p ← z`, recompute `rᵀz` — from
+    /// the `r` the hook has reset to `b − Ax`, then start the next pass.
+    Restart,
+}
+
+/// Hooks into the one PCG recurrence, [`CgState::run`]. Every method has a
+/// no-op default, so plain [`pcg`] (hooks `()`) monomorphizes to the bare
+/// loop; fault injection, ABFT guards, checkpoints and recovery are hook
+/// values.
+///
+/// `R` is how the loop holds the operator: `&A` for plain solves, `&mut A`
+/// for hooks that write the value slab (fault injection, pristine restore).
+pub trait CgHooks<R, P: Preconditioner> {
+    /// Start of a pass; `s.iteration` already counts it.
+    fn begin(&mut self, _s: &mut CgState<'_, R>) -> Flow {
+        Flow::Continue
     }
-    if x.len() != n {
-        return Err(SolverError::ShapeMismatch {
-            what: "solution",
-            expected: n,
-            got: x.len(),
-        });
+    /// After the SpMV wrote `s.ap = A·s.p`.
+    fn spmv(&mut self, _s: &mut CgState<'_, R>) -> Flow {
+        Flow::Continue
     }
-
-    let mut flops = 0u64;
-    let nnz = a.nnz() as u64;
-    let nf = n as u64;
-
-    let bnorm = blas1::nrm2(b).max(f64::MIN_POSITIVE);
-    let mut r = vec![0.0; n];
-    a.fused_residual(x, b, &mut r);
-    flops += 2 * nnz;
-
-    let mut z = vec![0.0; n];
-    m.apply(&r, &mut z);
-    flops += m.flops_per_apply();
-
-    let mut p = z.clone();
-    let mut rz = blas1::dot_pairwise(&r, &z);
-    flops += 2 * nf;
-
-    let mut history = vec![blas1::nrm2(&r) / bnorm];
-    let mut ap = vec![0.0; n];
-    let mut converged = history[0] <= tol;
-    let mut iterations = 0;
-
-    for _ in 0..max_iters {
-        if converged {
-            break;
-        }
-        iterations += 1;
-        a.spmv_par(&p, &mut ap);
-        flops += 2 * nnz;
-        let pap = blas1::dot_pairwise(&p, &ap);
-        flops += 2 * nf;
+    /// The curvature `pᵀAp`, before `α` is formed. The default is lenient:
+    /// it stops on `pᵀAp ≤ 0`, where the operator lost positive
+    /// definiteness.
+    fn curvature(&mut self, _s: &mut CgState<'_, R>, pap: f64) -> Flow {
         if pap <= 0.0 {
-            if strict {
-                return Err(SolverError::IndefiniteOperator {
-                    iteration: iterations,
-                    pap,
+            return Flow::Stop;
+        }
+        Flow::Continue
+    }
+    /// After `x` and `r` moved; `rel` is the new `‖r‖/‖b‖`, pushed onto
+    /// `s.history` once this returns [`Flow::Continue`].
+    fn updated(&mut self, _s: &mut CgState<'_, R>, _rel: f64) -> Flow {
+        Flow::Continue
+    }
+    /// The recurrence residual met the tolerance; [`Flow::Stop`] accepts.
+    fn converged(&mut self, _s: &mut CgState<'_, R>) -> Flow {
+        Flow::Stop
+    }
+    /// Applies the preconditioner, `s.z ← M⁻¹ s.r`, and counts its flops.
+    fn precondition(&mut self, m: &P, s: &mut CgState<'_, R>) -> Flow {
+        m.apply(&s.r, &mut s.z);
+        s.flops += m.flops_per_apply();
+        Flow::Continue
+    }
+    /// `true` replaces this pass's direction update with `p ← z`.
+    fn restart_direction(&mut self, _s: &mut CgState<'_, R>) -> bool {
+        false
+    }
+    /// End of a pass.
+    fn end(&mut self, _s: &mut CgState<'_, R>) -> Flow {
+        Flow::Continue
+    }
+}
+
+/// The hooks of [`pcg`]: every default.
+impl<R, P: Preconditioner> CgHooks<R, P> for () {}
+
+/// The hooks of [`try_pcg`]: the strict curvature check, which keeps the
+/// breakdown as a typed error instead of just stopping.
+struct Strict(Option<SolverError>);
+
+impl<R, P: Preconditioner> CgHooks<R, P> for Strict {
+    fn curvature(&mut self, s: &mut CgState<'_, R>, pap: f64) -> Flow {
+        if pap <= 0.0 {
+            let iteration = s.iteration;
+            self.0 = Some(SolverError::IndefiniteOperator { iteration, pap });
+            return Flow::Stop;
+        }
+        Flow::Continue
+    }
+}
+
+/// The live state of one PCG solve, open to every [`CgHooks`] method.
+pub struct CgState<'s, R> {
+    /// The operator, held however the caller holds it.
+    pub a: R,
+    /// The right-hand side.
+    pub b: &'s [f64],
+    /// The iterate, updated in place.
+    pub x: &'s mut [f64],
+    /// The recurrence residual.
+    pub r: Vec<f64>,
+    /// The preconditioned residual `M⁻¹r`.
+    pub z: Vec<f64>,
+    /// The search direction.
+    pub p: Vec<f64>,
+    /// `A·p` from the current pass.
+    pub ap: Vec<f64>,
+    /// The scalar recurrence state `rᵀz`.
+    pub rz: f64,
+    /// Iterations so far, the pass in flight included.
+    pub iteration: usize,
+    /// `‖r‖/‖b‖` after each iteration (index 0 = initial residual).
+    pub history: Vec<f64>,
+    /// `‖b‖₂`, floored away from zero.
+    pub bnorm: f64,
+    /// Flops so far, HPCG accounting; hooks add their own.
+    pub flops: u64,
+}
+
+impl<'s, R: Deref<Target: SparseOps>> CgState<'s, R> {
+    /// Sets up PCG on `A x = b` from the current `x`: `r = b − Ax`,
+    /// `z = M⁻¹r`, `p = z`. Mis-sized vectors are typed errors.
+    pub fn new<P: Preconditioner>(
+        a: R,
+        b: &'s [f64],
+        x: &'s mut [f64],
+        m: &P,
+    ) -> Result<Self, SolverError> {
+        let expected = a.nrows();
+        for (what, got) in [("rhs", b.len()), ("solution", x.len())] {
+            if got != expected {
+                return Err(SolverError::ShapeMismatch {
+                    what,
+                    expected,
+                    got,
                 });
             }
-            // Loss of positive-definiteness (numerically) — stop.
-            break;
         }
-        let alpha = rz / pap;
-        blas1::axpy(alpha, &p, x);
-        blas1::axpy(-alpha, &ap, &mut r);
-        flops += 6 * nf;
-
-        let rel = blas1::nrm2(&r) / bnorm;
-        flops += 2 * nf;
-        history.push(rel);
-        if rel <= tol {
-            converged = true;
-            break;
-        }
-        m.apply(&r, &mut z);
-        flops += m.flops_per_apply();
-        let rz_new = blas1::dot_pairwise(&r, &z);
-        flops += 2 * nf;
-        let beta = rz_new / rz;
-        rz = rz_new;
-        // p <- z + beta p.
-        for (pi, &zi) in p.iter_mut().zip(z.iter()) {
-            *pi = zi + beta * *pi;
-        }
-        flops += 2 * nf;
+        let mut r = vec![0.0; expected];
+        a.fused_residual(x, b, &mut r);
+        let mut s = CgState {
+            flops: 2 * a.nnz() as u64,
+            a,
+            b,
+            x,
+            z: vec![0.0; expected],
+            p: vec![0.0; expected],
+            ap: vec![0.0; expected],
+            r,
+            rz: 0.0,
+            iteration: 0,
+            history: Vec::new(),
+            bnorm: blas1::nrm2(b).max(f64::MIN_POSITIVE),
+        };
+        s.restart(m);
+        s.history.push(blas1::nrm2(&s.r) / s.bnorm);
+        Ok(s)
     }
 
-    Ok(CgResult {
-        iterations,
-        residual_history: history,
-        converged,
-        flops,
-    })
+    /// Runs the PCG recurrence under `hooks` until `‖r‖/‖b‖ <= tol` is
+    /// accepted, a hook stops the solve, or `s.iteration` reaches
+    /// `max_iters`. The one place the CG steps live: every solver in the
+    /// workspace that runs this recurrence runs it here.
+    pub fn run<P, H>(mut self, max_iters: usize, tol: f64, m: &P, hooks: &mut H) -> CgResult
+    where
+        P: Preconditioner,
+        H: CgHooks<R, P>,
+    {
+        let (nnz, nf) = (self.a.nnz() as u64, self.r.len() as u64);
+        let s = &mut self;
+        let mut converged = s.history[0] <= tol;
+        macro_rules! flow {
+            ($verdict:expr) => {
+                match $verdict {
+                    Flow::Continue => {}
+                    Flow::Stop => break,
+                    Flow::Retry => continue,
+                    Flow::Restart => {
+                        s.restart(m);
+                        continue;
+                    }
+                }
+            };
+        }
+        while !converged && s.iteration < max_iters {
+            s.iteration += 1;
+            flow!(hooks.begin(s));
+            s.a.spmv_par(&s.p, &mut s.ap);
+            s.flops += 2 * nnz;
+            flow!(hooks.spmv(s));
+            let pap = blas1::dot_pairwise(&s.p, &s.ap);
+            s.flops += 2 * nf;
+            flow!(hooks.curvature(s, pap));
+            let alpha = s.rz / pap;
+            blas1::axpy(alpha, &s.p, s.x);
+            blas1::axpy(-alpha, &s.ap, &mut s.r);
+            let rel = blas1::nrm2(&s.r) / s.bnorm;
+            s.flops += 8 * nf;
+            flow!(hooks.updated(s, rel));
+            s.history.push(rel);
+            if rel <= tol {
+                let verdict = hooks.converged(s);
+                converged = verdict == Flow::Stop;
+                flow!(verdict);
+            }
+            flow!(hooks.precondition(m, s));
+            let rz_new = blas1::dot_pairwise(&s.r, &s.z);
+            s.flops += 2 * nf;
+            if hooks.restart_direction(s) {
+                s.p.copy_from_slice(&s.z);
+            } else {
+                let beta = rz_new / s.rz;
+                // p <- z + beta p.
+                for (pi, &zi) in s.p.iter_mut().zip(s.z.iter()) {
+                    *pi = zi + beta * *pi;
+                }
+                s.flops += 2 * nf;
+            }
+            s.rz = rz_new;
+            flow!(hooks.end(s));
+        }
+        CgResult {
+            iterations: self.iteration,
+            residual_history: self.history,
+            converged,
+            flops: self.flops,
+        }
+    }
+}
+
+impl<R> CgState<'_, R> {
+    /// `z ← M⁻¹r`, `p ← z`, `rz ← rᵀz`: (re)starts the recurrence from `r`.
+    fn restart<P: Preconditioner>(&mut self, m: &P) {
+        m.apply(&self.r, &mut self.z);
+        self.p.copy_from_slice(&self.z);
+        self.rz = blas1::dot_pairwise(&self.r, &self.z);
+        self.flops += m.flops_per_apply() + 2 * self.r.len() as u64;
+    }
 }
 
 #[cfg(test)]

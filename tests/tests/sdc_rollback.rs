@@ -6,7 +6,10 @@
 
 use proptest::prelude::*;
 use xsc_ft::inject::FaultKind;
-use xsc_ft::sdc::{protected_pcg, MemFaultPlan, ProtectConfig, SolverCheckpoint};
+use xsc_ft::sdc::{
+    protected_pcg, MemFaultPlan, ProtectConfig, RecoveryOutcome, SdcReport, SolverBuffer,
+    SolverCheckpoint,
+};
 use xsc_runtime::RecoveryPolicy;
 use xsc_sparse::cg::{pcg, Identity};
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
@@ -15,6 +18,20 @@ use xsc_sparse::{FormatMatrix, SparseFormat, SparseOps};
 fn format_from_index(i: usize) -> SparseFormat {
     let all = SparseFormat::all();
     all[i % all.len()]
+}
+
+/// `true` when the last matrix-value injection came before the last
+/// rollback. Every rollback ends a sweep, so that holds exactly when no
+/// matrix fault landed in the final sweep — and then the pristine restore
+/// must have left the operator's value slab bit-identical to the original.
+fn matrix_faults_rolled_back(rep: &SdcReport) -> bool {
+    let RecoveryOutcome::Converged { rollbacks, .. } = rep.outcome else {
+        return false;
+    };
+    rep.injections
+        .iter()
+        .filter(|i| i.buffer == SolverBuffer::MatrixValues)
+        .all(|i| i.sweep < rollbacks)
 }
 
 /// Deterministic but arbitrary-looking vector data derived from a seed.
@@ -97,7 +114,6 @@ proptest! {
         let cfg = ProtectConfig {
             checkpoint_interval: ckpt,
             drift_check_interval: drift,
-            ..ProtectConfig::default()
         };
         let plan = MemFaultPlan::new(seed, 0.0, FaultKind::BitFlip);
         let mut x = vec![0.0; b.len()];
@@ -127,20 +143,20 @@ proptest! {
         let cfg = ProtectConfig {
             checkpoint_interval: 2,
             drift_check_interval: 1,
-            ..ProtectConfig::default()
         };
         let policy = RecoveryPolicy::with_max_attempts(25);
 
+        let pristine = FormatMatrix::convert(a_csr.clone(), fmt).unwrap().values().to_vec();
         let run = || {
             let mut a = FormatMatrix::convert(a_csr.clone(), fmt).unwrap();
             let mut x = vec![0.0; b.len()];
             let rep = protected_pcg(
                 &mut a, &b, &mut x, 300, 1e-8, &Identity, &plan, &cfg, &policy,
             );
-            (x, rep)
+            (x, rep, a.values().to_vec())
         };
-        let (x1, rep1) = run();
-        let (x2, rep2) = run();
+        let (x1, rep1, values1) = run();
+        let (x2, rep2, _) = run();
 
         prop_assert!(rep1.outcome.converged(), "{}: {:?}", fmt, rep1.outcome);
         prop_assert!(
@@ -151,6 +167,9 @@ proptest! {
         if !rep1.injections.is_empty() {
             prop_assert!(!rep1.detections.is_empty(),
                 "{}: 1e28 corruptions must be detected", fmt);
+        }
+        if matrix_faults_rolled_back(&rep1) {
+            prop_assert_eq!(&values1, &pristine, "{}: value slab not restored", fmt);
         }
         // Byte-reproducibility of the full rollback-replay trajectory.
         prop_assert_eq!(&x1, &x2);
