@@ -15,7 +15,7 @@
 //! process-wide default for both axes at once.
 
 use crate::{exhaustive, median_of, SweepResult};
-use xsc_core::gemm::{gemm_with_opts, gemm_with_params, Transpose};
+use xsc_core::gemm::{gemm_with_opts, Transpose};
 use xsc_core::{gen, microkernel, GemmParams, Matrix, MicroKernel};
 use xsc_metrics::Stopwatch;
 
@@ -64,7 +64,17 @@ pub fn measure_gemm_seconds(
     c: &mut Matrix<f64>,
 ) -> f64 {
     let t = Stopwatch::start();
-    gemm_with_params(Transpose::No, Transpose::No, 1.0, a, b, 0.0, c, p);
+    gemm_with_opts(
+        Transpose::No,
+        Transpose::No,
+        1.0,
+        a,
+        b,
+        0.0,
+        c,
+        p,
+        microkernel::global_microkernel(),
+    );
     t.seconds()
 }
 

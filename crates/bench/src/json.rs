@@ -7,6 +7,7 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
+use xsc_metrics::escape_json_into;
 
 /// A JSON value, built by the experiments and rendered with [`Json::render`].
 #[derive(Debug, Clone)]
@@ -58,7 +59,7 @@ impl Json {
             Json::Num(_) => out.push_str("null"),
             Json::Str(s) => {
                 out.push('"');
-                escape_into(s, out);
+                escape_json_into(s, out);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -78,28 +79,12 @@ impl Json {
                         out.push(',');
                     }
                     out.push('"');
-                    escape_into(k, out);
+                    escape_json_into(k, out);
                     out.push_str("\":");
                     v.render_into(out);
                 }
                 out.push('}');
             }
-        }
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }

@@ -25,7 +25,7 @@
 //! tile) instead of over single columns.
 //!
 //! Blocking parameters default to [`GemmParams::DEFAULT`] and can be
-//! overridden per call ([`gemm_with_params`]) or globally
+//! overridden per call ([`gemm_with_opts`]) or globally
 //! ([`set_global_params`]) — `xsc-autotune` sweeps `MC/KC/NC` empirically
 //! and installs the winner. The `MR x NR` micro-kernel itself is also a
 //! tuning axis: [`crate::microkernel`] provides bit-identical scalar and
@@ -228,22 +228,6 @@ pub fn gemm<T: Scalar>(
     beta: T,
     c: &mut Matrix<T>,
 ) {
-    gemm_with_params(transa, transb, alpha, a, b, beta, c, global_params());
-}
-
-/// [`gemm`] with explicit blocking parameters (the autotuner's measurement
-/// entry point); dispatches to the currently installed micro-kernel.
-#[allow(clippy::too_many_arguments)] // the BLAS gemm signature plus the tuning knob
-pub fn gemm_with_params<T: Scalar>(
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-    params: GemmParams,
-) {
     gemm_with_opts(
         transa,
         transb,
@@ -252,7 +236,7 @@ pub fn gemm_with_params<T: Scalar>(
         b,
         beta,
         c,
-        params,
+        global_params(),
         microkernel::global_microkernel(),
     );
 }
@@ -567,22 +551,6 @@ pub fn par_gemm<T: Scalar>(
     beta: T,
     c: &mut Matrix<T>,
 ) {
-    par_gemm_with_params(transa, transb, alpha, a, b, beta, c, global_params());
-}
-
-/// [`par_gemm`] with explicit blocking parameters; dispatches to the
-/// currently installed micro-kernel.
-#[allow(clippy::too_many_arguments)] // the BLAS gemm signature plus the tuning knob
-pub fn par_gemm_with_params<T: Scalar>(
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    beta: T,
-    c: &mut Matrix<T>,
-    params: GemmParams,
-) {
     par_gemm_with_opts(
         transa,
         transb,
@@ -591,7 +559,7 @@ pub fn par_gemm_with_params<T: Scalar>(
         b,
         beta,
         c,
-        params,
+        global_params(),
         microkernel::global_microkernel(),
     );
 }
@@ -766,14 +734,34 @@ mod tests {
 
         let tol = 1e-11 * (k as f64 + 1.0);
         let mut c_opt = c0.clone();
-        gemm_with_params(ta, tb, alpha, &a, &b, beta, &mut c_opt, params);
+        gemm_with_opts(
+            ta,
+            tb,
+            alpha,
+            &a,
+            &b,
+            beta,
+            &mut c_opt,
+            params,
+            microkernel::global_microkernel(),
+        );
         assert!(
             c_ref.approx_eq(&c_opt, tol),
             "gemm mismatch m={m} k={k} n={n} ta={ta:?} tb={tb:?} params={params:?}"
         );
 
         let mut c_par = c0.clone();
-        par_gemm_with_params(ta, tb, alpha, &a, &b, beta, &mut c_par, params);
+        par_gemm_with_opts(
+            ta,
+            tb,
+            alpha,
+            &a,
+            &b,
+            beta,
+            &mut c_par,
+            params,
+            microkernel::global_microkernel(),
+        );
         assert!(
             c_ref.approx_eq(&c_par, tol),
             "par_gemm mismatch m={m} k={k} n={n} ta={ta:?} tb={tb:?} params={params:?}"

@@ -7,140 +7,177 @@
 //! * `SYRK   A[i][i] <- A[i][i] - A[i][k]*A[i][k]^T`    for `i > k`
 //! * `GEMM   A[i][j] <- A[i][j] - A[i][k]*A[j][k]^T`    for `i > j > k`
 //!
-//! The dataflow engine submits all `O(nt³)` tasks up front with tile-level
-//! read/write declarations; the fork-join engine synchronizes after every
-//! step (panel barrier, update barrier), which is exactly the utilization
-//! loss experiment E02 measures.
+//! `tile_ops` lists these operations once, in program order; every
+//! engine is a wrapper around that list. The dataflow engine submits all
+//! `O(nt³)` tasks up front with tile-level read/write declarations; the
+//! fork-join engine runs the same graph one dependence level at a time
+//! (potrf | trsm panel | trailing update of each step) with a barrier
+//! between levels, which is exactly the utilization loss experiment E02
+//! measures; the ABFT engine ([`crate::resilient`]) guards each op with a
+//! checksum.
 
 use crate::poison::Poison;
+use parking_lot::RwLock;
 use rayon::prelude::*;
+use std::sync::Arc;
 use xsc_core::{factor, flops, gemm, syrk, trsm};
 use xsc_core::{Error, Matrix, Result, Scalar, TileMatrix, Transpose};
 use xsc_runtime::{trace::Trace, Access, Executor, TaskGraph};
+
+/// The xsc-core kernel a [`TileOp`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Potrf,
+    Trsm,
+    Syrk,
+    Gemm,
+}
+
+impl Kind {
+    /// Lower-case kernel name, as in task names.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Kind::Potrf => "potrf",
+            Kind::Trsm => "trsm",
+            Kind::Syrk => "syrk",
+            Kind::Gemm => "gemm",
+        }
+    }
+}
+
+/// One tile operation of the factorization: it reads `ins` and updates
+/// `out` in place.
+pub(crate) struct TileOp<T> {
+    pub kind: Kind,
+    /// Task name, e.g. `gemm(3,1,0)`.
+    pub name: String,
+    /// Reads of `ins`, then the write of `out`.
+    pub accesses: Vec<Access>,
+    /// Flop count, the task cost.
+    pub cost: u64,
+    /// Step `k`: every op of a step reads the column-`k` panel.
+    pub step: usize,
+    ins: Vec<Arc<RwLock<Matrix<T>>>>,
+    out: Arc<RwLock<Matrix<T>>>,
+    /// Global index of the first row of `out`.
+    row0: usize,
+}
+
+impl<T: Scalar> TileOp<T> {
+    /// Locks the tiles (inputs shared, then the output exclusive) and hands
+    /// them to `f`.
+    pub(crate) fn with_tiles<R>(&self, f: impl FnOnce(&[&Matrix<T>], &mut Matrix<T>) -> R) -> R {
+        let guards: Vec<_> = self.ins.iter().map(|t| t.read()).collect();
+        let ins: Vec<&Matrix<T>> = guards.iter().map(|g| &**g).collect();
+        f(&ins, &mut self.out.write())
+    }
+
+    /// Runs the op's kernel on locked tiles. A non-SPD diagonal tile
+    /// reports its pivot as a global row index.
+    pub(crate) fn apply(&self, ins: &[&Matrix<T>], out: &mut Matrix<T>) -> Result<()> {
+        let one = T::one();
+        match self.kind {
+            Kind::Potrf => {
+                return factor::potrf_unblocked(out).map_err(|e| shift_pivot(e, self.row0))
+            }
+            Kind::Trsm => trsm::trsm(
+                trsm::Side::Right,
+                trsm::Uplo::Lower,
+                Transpose::Yes,
+                trsm::Diag::NonUnit,
+                one,
+                ins[0],
+                out,
+            ),
+            Kind::Syrk => syrk::syrk(trsm::Uplo::Lower, Transpose::No, -one, ins[0], one, out),
+            Kind::Gemm => gemm::gemm(
+                Transpose::No,
+                Transpose::Yes,
+                -one,
+                ins[0],
+                ins[1],
+                one,
+                out,
+            ),
+        }
+        Ok(())
+    }
+}
+
+/// The tile operations of the tiled Cholesky of `a`, in program order.
+pub(crate) fn tile_ops<T: Scalar>(a: &TileMatrix<T>) -> Vec<TileOp<T>> {
+    let nt = a.tile_cols();
+    assert_eq!(a.tile_rows(), nt, "cholesky requires a square tile grid");
+    let dim = |i| a.tile_dims(i, i).0;
+    // The op of kind `kind` at step `k` that updates tile (i, j).
+    let op = |kind, i, j, k| {
+        let (name, ins, cost): (_, &[(usize, usize)], _) = match kind {
+            Kind::Potrf => (format!("potrf({k})"), &[], flops::cholesky(dim(k))),
+            Kind::Trsm => (
+                format!("trsm({i},{k})"),
+                &[(k, k)],
+                flops::trsm(dim(k), dim(i)),
+            ),
+            Kind::Syrk => (
+                format!("syrk({i},{k})"),
+                &[(i, k)],
+                flops::syrk(dim(i), dim(k)),
+            ),
+            Kind::Gemm => {
+                let cost = flops::gemm(dim(i), dim(j), dim(k));
+                (format!("gemm({i},{j},{k})"), &[(i, k), (j, k)], cost)
+            }
+        };
+        TileOp {
+            kind,
+            name,
+            accesses: ins
+                .iter()
+                .map(|&(r, c)| Access::Read(a.data_id(r, c)))
+                .chain([Access::Write(a.data_id(i, j))])
+                .collect(),
+            cost,
+            step: k,
+            ins: ins.iter().map(|&(r, c)| a.tile(r, c)).collect(),
+            out: a.tile(i, j),
+            row0: i * a.nb(),
+        }
+    };
+    let mut ops = Vec::new();
+    for k in 0..nt {
+        ops.push(op(Kind::Potrf, k, k, k));
+        for i in k + 1..nt {
+            ops.push(op(Kind::Trsm, i, k, k));
+        }
+        for i in k + 1..nt {
+            ops.push(op(Kind::Syrk, i, i, k));
+            for j in k + 1..i {
+                ops.push(op(Kind::Gemm, i, j, k));
+            }
+        }
+    }
+    ops
+}
 
 /// Builds the tiled-Cholesky task graph over `a` (overwriting its lower
 /// triangle of tiles with `L`). Exposed so the discrete-event simulator in
 /// `xsc-machine` can replay the same DAG on a modeled machine.
 pub fn build_graph<T: Scalar>(a: &TileMatrix<T>, poison: &Poison) -> TaskGraph {
-    let nt = a.tile_cols();
-    assert_eq!(a.tile_rows(), nt, "cholesky requires a square tile grid");
-    let nb = a.nb();
     let mut g = TaskGraph::new();
-    for k in 0..nt {
-        // Every task of step k reads the column-k panel tiles, so tag the
-        // whole step with affinity k: a stealing worker then prefers tasks
-        // whose inputs it already has cached.
-        let (kb, _) = a.tile_dims(k, k);
-        let tkk = a.tile(k, k);
+    for op in tile_ops(a) {
         let p = poison.clone();
-        let base = k * nb;
-        let id = g.add_task_with_cost(
-            format!("potrf({k})"),
-            [Access::Write(a.data_id(k, k))],
-            flops::cholesky(kb),
-            move || {
-                if p.is_set() {
-                    return;
-                }
-                if let Err(e) = factor::potrf_unblocked(&mut tkk.write()) {
-                    p.set(shift_pivot(e, base));
-                }
-            },
-        );
-        g.set_affinity(id, k as u64);
-        for i in k + 1..nt {
-            let tkk = a.tile(k, k);
-            let tik = a.tile(i, k);
-            let p = poison.clone();
-            let (ib, _) = a.tile_dims(i, k);
-            let id = g.add_task_with_cost(
-                format!("trsm({i},{k})"),
-                [
-                    Access::Read(a.data_id(k, k)),
-                    Access::Write(a.data_id(i, k)),
-                ],
-                flops::trsm(kb, ib),
-                move || {
-                    if p.is_set() {
-                        return;
-                    }
-                    let l = tkk.read();
-                    trsm::trsm(
-                        trsm::Side::Right,
-                        trsm::Uplo::Lower,
-                        Transpose::Yes,
-                        trsm::Diag::NonUnit,
-                        T::one(),
-                        &l,
-                        &mut tik.write(),
-                    );
-                },
-            );
-            g.set_affinity(id, k as u64);
-        }
-        for i in k + 1..nt {
-            let tik = a.tile(i, k);
-            let tii = a.tile(i, i);
-            let p = poison.clone();
-            let (ib, _) = a.tile_dims(i, k);
-            let id = g.add_task_with_cost(
-                format!("syrk({i},{k})"),
-                [
-                    Access::Read(a.data_id(i, k)),
-                    Access::Write(a.data_id(i, i)),
-                ],
-                flops::syrk(ib, kb),
-                move || {
-                    if p.is_set() {
-                        return;
-                    }
-                    let lik = tik.read();
-                    syrk::syrk(
-                        trsm::Uplo::Lower,
-                        Transpose::No,
-                        -T::one(),
-                        &lik,
-                        T::one(),
-                        &mut tii.write(),
-                    );
-                },
-            );
-            g.set_affinity(id, k as u64);
-            for j in k + 1..i {
-                let tik = a.tile(i, k);
-                let tjk = a.tile(j, k);
-                let tij = a.tile(i, j);
-                let p = poison.clone();
-                let (ib2, _) = a.tile_dims(i, k);
-                let (jb, _) = a.tile_dims(j, k);
-                let id = g.add_task_with_cost(
-                    format!("gemm({i},{j},{k})"),
-                    [
-                        Access::Read(a.data_id(i, k)),
-                        Access::Read(a.data_id(j, k)),
-                        Access::Write(a.data_id(i, j)),
-                    ],
-                    flops::gemm(ib2, jb, kb),
-                    move || {
-                        if p.is_set() {
-                            return;
-                        }
-                        let lik = tik.read();
-                        let ljk = tjk.read();
-                        gemm::gemm(
-                            Transpose::No,
-                            Transpose::Yes,
-                            -T::one(),
-                            &lik,
-                            &ljk,
-                            T::one(),
-                            &mut tij.write(),
-                        );
-                    },
-                );
-                g.set_affinity(id, k as u64);
+        let (name, accesses, step) = (op.name.clone(), op.accesses.clone(), op.step);
+        let id = g.add_task_with_cost(name, accesses, op.cost, move || {
+            if p.is_set() {
+                return;
             }
-        }
+            if let Err(e) = op.with_tiles(|ins, out| op.apply(ins, out)) {
+                p.set(e);
+            }
+        });
+        // Tag each step with affinity k: a stealing worker then prefers
+        // tasks whose panel inputs it already has cached.
+        g.set_affinity(id, step as u64);
     }
     g
 }
@@ -168,72 +205,20 @@ pub fn cholesky_dag<T: Scalar>(a: &TileMatrix<T>, executor: &Executor) -> Result
     Ok(trace)
 }
 
-/// Fork-join (bulk-synchronous) tiled Cholesky: the same tile kernels, but
-/// with a rayon barrier after the panel and after the trailing update of
-/// every step `k`.
+/// Fork-join (bulk-synchronous) tiled Cholesky: [`build_graph`]'s tasks,
+/// run one dependence level at a time on the rayon pool with a barrier
+/// after each level — after the potrf, the trsm panel and the trailing
+/// update of every step `k`.
 pub fn cholesky_forkjoin<T: Scalar>(a: &TileMatrix<T>) -> Result<()> {
-    let nt = a.tile_cols();
-    assert_eq!(a.tile_rows(), nt, "cholesky requires a square tile grid");
     let _scope = xsc_metrics::record(
         "cholesky",
         xsc_metrics::traffic::cholesky_blocked(a.rows(), a.nb(), std::mem::size_of::<T>() as u64),
     );
-    for k in 0..nt {
-        {
-            let tkk = a.tile(k, k);
-            let mut tile = tkk.write();
-            factor::potrf_unblocked(&mut tile).map_err(|e| shift_pivot(e, k * a.nb()))?;
-        }
-        // Panel: all TRSMs in parallel, then barrier.
-        let tkk = a.tile(k, k);
-        let l = tkk.read();
-        (k + 1..nt).into_par_iter().for_each(|i| {
-            let tik = a.tile(i, k);
-            trsm::trsm(
-                trsm::Side::Right,
-                trsm::Uplo::Lower,
-                Transpose::Yes,
-                trsm::Diag::NonUnit,
-                T::one(),
-                &l,
-                &mut tik.write(),
-            );
-        });
-        drop(l);
-        // Trailing update: all SYRK/GEMMs in parallel, then barrier.
-        let updates: Vec<(usize, usize)> = (k + 1..nt)
-            .flat_map(|i| (k + 1..=i).map(move |j| (i, j)))
-            .collect();
-        updates.into_par_iter().for_each(|(i, j)| {
-            let tik = a.tile(i, k);
-            let lik = tik.read();
-            if i == j {
-                let tii = a.tile(i, i);
-                syrk::syrk(
-                    trsm::Uplo::Lower,
-                    Transpose::No,
-                    -T::one(),
-                    &lik,
-                    T::one(),
-                    &mut tii.write(),
-                );
-            } else {
-                let tjk = a.tile(j, k);
-                let ljk = tjk.read();
-                let tij = a.tile(i, j);
-                gemm::gemm(
-                    Transpose::No,
-                    Transpose::Yes,
-                    -T::one(),
-                    &lik,
-                    &ljk,
-                    T::one(),
-                    &mut tij.write(),
-                );
-            }
-        });
+    let poison = Poison::new();
+    for level in build_graph(a, &poison).into_levels() {
+        level.into_par_iter().for_each(|body| body());
     }
-    Ok(())
+    poison.into_result()
 }
 
 /// Solves `A x = b` using the tiled factor produced by either engine;
@@ -338,6 +323,34 @@ mod tests {
         assert!(trace.tasks_run() > 0);
         let u = trace.utilization();
         assert!(u > 0.0 && u <= 1.0);
+    }
+
+    #[test]
+    fn graph_levels_are_the_fork_join_phases() {
+        // Each step k is potrf | trsm panel | trailing update; the last
+        // step is a lone potrf, so nt steps give 3·nt − 2 levels.
+        for nt in [1usize, 2, 3, 5, 8] {
+            let a = TileMatrix::<f64>::zeros(nt * 4, nt * 4, 4);
+            let mut g = build_graph(&a, &Poison::new());
+            let levels = g.levels();
+            assert_eq!(levels.len(), 3 * nt - 2, "nt={nt}");
+            for (l, level) in levels.iter().enumerate() {
+                let kinds: Vec<&str> = level
+                    .iter()
+                    .map(|&id| g.task_name(id).split('(').next().unwrap())
+                    .collect();
+                let expect: &[&str] = match l % 3 {
+                    0 => &["potrf"],
+                    1 => &["trsm"],
+                    _ => &["syrk", "gemm"],
+                };
+                assert!(
+                    kinds.iter().all(|k| expect.contains(k)),
+                    "nt={nt} level {l}: {kinds:?}"
+                );
+                assert!(l % 3 != 0 || level.len() == 1, "one potrf per step");
+            }
+        }
     }
 
     #[test]

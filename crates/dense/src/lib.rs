@@ -1,13 +1,14 @@
-//! # xsc-dense — tiled dense factorizations, two ways
+//! # xsc-dense — tiled dense factorizations
 //!
 //! This crate implements the keynote's algorithmic program for dense linear
 //! algebra at scale:
 //!
-//! * [`cholesky`], [`lu`], [`qr`] — PLASMA-style **tiled algorithms**, each
-//!   in two engines: a **DAG-dataflow** version driven by `xsc-runtime`
-//!   (tasks fire the moment their input tiles are ready) and a
-//!   **fork-join / bulk-synchronous** baseline (a barrier after every
-//!   algorithmic step — the model the keynote argues is obsolete).
+//! * [`cholesky`], [`lu`], [`qr`] — PLASMA-style **tiled algorithms** as
+//!   task graphs driven by `xsc-runtime` (**DAG dataflow**: tasks fire the
+//!   moment their input tiles are ready). Cholesky also runs as the
+//!   **fork-join / bulk-synchronous** baseline — the same graph one
+//!   dependence level at a time, with a barrier after each level (the
+//!   model the keynote argues is obsolete).
 //! * [`tsqr`] — the **communication-avoiding** tall-skinny QR: a reduction
 //!   tree of small factorizations that moves `O(n²·log P)` words where the
 //!   flat algorithm moves `O(m·n)`.

@@ -1,4 +1,4 @@
-//! Tiled LU factorization without pivoting — dataflow and fork-join engines.
+//! Tiled LU factorization without pivoting, run as a dataflow task graph.
 //!
 //! Tile-level pivoting serializes the panel across tiles, which is exactly
 //! the synchronization the keynote wants removed; the tiled engines here
@@ -8,9 +8,8 @@
 //! by the HPL driver lives in [`crate::hpl`].
 
 use crate::poison::Poison;
-use rayon::prelude::*;
 use xsc_core::{factor, flops, gemm, trsm};
-use xsc_core::{Matrix, Result, Scalar, TileMatrix, Transpose};
+use xsc_core::{Result, Scalar, TileMatrix, Transpose};
 use xsc_runtime::{trace::Trace, Access, Executor, TaskGraph};
 
 /// Builds the tiled no-pivot LU task graph over `a`:
@@ -153,87 +152,16 @@ pub fn lu_nopiv_dag<T: Scalar>(a: &TileMatrix<T>, executor: &Executor) -> Result
     Ok(trace)
 }
 
-/// Fork-join tiled LU without pivoting (barrier after each step's panel and
-/// after its trailing update).
-pub fn lu_nopiv_forkjoin<T: Scalar>(a: &TileMatrix<T>) -> Result<()> {
-    let nt = a.tile_cols();
-    assert_eq!(a.tile_rows(), nt, "lu requires a square tile grid");
-    for k in 0..nt {
-        {
-            let tkk = a.tile(k, k);
-            factor::getrf_nopiv(&mut tkk.write())?;
-        }
-        let tkk = a.tile(k, k);
-        let lu_kk = tkk.read();
-        // Row and column panels in parallel, then barrier.
-        let panel: Vec<(bool, usize)> = (k + 1..nt)
-            .map(|j| (true, j))
-            .chain((k + 1..nt).map(|i| (false, i)))
-            .collect();
-        panel.into_par_iter().for_each(|(is_row, idx)| {
-            if is_row {
-                let tkj = a.tile(k, idx);
-                trsm::trsm(
-                    trsm::Side::Left,
-                    trsm::Uplo::Lower,
-                    Transpose::No,
-                    trsm::Diag::Unit,
-                    T::one(),
-                    &lu_kk,
-                    &mut tkj.write(),
-                );
-            } else {
-                let tik = a.tile(idx, k);
-                trsm::trsm(
-                    trsm::Side::Right,
-                    trsm::Uplo::Upper,
-                    Transpose::No,
-                    trsm::Diag::NonUnit,
-                    T::one(),
-                    &lu_kk,
-                    &mut tik.write(),
-                );
-            }
-        });
-        drop(lu_kk);
-        let updates: Vec<(usize, usize)> = (k + 1..nt)
-            .flat_map(|i| (k + 1..nt).map(move |j| (i, j)))
-            .collect();
-        updates.into_par_iter().for_each(|(i, j)| {
-            let tik = a.tile(i, k);
-            let tkj = a.tile(k, j);
-            let l = tik.read();
-            let u = tkj.read();
-            let tij = a.tile(i, j);
-            gemm::gemm(
-                Transpose::No,
-                Transpose::No,
-                -T::one(),
-                &l,
-                &u,
-                T::one(),
-                &mut tij.write(),
-            );
-        });
-    }
-    Ok(())
-}
-
 /// Solves `A x = b` from the tiled no-pivot factor (`b` overwritten).
 pub fn solve_nopiv<T: Scalar>(lu_tiles: &TileMatrix<T>, b: &mut [T]) {
     let lu = lu_tiles.to_matrix();
     factor::getrf_nopiv_solve(&lu, b);
 }
 
-/// Gathers the tiled factor into a dense matrix (testing/interop helper).
-pub fn factor_to_matrix<T: Scalar>(a: &TileMatrix<T>) -> Matrix<T> {
-    a.to_matrix()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsc_core::{gen, norms};
+    use xsc_core::{gen, norms, Matrix};
     use xsc_runtime::SchedPolicy;
 
     fn reference(a: &Matrix<f64>) -> Matrix<f64> {
@@ -257,14 +185,6 @@ mod tests {
                 got.max_abs_diff(&expect)
             );
         }
-    }
-
-    #[test]
-    fn forkjoin_matches_reference() {
-        let a = gen::diag_dominant::<f64>(36, 2);
-        let tiles = TileMatrix::from_matrix(&a, 12);
-        lu_nopiv_forkjoin(&tiles).unwrap();
-        assert!(tiles.to_matrix().approx_eq(&reference(&a), 1e-8));
     }
 
     #[test]

@@ -185,70 +185,6 @@ pub fn qr_seq<T: Scalar>(a: TileMatrix<T>) -> Result<TiledQr<T>> {
     Ok(fact)
 }
 
-/// Fork-join (bulk-synchronous) tiled QR: the same kernels with a rayon
-/// barrier after every row of updates. The flat-tree `TPQRT` chain down
-/// each panel is inherently sequential — precisely the dependence the DAG
-/// engine overlaps with trailing updates and fork-join cannot.
-pub fn qr_forkjoin<T: Scalar>(a: TileMatrix<T>) -> Result<TiledQr<T>> {
-    use rayon::prelude::*;
-    check_shape(&a);
-    let mt = a.tile_rows();
-    let nt = a.tile_cols();
-    let kt = nt.min(mt);
-    let taus_diag: Vec<TauSlot<T>> = (0..kt).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-    let mut taus_ts: BTreeMap<(usize, usize), TauSlot<T>> = BTreeMap::new();
-    for k in 0..kt {
-        for i in k + 1..mt {
-            taus_ts.insert((i, k), Arc::new(Mutex::new(Vec::new())));
-        }
-    }
-    for k in 0..kt {
-        {
-            let tkk = a.tile(k, k);
-            let mut tile = tkk.write();
-            *taus_diag[k].lock() = geqrf(&mut tile);
-        }
-        // Row updates in parallel, then barrier.
-        {
-            let tkk = a.tile(k, k);
-            let v = tkk.read();
-            let tau = taus_diag[k].lock().clone();
-            (k + 1..nt).into_par_iter().for_each(|j| {
-                let tkj = a.tile(k, j);
-                ormqr(Transpose::Yes, &v, &tau, &mut tkj.write());
-            });
-        }
-        for i in k + 1..mt {
-            {
-                let tkk = a.tile(k, k);
-                let tik = a.tile(i, k);
-                let mut r = tkk.write();
-                let mut b = tik.write();
-                *taus_ts[&(i, k)].lock() = tpqrt(&mut r, &mut b);
-            }
-            let tik = a.tile(i, k);
-            let v2 = tik.read();
-            let tau = taus_ts[&(i, k)].lock().clone();
-            (k + 1..nt).into_par_iter().for_each(|j| {
-                let tkj = a.tile(k, j);
-                let tij = a.tile(i, j);
-                tpmqrt(
-                    Transpose::Yes,
-                    &v2,
-                    &tau,
-                    &mut tkj.write(),
-                    &mut tij.write(),
-                );
-            });
-        }
-    }
-    Ok(TiledQr {
-        tiles: a,
-        taus_diag,
-        taus_ts,
-    })
-}
-
 impl<T: Scalar> TiledQr<T> {
     /// Applies `Qᵀ` (trans = Yes) or `Q` (trans = No) to a tiled block `b`
     /// with the same row tiling as the factored matrix.
@@ -390,29 +326,6 @@ mod tests {
             "diff {}",
             got.max_abs_diff(&expect)
         );
-    }
-
-    #[test]
-    fn forkjoin_matches_sequential() {
-        let m = 48;
-        let n = 32;
-        let nb = 16;
-        let a = gen::random_matrix::<f64>(m, n, 11);
-        let f_seq = qr_seq(TileMatrix::from_matrix(&a, nb)).unwrap();
-        let f_fj = qr_forkjoin(TileMatrix::from_matrix(&a, nb)).unwrap();
-        let got = f_fj.tiles.to_matrix();
-        let expect = f_seq.tiles.to_matrix();
-        assert!(
-            got.approx_eq(&expect, 0.0),
-            "identical kernel order must be bitwise equal"
-        );
-        // And the factorization solves.
-        let b = gen::random_vector::<f64>(m, 12);
-        let x = f_fj.solve_ls(&b);
-        let x_ref = f_seq.solve_ls(&b);
-        for (p, q) in x.iter().zip(x_ref.iter()) {
-            assert_eq!(p, q);
-        }
     }
 
     #[test]

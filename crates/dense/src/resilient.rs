@@ -31,17 +31,23 @@
 //! adversarial moment: output clobbered, then the "crash"), and injected
 //! silent corruption lands between the update and the verification, where
 //! real silent errors live.
+//!
+//! The tile operations are [`crate::cholesky`]'s op list; this module
+//! only wraps each op in one guard (poison check, stall, snapshot/restore,
+//! the op, injected panic, corruption, checksum check).
 
+use crate::cholesky::{tile_ops, Kind, TileOp};
 use crate::poison::Poison;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use xsc_core::{factor, flops, gemm, norms, syrk, trsm};
-use xsc_core::{Error, Matrix, Result, TileMatrix, Transpose};
+use std::sync::{Arc, OnceLock};
+use xsc_core::norms;
+#[cfg(test)]
+use xsc_core::{factor, Error};
+use xsc_core::{Matrix, Result, TileMatrix};
 use xsc_ft::abft::checksum_tolerance;
 use xsc_ft::inject::FaultKind;
 use xsc_ft::plan::{FaultPlan, Injection};
-use xsc_runtime::{trace::Trace, Access, Executor, RecoveryPolicy, TaskFault, TaskGraph};
+use xsc_runtime::{trace::Trace, Attempt, Executor, RecoveryPolicy, TaskFault, TaskGraph};
 
 /// Outcome of a resilient ABFT-guarded factorization.
 #[derive(Debug)]
@@ -56,10 +62,11 @@ pub struct ResilientCholesky {
     pub detections: usize,
 }
 
+/// State shared by every guard of one factorization.
 struct Ctx {
     poison: Poison,
     plan: Option<Arc<FaultPlan>>,
-    detections: Arc<AtomicUsize>,
+    detections: AtomicUsize,
 }
 
 /// Factors `a` (SPD, square tile grid) in place with ABFT-guarded,
@@ -71,6 +78,7 @@ struct Ctx {
 /// reported through the trace's [`ResilienceStats`] instead — check
 /// `trace.resilience().unwrap().completed()` before trusting the factor.
 ///
+/// [`Error::NotPositiveDefinite`]: xsc_core::Error::NotPositiveDefinite
 /// [`ResilienceStats`]: xsc_runtime::ResilienceStats
 pub fn cholesky_resilient_abft(
     a: &TileMatrix<f64>,
@@ -78,210 +86,114 @@ pub fn cholesky_resilient_abft(
     policy: RecoveryPolicy,
     plan: Option<Arc<FaultPlan>>,
 ) -> Result<ResilientCholesky> {
-    let ctx = Ctx {
+    let ctx = Arc::new(Ctx {
         poison: Poison::new(),
         plan,
-        detections: Arc::new(AtomicUsize::new(0)),
-    };
-    let g = build_resilient_graph(a, &ctx);
+        detections: AtomicUsize::new(0),
+    });
+    // Same DAG as `cholesky::build_graph`, with guarded fallible kernels.
+    let mut g = TaskGraph::new();
+    for op in tile_ops(a) {
+        let ctx = Arc::clone(&ctx);
+        let snapshot = OnceLock::new();
+        let (name, accesses) = (op.name.clone(), op.accesses.clone());
+        g.add_fallible_task_with_cost(name, accesses, op.cost, move |at| {
+            guard(&op, &ctx, &snapshot, at)
+        });
+    }
     let trace = executor.execute_resilient_traced(g, policy);
-    ctx.poison.into_result()?;
+    ctx.poison.clone().into_result()?;
     Ok(ResilientCholesky {
         trace,
         detections: ctx.detections.load(Ordering::Relaxed),
     })
 }
 
-/// Builds the ABFT-guarded Cholesky task graph (same DAG shape as
-/// [`crate::cholesky::build_graph`], fallible kernels instead).
-fn build_resilient_graph(a: &TileMatrix<f64>, ctx: &Ctx) -> TaskGraph {
-    let nt = a.tile_cols();
-    assert_eq!(a.tile_rows(), nt, "cholesky requires a square tile grid");
-    let nb = a.nb();
-    let mut g = TaskGraph::new();
-    for k in 0..nt {
-        let (kb, _) = a.tile_dims(k, k);
-        add_potrf(&mut g, a, ctx, k, kb, k * nb);
-        for i in k + 1..nt {
-            add_trsm(&mut g, a, ctx, i, k, kb);
-        }
-        for i in k + 1..nt {
-            add_syrk(&mut g, a, ctx, i, k, kb);
-            for j in k + 1..i {
-                add_gemm(&mut g, a, ctx, i, j, k, kb);
-            }
-        }
+/// One attempt of `op` under the guard. The snapshot of the output tile
+/// is taken on attempt 1 and restored on every retry, which makes the
+/// read-modify-write kernels idempotent.
+fn guard(
+    op: &TileOp<f64>,
+    ctx: &Ctx,
+    snapshot: &OnceLock<Matrix<f64>>,
+    at: Attempt,
+) -> std::result::Result<(), TaskFault> {
+    if ctx.poison.is_set() {
+        return Ok(());
     }
-    g
+    let plan = ctx.plan.as_deref();
+    let injection = plan.and_then(|p| p.decide(at.task, at.attempt));
+    if let Some(Injection::Stall(d)) = injection {
+        std::thread::sleep(d);
+    }
+    op.with_tiles(|ins, out| {
+        let before = snapshot.get_or_init(|| out.clone());
+        if at.is_retry() {
+            out.clone_from(before);
+        }
+        if let Err(e) = op.apply(ins, out) {
+            ctx.poison.set(e);
+            return Ok(());
+        }
+        if let Some(Injection::Panic) = injection {
+            panic!("chaos: injected panic in {}({at:?})", op.kind.label());
+        }
+        if let (Some(p), Some(Injection::Corrupt(kind))) = (plan, injection) {
+            match op.kind {
+                Kind::Potrf | Kind::Syrk => corrupt_lower(p, kind, out, at.task, at.attempt),
+                Kind::Trsm | Kind::Gemm => {
+                    p.corrupt_slice(out.as_mut_slice(), kind, at.task, at.attempt)
+                }
+            }
+        }
+        verify(op.kind, ins, before, out, &ctx.detections)
+    })
 }
 
-fn add_potrf(g: &mut TaskGraph, a: &TileMatrix<f64>, ctx: &Ctx, k: usize, kb: usize, base: usize) {
-    let tkk = a.tile(k, k);
-    let poison = ctx.poison.clone();
-    let plan = ctx.plan.clone();
-    let detections = Arc::clone(&ctx.detections);
-    let snap: Mutex<Option<(Matrix<f64>, Vec<f64>)>> = Mutex::new(None);
-    g.add_fallible_task_with_cost(
-        format!("potrf({k})"),
-        [Access::Write(a.data_id(k, k))],
-        flops::cholesky(kb),
-        move |at| {
-            if poison.is_set() {
-                return Ok(());
-            }
-            let injection = plan.as_ref().and_then(|p| p.decide(at.task, at.attempt));
-            if let Some(Injection::Stall(d)) = injection {
-                std::thread::sleep(d);
-            }
-            let mut tile = tkk.write();
-            let (scale_in, rhs) = {
-                let mut s = snap.lock();
-                if at.is_retry() {
-                    let (saved, _) = s.as_ref().expect("retry implies snapshot");
-                    *tile = saved.clone();
-                } else {
-                    *s = Some((tile.clone(), sym_lower_rowsums(&tile)));
-                }
-                let (saved, rhs) = s.as_ref().unwrap();
-                (norms::max_abs(saved), rhs.clone())
-            };
-            if let Err(e) = factor::potrf_unblocked(&mut tile) {
-                poison.set(shift_pivot(e, base));
-                return Ok(());
-            }
-            if let Some(Injection::Panic) = injection {
-                panic!("chaos: injected panic in potrf({at:?})");
-            }
-            if let Some(Injection::Corrupt(kind)) = injection {
-                if let Some(p) = plan.as_deref() {
-                    corrupt_lower(p, kind, &mut tile, at.task, at.attempt);
-                }
-            }
-            // Verify L(Lᵀe) = Ae over the live lower triangle.
-            let w = lower_colsums(&tile);
-            let got = lower_matvec(&tile, &w);
-            let scale = scale_in.max(norms::max_abs(&tile).powi(2));
-            let tol = checksum_tolerance(kb, kb, kb, scale);
-            check(&got, &rhs, tol, "potrf", &detections)
-        },
-    );
-}
-
-fn add_trsm(g: &mut TaskGraph, a: &TileMatrix<f64>, ctx: &Ctx, i: usize, k: usize, kb: usize) {
-    let tkk = a.tile(k, k);
-    let tik = a.tile(i, k);
-    let poison = ctx.poison.clone();
-    let plan = ctx.plan.clone();
-    let detections = Arc::clone(&ctx.detections);
-    let (ib, _) = a.tile_dims(i, k);
-    let snap: Mutex<Option<(Matrix<f64>, Vec<f64>)>> = Mutex::new(None);
-    g.add_fallible_task_with_cost(
-        format!("trsm({i},{k})"),
-        [
-            Access::Read(a.data_id(k, k)),
-            Access::Write(a.data_id(i, k)),
-        ],
-        flops::trsm(kb, ib),
-        move |at| {
-            if poison.is_set() {
-                return Ok(());
-            }
-            let injection = plan.as_ref().and_then(|p| p.decide(at.task, at.attempt));
-            if let Some(Injection::Stall(d)) = injection {
-                std::thread::sleep(d);
-            }
-            let l = tkk.read();
-            let mut x = tik.write();
-            let rhs = {
-                let mut s = snap.lock();
-                if at.is_retry() {
-                    let (saved, _) = s.as_ref().expect("retry implies snapshot");
-                    *x = saved.clone();
-                } else {
-                    *s = Some((x.clone(), full_rowsums(&x)));
-                }
-                s.as_ref().unwrap().1.clone()
-            };
-            trsm::trsm(
-                trsm::Side::Right,
-                trsm::Uplo::Lower,
-                Transpose::Yes,
-                trsm::Diag::NonUnit,
-                1.0,
-                &l,
-                &mut x,
-            );
-            if let Some(Injection::Panic) = injection {
-                panic!("chaos: injected panic in trsm({at:?})");
-            }
-            if let Some(Injection::Corrupt(kind)) = injection {
-                if let Some(p) = plan.as_deref() {
-                    p.corrupt_slice(x.as_mut_slice(), kind, at.task, at.attempt);
-                }
-            }
-            // Verify X(Lᵀe) = Be.
-            let w = lower_colsums(&l);
-            let got = matvec(&x, &w);
-            let scale = norms::max_abs(&l) * norms::max_abs(&x);
-            let tol = checksum_tolerance(ib, kb, kb, scale);
-            check(&got, &rhs, tol, "trsm", &detections)
-        },
-    );
-}
-
-fn add_syrk(g: &mut TaskGraph, a: &TileMatrix<f64>, ctx: &Ctx, i: usize, k: usize, kb: usize) {
-    let tik = a.tile(i, k);
-    let tii = a.tile(i, i);
-    let poison = ctx.poison.clone();
-    let plan = ctx.plan.clone();
-    let detections = Arc::clone(&ctx.detections);
-    let (ib, _) = a.tile_dims(i, k);
-    let snap: Mutex<Option<Matrix<f64>>> = Mutex::new(None);
-    g.add_fallible_task_with_cost(
-        format!("syrk({i},{k})"),
-        [
-            Access::Read(a.data_id(i, k)),
-            Access::Write(a.data_id(i, i)),
-        ],
-        flops::syrk(ib, kb),
-        move |at| {
-            if poison.is_set() {
-                return Ok(());
-            }
-            let injection = plan.as_ref().and_then(|p| p.decide(at.task, at.attempt));
-            if let Some(Injection::Stall(d)) = injection {
-                std::thread::sleep(d);
-            }
-            let lik = tik.read();
-            let mut c = tii.write();
-            let c_before = {
-                let mut s = snap.lock();
-                if at.is_retry() {
-                    *c = s.as_ref().expect("retry implies snapshot").clone();
-                } else {
-                    *s = Some(c.clone());
-                }
-                s.as_ref().unwrap().clone()
-            };
-            syrk::syrk(trsm::Uplo::Lower, Transpose::No, -1.0, &lik, 1.0, &mut c);
-            if let Some(Injection::Panic) = injection {
-                panic!("chaos: injected panic in syrk({at:?})");
-            }
-            if let Some(Injection::Corrupt(kind)) = injection {
-                if let Some(p) = plan.as_deref() {
-                    corrupt_lower(p, kind, &mut c, at.task, at.attempt);
-                }
-            }
-            // Verify column-wise over the updated (lower) triangle:
+/// Checks the op's `O(nb²)` checksum identity (module docs) over its
+/// inputs `ins`, its output tile `before` it ran, and `after`.
+fn verify(
+    kind: Kind,
+    ins: &[&Matrix<f64>],
+    before: &Matrix<f64>,
+    after: &Matrix<f64>,
+    detections: &AtomicUsize,
+) -> std::result::Result<(), TaskFault> {
+    let (m, n) = (after.rows(), after.cols());
+    let (got, expect, tol) = match kind {
+        Kind::Potrf => {
+            // L(Lᵀe) = Ae over the live lower triangle.
+            let got = lower_matvec(after, &lower_colsums(after));
+            let scale = norms::max_abs(before).max(norms::max_abs(after).powi(2));
+            (
+                got,
+                sym_lower_rowsums(before),
+                checksum_tolerance(m, m, m, scale),
+            )
+        }
+        Kind::Trsm => {
+            // X(Lᵀe) = Be.
+            let l = ins[0];
+            let got = matvec(after, &lower_colsums(l));
+            let scale = norms::max_abs(l) * norms::max_abs(after);
+            let kb = l.rows();
+            (
+                got,
+                full_rowsums(before),
+                checksum_tolerance(m, kb, kb, scale),
+            )
+        }
+        Kind::Syrk => {
+            // Column-wise over the updated (lower) triangle:
             //   Σ_{r>=j} (C_before − C')_{r,j}  =  Σ_t A_{j,t} · SS_t(j),
             // with SS_t(j) = Σ_{r>=j} A_{r,t} maintained by a descending
             // suffix sweep — O(nb·kb), no recompute of A·Aᵀ.
-            let n = c.rows();
+            let lik = ins[0];
             let kd = lik.cols();
             let mut suffix = vec![0.0f64; kd];
-            let mut measured = vec![0.0f64; n];
-            let mut predicted = vec![0.0f64; n];
-            for j in (0..n).rev() {
+            let mut measured = vec![0.0f64; m];
+            let mut predicted = vec![0.0f64; m];
+            for j in (0..m).rev() {
                 for t in 0..kd {
                     suffix[t] += lik.get(j, t);
                 }
@@ -290,89 +202,30 @@ fn add_syrk(g: &mut TaskGraph, a: &TileMatrix<f64>, ctx: &Ctx, i: usize, k: usiz
                     acc += lik.get(j, t) * suffix[t];
                 }
                 predicted[j] = acc;
-                let mut m = 0.0;
-                for r in j..n {
-                    m += c_before.get(r, j) - c.get(r, j);
+                let mut d = 0.0;
+                for r in j..m {
+                    d += before.get(r, j) - after.get(r, j);
                 }
-                measured[j] = m;
+                measured[j] = d;
             }
-            let scale = norms::max_abs(&c_before).max(norms::max_abs(&lik).powi(2));
-            let tol = checksum_tolerance(ib, ib, kb, scale);
-            check(&measured, &predicted, tol, "syrk", &detections)
-        },
-    );
-}
-
-fn add_gemm(
-    g: &mut TaskGraph,
-    a: &TileMatrix<f64>,
-    ctx: &Ctx,
-    i: usize,
-    j: usize,
-    k: usize,
-    kb: usize,
-) {
-    let tik = a.tile(i, k);
-    let tjk = a.tile(j, k);
-    let tij = a.tile(i, j);
-    let poison = ctx.poison.clone();
-    let plan = ctx.plan.clone();
-    let detections = Arc::clone(&ctx.detections);
-    let (ib, _) = a.tile_dims(i, k);
-    let (jb, _) = a.tile_dims(j, k);
-    let snap: Mutex<Option<(Matrix<f64>, Vec<f64>)>> = Mutex::new(None);
-    g.add_fallible_task_with_cost(
-        format!("gemm({i},{j},{k})"),
-        [
-            Access::Read(a.data_id(i, k)),
-            Access::Read(a.data_id(j, k)),
-            Access::Write(a.data_id(i, j)),
-        ],
-        flops::gemm(ib, jb, kb),
-        move |at| {
-            if poison.is_set() {
-                return Ok(());
-            }
-            let injection = plan.as_ref().and_then(|p| p.decide(at.task, at.attempt));
-            if let Some(Injection::Stall(d)) = injection {
-                std::thread::sleep(d);
-            }
-            let lik = tik.read();
-            let ljk = tjk.read();
-            let mut c = tij.write();
-            let c_rows_before = {
-                let mut s = snap.lock();
-                if at.is_retry() {
-                    let (saved, _) = s.as_ref().expect("retry implies snapshot");
-                    *c = saved.clone();
-                } else {
-                    *s = Some((c.clone(), full_rowsums(&c)));
-                }
-                s.as_ref().unwrap().1.clone()
-            };
-            gemm::gemm(Transpose::No, Transpose::Yes, -1.0, &lik, &ljk, 1.0, &mut c);
-            if let Some(Injection::Panic) = injection {
-                panic!("chaos: injected panic in gemm({at:?})");
-            }
-            if let Some(Injection::Corrupt(kind)) = injection {
-                if let Some(p) = plan.as_deref() {
-                    p.corrupt_slice(c.as_mut_slice(), kind, at.task, at.attempt);
-                }
-            }
-            // Verify C'e = Ce − A(Bᵀe).
-            let bte = colsums(&ljk);
-            let abe = matvec(&lik, &bte);
-            let rhs: Vec<f64> = c_rows_before
+            let scale = norms::max_abs(before).max(norms::max_abs(lik).powi(2));
+            (measured, predicted, checksum_tolerance(m, m, kd, scale))
+        }
+        Kind::Gemm => {
+            // C'e = Ce − A(Bᵀe).
+            let (lik, ljk) = (ins[0], ins[1]);
+            let abe = matvec(lik, &colsums(ljk));
+            let rhs = full_rowsums(before)
                 .iter()
                 .zip(abe.iter())
                 .map(|(ce, u)| ce - u)
                 .collect();
-            let got = full_rowsums(&c);
-            let scale = norms::max_abs(&lik) * norms::max_abs(&ljk);
-            let tol = checksum_tolerance(ib, jb, kb, scale.max(1.0));
-            check(&got, &rhs, tol, "gemm", &detections)
-        },
-    );
+            let scale = norms::max_abs(lik) * norms::max_abs(ljk);
+            let tol = checksum_tolerance(m, n, lik.cols(), scale.max(1.0));
+            (full_rowsums(after), rhs, tol)
+        }
+    };
+    check(&got, &expect, tol, kind.label(), detections)
 }
 
 /// Compares a computed checksum vector against its prediction; a mismatch
@@ -418,15 +271,6 @@ fn corrupt_lower(
             }
             v -= col;
         }
-    }
-}
-
-fn shift_pivot(e: Error, base: usize) -> Error {
-    match e {
-        Error::NotPositiveDefinite { pivot } => Error::NotPositiveDefinite {
-            pivot: base + pivot,
-        },
-        other => other,
     }
 }
 

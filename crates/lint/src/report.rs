@@ -8,17 +8,7 @@ use crate::rules::RULES;
 /// Escapes a string for inclusion in a JSON document per RFC 8259.
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    xsc_metrics::escape_json_into(s, &mut out);
     out
 }
 

@@ -17,7 +17,7 @@
 //!   predicate loops, guards held across kernel calls, and the executor's
 //!   declared lock-acquisition order ([`C03_LOCK_ORDER`]);
 //! * **P rules** (panic-freedom) and **X rules** (numeric-cast hygiene)
-//!   are *manifest* rules: [`HOT_PATHS`] declares the infallible hot
+//!   are *manifest* rules: `HOT_PATHS` declares the infallible hot
 //!   paths, [`X01_CHOKEPOINTS`] the only functions allowed to spell a
 //!   bare `as f32` / `as f64` / `as usize` in kernel crates — the
 //!   auditable substrate the mixed-precision roadmap item builds on.

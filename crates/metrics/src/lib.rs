@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 
 pub mod counters;
+pub mod json;
 pub mod quantiles;
 pub mod roofline;
 pub mod stopwatch;
@@ -56,6 +57,7 @@ pub use counters::{
     get, measure, record, record_untimed, reset, set_enabled, snapshot, thread_totals, total,
     KernelCounters, Registry, ScopedRecorder, Traffic,
 };
+pub use json::escape_json_into;
 pub use quantiles::{percentile, LatencySummary};
 pub use roofline::{ascii_roofline, BoundVerdict, MachineEnvelope, RooflinePoint};
 pub use stopwatch::Stopwatch;

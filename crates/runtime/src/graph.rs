@@ -25,12 +25,16 @@ pub enum Access {
     Write(DataId),
 }
 
+/// A task body handed out of a graph by [`TaskGraph::into_levels`]: run it
+/// once, on any thread.
+pub type Body = Box<dyn FnOnce() + Send + 'static>;
+
 /// A task body. `Once` kernels are the classic fire-and-forget closure;
 /// `Fallible` kernels can be called repeatedly (once per attempt) and
 /// report failure as a value, which is what makes task-level retry
 /// possible — the fault domain is the task, not the process.
 pub(crate) enum Kernel {
-    Once(Box<dyn FnOnce() + Send + 'static>),
+    Once(Body),
     Fallible(Box<dyn Fn(Attempt) -> Result<(), TaskFault> + Send + Sync + 'static>),
 }
 
@@ -225,9 +229,7 @@ impl TaskGraph {
         let n = self.tasks.len();
         let mut successors: Vec<Vec<TaskId>> = vec![Vec::new(); n];
         let mut in_degree = vec![0usize; n];
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        for &(from, to) in &self.edges {
+        for &(from, to) in self.sorted_edges() {
             debug_assert!(from < to, "edges must point forward in program order");
             successors[from].push(to);
             in_degree[to] += 1;
@@ -253,13 +255,76 @@ impl TaskGraph {
         }
     }
 
+    fn sorted_edges(&mut self) -> &[(TaskId, TaskId)] {
+        self.edges.sort_unstable();
+        self.edges.dedup();
+        &self.edges
+    }
+
     /// Structural view of the dependence edges (deduplicated, sorted) —
     /// used by the discrete-event simulator in `xsc-machine` to replay a
     /// graph on a modeled machine.
     pub fn edge_list(&mut self) -> Vec<(TaskId, TaskId)> {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        self.edges.clone()
+        self.sorted_edges().to_vec()
+    }
+
+    /// The dependence levels: a task's level is the number of edges on the
+    /// longest path reaching it, and each level lists its tasks in id
+    /// order. Tasks of one level are mutually independent, so running the
+    /// levels one after another — each in parallel, with a barrier between
+    /// them — is the bulk-synchronous (fork-join) schedule of the graph.
+    pub fn levels(&mut self) -> Vec<Vec<TaskId>> {
+        let mut level = vec![0usize; self.tasks.len()];
+        // Sorted edges arrive grouped by source, and every edge into a
+        // source comes from a lower id, so `level[from]` is final here.
+        for &(from, to) in self.sorted_edges() {
+            level[to] = level[to].max(level[from] + 1);
+        }
+        let depth = level.iter().max().map_or(0, |&l| l + 1);
+        let mut levels = vec![Vec::new(); depth];
+        for (id, l) in level.into_iter().enumerate() {
+            levels[l].push(id);
+        }
+        levels
+    }
+
+    /// Consumes the graph and hands out its task bodies grouped by
+    /// [`TaskGraph::levels`], for a caller that runs each level on its own
+    /// thread pool and joins before the next. Fallible kernels run once at
+    /// attempt 1 and panic on a fault (fail-stop), as in
+    /// [`TaskGraph::execute_serial`].
+    pub fn into_levels(mut self) -> Vec<Vec<Body>> {
+        let levels = self.levels();
+        let mut bodies: Vec<Option<Body>> = self.into_bodies().into_iter().map(Some).collect();
+        levels
+            .into_iter()
+            .map(|level| {
+                level
+                    .into_iter()
+                    .filter_map(|id| bodies[id].take())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The task bodies in insertion order, fallible kernels wrapped as one
+    /// fail-stop attempt.
+    fn into_bodies(self) -> Vec<Body> {
+        let into_body = |(id, t): (TaskId, Task)| -> Body {
+            match t.kernel {
+                Some(Kernel::Once(k)) => k,
+                Some(Kernel::Fallible(k)) => Box::new(move || {
+                    if let Err(fault) = k(Attempt {
+                        task: id,
+                        attempt: 1,
+                    }) {
+                        panic!("task {id} ({}) failed: {}", t.name, fault.message());
+                    }
+                }),
+                None => Box::new(|| {}),
+            }
+        };
+        self.tasks.into_iter().enumerate().map(into_body).collect()
     }
 
     /// Per-task cost estimates, in task-id order.
@@ -271,20 +336,9 @@ impl TaskGraph {
     /// sequential-semantics reference used by the property tests).
     /// Fallible kernels run exactly once; a fault panics (fail-stop), so
     /// serial execution matches the plain executor's semantics.
-    pub fn execute_serial(mut self) {
-        for (id, t) in self.tasks.iter_mut().enumerate() {
-            match t.kernel.take() {
-                Some(Kernel::Once(k)) => k(),
-                Some(Kernel::Fallible(k)) => {
-                    if let Err(fault) = k(Attempt {
-                        task: id,
-                        attempt: 1,
-                    }) {
-                        panic!("task {id} ({}) failed: {}", t.name, fault.message());
-                    }
-                }
-                None => {}
-            }
+    pub fn execute_serial(self) {
+        for body in self.into_bodies() {
+            body();
         }
     }
 
@@ -377,6 +431,21 @@ mod tests {
         }
         g.execute_serial();
         assert_eq!(log.load(Ordering::SeqCst), 10);
+    }
+
+    #[test]
+    fn levels_follow_the_longest_path() {
+        let mut g = TaskGraph::new();
+        g.add_task("w0", [Access::Write(0)], || {});
+        g.add_task("w1", [Access::Write(1)], || {});
+        g.add_task("r01", [Access::Read(0), Access::Read(1)], || {});
+        g.add_task("w1b", [Access::Write(1)], || {});
+        g.add_task("w2", [Access::Write(2)], || {});
+        g.add_task("r0w2", [Access::Read(0), Access::Write(2)], || {});
+        assert_eq!(g.levels(), vec![vec![0, 1, 4], vec![2, 5], vec![3]]);
+        let sizes: Vec<usize> = g.into_levels().iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![3, 2, 1]);
+        assert!(TaskGraph::new().levels().is_empty());
     }
 
     #[test]

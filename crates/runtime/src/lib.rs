@@ -54,7 +54,7 @@ pub mod schedule_check;
 pub mod trace;
 
 pub use executor::{Executor, SchedPolicy};
-pub use graph::{Access, DataId, TaskGraph, TaskId, NO_AFFINITY};
+pub use graph::{Access, Body, DataId, TaskGraph, TaskId, NO_AFFINITY};
 pub use resilience::{
     mix, unit_f64, Attempt, Backoff, ExhaustedAction, RecoveryPolicy, ResilienceStats, TaskFault,
     TaskOutcome,

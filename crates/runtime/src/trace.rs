@@ -187,7 +187,7 @@ impl Trace {
                 out.push(',');
             }
             let mut name = String::new();
-            escape_json_into(self.task_name(e.task), &mut name);
+            xsc_metrics::escape_json_into(self.task_name(e.task), &mut name);
             if e.attempt > 1 {
                 name.push_str(&format!(" (attempt {})", e.attempt));
             }
@@ -242,24 +242,6 @@ impl Trace {
             out.push_str("|\n");
         }
         out
-    }
-}
-
-/// Appends `s` to `out` with JSON string escaping (quote, backslash, and
-/// all control characters per RFC 8259).
-fn escape_json_into(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
 }
 

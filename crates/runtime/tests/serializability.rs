@@ -1,6 +1,7 @@
 //! Property test: any parallel schedule of a task graph produces the same
 //! result as sequential execution — the defining guarantee of superscalar
-//! dataflow runtimes.
+//! dataflow runtimes. The schedules are the executor's and the fork-join
+//! one that runs the graph level by level.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -65,12 +66,33 @@ fn build_graph(program: &[ProgramTask], data: &[Arc<Mutex<i64>>]) -> TaskGraph {
     g
 }
 
-fn run(program: &[ProgramTask], parallel: Option<(usize, SchedPolicy)>) -> Vec<i64> {
+/// How a program's graph is run.
+#[derive(Clone, Copy)]
+enum Arm {
+    /// `execute_serial`, the sequential reference.
+    Serial,
+    /// Fork-join: every task of a dependence level on its own thread, with
+    /// a join before the next level.
+    Levels,
+    /// The work-stealing executor.
+    Executor(usize, SchedPolicy),
+}
+
+fn run(program: &[ProgramTask], arm: Arm) -> Vec<i64> {
     let data: Vec<Arc<Mutex<i64>>> = (0..8).map(|i| Arc::new(Mutex::new(i as i64 + 1))).collect();
     let g = build_graph(program, &data);
-    match parallel {
-        None => g.execute_serial(),
-        Some((threads, policy)) => {
+    match arm {
+        Arm::Serial => g.execute_serial(),
+        Arm::Levels => {
+            for level in g.into_levels() {
+                std::thread::scope(|s| {
+                    for body in level {
+                        s.spawn(body);
+                    }
+                });
+            }
+        }
+        Arm::Executor(threads, policy) => {
             Executor::new(threads, policy).execute(g);
         }
     }
@@ -82,10 +104,11 @@ proptest! {
 
     #[test]
     fn parallel_equals_serial(program in program_strategy(8, 40)) {
-        let serial = run(&program, None);
+        let serial = run(&program, Arm::Serial);
+        prop_assert_eq!(&run(&program, Arm::Levels), &serial, "level-by-level run diverged");
         for threads in [2usize, 4, 8] {
             for policy in [SchedPolicy::Fifo, SchedPolicy::CriticalPath] {
-                let par = run(&program, Some((threads, policy)));
+                let par = run(&program, Arm::Executor(threads, policy));
                 prop_assert_eq!(&par, &serial,
                     "schedule with {} threads / {:?} diverged", threads, policy);
             }
@@ -102,7 +125,8 @@ fn large_random_program_smoke() {
             coeff: (i % 5) as i64 + 1,
         })
         .collect();
-    let serial = run(&program, None);
-    let par = run(&program, Some((8, SchedPolicy::CriticalPath)));
+    let serial = run(&program, Arm::Serial);
+    let par = run(&program, Arm::Executor(8, SchedPolicy::CriticalPath));
     assert_eq!(par, serial);
+    assert_eq!(run(&program, Arm::Levels), serial);
 }
