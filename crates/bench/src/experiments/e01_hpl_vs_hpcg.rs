@@ -5,12 +5,18 @@
 //! column macro-tiles (the honest single-node analogue of the spec-sheet
 //! peak HPL divides by). The old column-sweep kernel is timed alongside as
 //! the before/after record of that rewrite.
+//!
+//! The dense ladder breaks HPL's rate into the layers under it —
+//! sequential `gemm`, `par_gemm` at HPL's first trailing-update shape,
+//! `par_getrf`, `run_hpl` — each as a median with min/max over 5 runs and
+//! as a fraction of the rung above. If HPL's rate follows from its
+//! kernels, the `par_getrf` and `run_hpl` rungs sit close to `par_gemm`'s.
 
 use crate::json::{write_report, Json};
 use crate::measured::{kernel, leaf_sum};
 use crate::table::{f2, pct, secs, Table};
-use crate::{best_of, Scale};
-use xsc_core::gemm::{colsweep_gemm, gemm, Transpose};
+use crate::{best_of, time_it, Scale};
+use xsc_core::gemm::{colsweep_gemm, gemm, par_gemm, Transpose};
 use xsc_core::{flops, gen, Matrix};
 use xsc_dense::hpl;
 use xsc_machine::KernelProfile;
@@ -29,6 +35,141 @@ fn kernel_rates(s: usize, reps: usize) -> (f64, f64) {
         gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c)
     });
     (flops::gflops(fl, t_blocked), flops::gflops(fl, t_sweep))
+}
+
+/// Runs per rung of the dense ladder.
+const LADDER_REPEATS: usize = 5;
+
+/// HPL's blocking factor, in the ladder and in the HPL rows.
+const NB: usize = 128;
+
+/// One rung of the dense ladder: a layer, its problem and its rate
+/// (Gflop/s) over [`LADDER_REPEATS`] runs.
+struct Rung {
+    layer: &'static str,
+    problem: String,
+    rates: Vec<f64>,
+}
+
+impl Rung {
+    /// `(median, min, max)` of the rates.
+    fn spread(&self) -> (f64, f64, f64) {
+        let mut v = self.rates.clone();
+        v.sort_by(f64::total_cmp);
+        let k = v.len();
+        let median = if k % 2 == 1 {
+            v[k / 2]
+        } else {
+            0.5 * (v[k / 2 - 1] + v[k / 2])
+        };
+        (median, v[0], v[k - 1])
+    }
+}
+
+/// Times `op` [`LADDER_REPEATS`] times; each run's rate is `flop` over its
+/// seconds.
+fn rates(flop: u64, mut op: impl FnMut()) -> Vec<f64> {
+    (0..LADDER_REPEATS)
+        .map(|_| flops::gflops(flop, time_it(&mut op)))
+        .collect()
+}
+
+/// The dense ladder for HPL at order `n`: sequential `gemm` at 512³,
+/// `par_gemm` on HPL's first trailing update (`(n−nb) × nb` times
+/// `nb × (n−nb)`), `par_getrf` and `run_hpl`.
+fn dense_ladder(n: usize) -> Vec<Rung> {
+    let s = 512;
+    let a = gen::random_matrix::<f64>(s, s, 1);
+    let b = gen::random_matrix::<f64>(s, s, 2);
+    let mut c = Matrix::<f64>::zeros(s, s);
+    let gemm_rates = rates(flops::gemm(s, s, s), || {
+        gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut c)
+    });
+
+    let m = n - NB;
+    let a = gen::random_matrix::<f64>(m, NB, 3);
+    let b = gen::random_matrix::<f64>(NB, m, 4);
+    let mut c = gen::random_matrix::<f64>(m, m, 5);
+    let par_gemm_rates = rates(flops::gemm(m, m, NB), || {
+        par_gemm(Transpose::No, Transpose::No, -1.0, &a, &b, 1.0, &mut c)
+    });
+
+    let a = gen::random_matrix::<f64>(n, n, 42);
+    let lu_rates = (0..LADDER_REPEATS)
+        .map(|_| {
+            let mut lu = a.clone();
+            let t = time_it(|| {
+                hpl::par_getrf(&mut lu, NB).expect("random HPL matrix is nonsingular");
+            });
+            flops::gflops(flops::lu(n), t)
+        })
+        .collect();
+    let hpl_rates = (0..LADDER_REPEATS)
+        .map(|_| hpl::run_hpl(n, NB, 42).expect("HPL run failed").gflops)
+        .collect();
+
+    vec![
+        Rung {
+            layer: "gemm",
+            problem: format!("{s}^3"),
+            rates: gemm_rates,
+        },
+        Rung {
+            layer: "par_gemm",
+            problem: format!("{m}x{NB}x{m}"),
+            rates: par_gemm_rates,
+        },
+        Rung {
+            layer: "par_getrf",
+            problem: format!("n={n} nb={NB}"),
+            rates: lu_rates,
+        },
+        Rung {
+            layer: "run_hpl",
+            problem: format!("n={n} nb={NB}"),
+            rates: hpl_rates,
+        },
+    ]
+}
+
+/// Prints the ladder and returns its JSON form.
+fn report_ladder(rungs: &[Rung]) -> Json {
+    let mut t = Table::new(&[
+        "layer",
+        "problem",
+        "median Gflop/s",
+        "min",
+        "max",
+        "% of row above",
+    ]);
+    let mut out = Vec::new();
+    let mut above: Option<f64> = None;
+    for r in rungs {
+        let (med, lo, hi) = r.spread();
+        let frac = above.map(|a| med / a);
+        t.row(vec![
+            r.layer.into(),
+            r.problem.clone(),
+            f2(med),
+            f2(lo),
+            f2(hi),
+            frac.map_or_else(|| "-".into(), pct),
+        ]);
+        out.push(Json::obj(vec![
+            ("layer", Json::s(r.layer)),
+            ("problem", Json::s(r.problem.clone())),
+            ("repeats", Json::Int(r.rates.len() as i64)),
+            ("gflops_median", Json::Num(med)),
+            ("gflops_min", Json::Num(lo)),
+            ("gflops_max", Json::Num(hi)),
+            ("fraction_of_row_above", frac.map_or(Json::Null, Json::Num)),
+        ]));
+        above = Some(med);
+    }
+    t.print(&format!(
+        "E01 dense ladder: each layer's rate, median (min/max) over {LADDER_REPEATS} runs"
+    ));
+    Json::Arr(out)
 }
 
 /// Runs the experiment and prints its table.
@@ -64,12 +205,14 @@ pub fn run_opts(scale: Scale, json: bool) {
         "GB moved",
         "check",
     ]);
+    let ladder = report_ladder(&dense_ladder(scale.pick(1024, 2048)));
+
     let hpl_sizes: Vec<usize> = scale.pick(vec![512, 768, 1024], vec![1024, 2048, 4096]);
     for n in hpl_sizes {
-        let (r, delta) = xsc_metrics::measure(|| hpl::run_hpl(n, 128, 42));
+        let (r, delta) = xsc_metrics::measure(|| hpl::run_hpl(n, NB, 42));
         let r = r.expect("HPL run failed");
         let lu = kernel(&delta, "hpl_lu");
-        let model = KernelProfile::hpl(n, 128);
+        let model = KernelProfile::hpl(n, NB);
         t.row(vec![
             "HPL-like (dense LU)".into(),
             format!("n={n}"),
@@ -164,6 +307,7 @@ pub fn run_opts(scale: Scale, json: bool) {
                     ("speedup", Json::Num(blocked_gf / sweep_gf)),
                 ]),
             ),
+            ("ladder", ladder),
             ("rows", Json::Arr(rows)),
         ]);
         write_report("BENCH_e01.json", &report);

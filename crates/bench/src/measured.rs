@@ -6,7 +6,8 @@ use xsc_metrics::KernelCounters;
 /// re-counts its smoother's "symgs"/"spmv" entries; "cholesky" the
 /// gemm/syrk/trsm its tile tasks run); excluded when summing the distinct
 /// measured traffic of a whole solve. "hpl_lu" is *not* here: `par_getrf`
-/// fuses its panel and trailing updates inline, so its entry is a leaf.
+/// runs its panel, triangular solve and trailing update on crate-private
+/// kernels that record nothing, so its entry is a leaf.
 pub const AGGREGATES: [&str; 2] = ["cholesky", "mg_vcycle"];
 
 /// Field-wise sum of the non-aggregate entries in a

@@ -6,11 +6,13 @@
 //! against these.
 
 use crate::error::{Error, Result};
-use crate::gemm::{gemm, Transpose};
+use crate::gemm::{self, gemm, Transpose};
 use crate::matrix::Matrix;
+use crate::microkernel;
 use crate::scalar::Scalar;
 use crate::syrk::syrk;
 use crate::trsm::{trsm, trsv, Diag, Side, Uplo};
+use rayon::prelude::*;
 
 /// Unblocked right-looking Cholesky: overwrites the lower triangle of `a`
 /// with `L` such that `A = L L^T`. The strict upper triangle is not
@@ -101,11 +103,15 @@ pub fn potrf_solve<T: Scalar>(l: &Matrix<T>, b: &mut [T]) {
 
 /// Unblocked right-looking LU with partial pivoting on columns
 /// `[j0, j0+ncols)` of the full matrix `a`, pivoting over rows
-/// `[j0, a.rows())`. Row swaps are applied to the *entire* row (HPL-style
-/// full-row swaps) and recorded in `piv` as absolute row indices.
+/// `[j0, a.rows())`. Row swaps are applied only inside the panel's columns
+/// and recorded in `piv` as absolute row indices; the caller applies them
+/// to the other columns (the blocked drivers do so a column at a time, so
+/// every swap is a contiguous move). A full-width panel (`j0 == 0`,
+/// `ncols == a.cols()`), as the unblocked drivers pass, leaves no other
+/// columns.
 ///
-/// This in-place panel form is shared by the unblocked and blocked drivers
-/// here and by the thread-parallel HPL driver in `xsc-dense`.
+/// This in-place panel form is shared by the unblocked drivers and by the
+/// blocked step loop behind [`getrf_blocked`] and [`par_getrf`].
 pub fn getrf_panel<T: Scalar>(
     a: &mut Matrix<T>,
     j0: usize,
@@ -133,7 +139,7 @@ pub fn getrf_panel<T: Scalar>(
         if pmax.to_f64() == 0.0 {
             return Err(Error::Singular { pivot: j });
         }
-        a.swap_rows(j, p);
+        a.swap_rows_in_cols(j, p, j0, j0 + ncols);
         {
             let col = &mut a.col_mut(j)[j..m];
             let inv = T::one() / col[0];
@@ -212,48 +218,127 @@ pub fn getrf_nopiv<T: Scalar>(a: &mut Matrix<T>) -> Result<()> {
     Ok(())
 }
 
-/// Blocked right-looking LU with partial pivoting — the sequential core of
-/// the HPL-like benchmark. Panel factorization, full-row swaps, `trsm` on
-/// the row panel, `gemm` on the trailing submatrix.
+/// Blocked right-looking LU with partial pivoting: the blocked step loop
+/// (see [`par_getrf`]) run on the calling thread. Returns the same bits
+/// and pivots as [`par_getrf`].
 pub fn getrf_blocked<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> {
     assert!(a.is_square(), "getrf requires a square matrix");
     assert!(nb > 0, "block size must be positive");
+    getrf_steps(a, nb, false)
+}
+
+/// Thread-parallel blocked right-looking LU with partial pivoting — the
+/// factorization HPL times. It runs the same step loop as
+/// [`getrf_blocked`] and returns the same bits and pivots.
+///
+/// Each step factors an `nb`-wide panel (swapping rows only inside it),
+/// applies the panel's row interchanges to the columns on its left in a
+/// parallel pass, and then deals the trailing columns out in macro-tiles
+/// (at most `NC` wide, a whole number per worker) as
+/// [`crate::gemm::par_gemm`] does. Each worker swaps the
+/// rows of its own columns, solves `U12 = L11⁻¹ A12` on them by forward
+/// substitution (the operation order of [`trsv`]), and updates
+/// `A22 -= L21 · U12` by packing `L21` and `U12` straight out of `a` into
+/// the packed GEMM loop nest — or the column sweep, by the rule
+/// [`crate::gemm::gemm`] applies to the whole update. No operand is copied
+/// outside the packing buffers.
+pub fn par_getrf<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> {
+    assert!(a.is_square(), "par_getrf requires a square matrix");
+    assert!(nb > 0, "block size must be positive");
+    let n = a.rows();
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let _scope = xsc_metrics::record(
+        "hpl_lu",
+        xsc_metrics::traffic::lu_blocked(n, nb, std::mem::size_of::<T>() as u64),
+    );
+    getrf_steps(a, nb, true)
+}
+
+/// Runs `f` on each `chunk`-long piece of `data`, on the rayon pool when
+/// `par` is set and in order on the calling thread otherwise.
+fn for_each_chunk<T: Scalar>(data: &mut [T], chunk: usize, par: bool, f: impl Fn(&mut [T]) + Sync) {
+    if par {
+        data.par_chunks_mut(chunk).for_each(f);
+    } else {
+        data.chunks_mut(chunk).for_each(f);
+    }
+}
+
+/// Applies the interchanges `swaps` (`swaps[i]`: the row swapped with row
+/// `k0 + i`, in order) to one column.
+fn swap_rows_in_col<T: Scalar>(col: &mut [T], k0: usize, swaps: &[usize]) {
+    for (r, &p) in (k0..).zip(swaps) {
+        if p != r {
+            col.swap(r, p);
+        }
+    }
+}
+
+/// `x <- L⁻¹ x` for the unit lower triangle whose columns are `l`:
+/// column-oriented forward substitution, in [`trsv`]'s operation order.
+fn solve_unit_lower<T: Scalar>(l: &[&[T]], x: &mut [T]) {
+    let mut rest = x;
+    for (c, lc) in l.iter().enumerate() {
+        let Some((xc, below)) = rest.split_first_mut() else {
+            break;
+        };
+        for (xr, &lr) in below.iter_mut().zip(&lc[c + 1..]) {
+            *xr = (-*xc).mul_add(lr, *xr);
+        }
+        rest = below;
+    }
+}
+
+/// The right-looking step loop behind [`getrf_blocked`] (`par == false`)
+/// and [`par_getrf`] (`par == true`); see [`par_getrf`]. Whether it runs
+/// in parallel changes only the macro-tile width, never an operation.
+fn getrf_steps<T: Scalar>(a: &mut Matrix<T>, nb: usize, par: bool) -> Result<Vec<usize>> {
     let n = a.rows();
     let mut piv = vec![0usize; n];
+    let params = gemm::global_params();
+    let kernel = microkernel::global_microkernel();
+    let workers = if par { rayon::current_num_threads() } else { 1 };
     let mut k = 0;
     while k < n {
         let kb = nb.min(n - k);
-        // Panel columns [k, k+kb): factor with pivoting over rows [k, n).
         getrf_panel(a, k, kb, &mut piv)?;
+        let swaps = &piv[k..k + kb];
+        let (left, right) = a.as_mut_slice().split_at_mut((k + kb) * n);
+        let (done, panel) = left.split_at_mut(k * n);
+        for_each_chunk(done, n, par, |col| swap_rows_in_col(col, k, swaps));
         let n2 = n - k - kb;
         if n2 > 0 {
-            // U12 <- L11^{-1} * A12 (unit lower triangular solve).
-            let l11 = a.block(k, k, kb, kb);
-            let mut a12 = a.block(k, k + kb, kb, n2);
-            trsm(
-                Side::Left,
-                Uplo::Lower,
-                Transpose::No,
-                Diag::Unit,
-                T::one(),
-                &l11,
-                &mut a12,
-            );
-            a12.copy_block_into(0, 0, kb, n2, a, k, k + kb);
-            // A22 <- A22 - L21 * U12.
-            let m2 = n - k - kb;
-            let l21 = a.block(k + kb, k, m2, kb);
-            let mut a22 = a.block(k + kb, k + kb, m2, n2);
-            gemm(
-                Transpose::No,
-                Transpose::No,
-                -T::one(),
-                &l21,
-                &a12,
-                T::one(),
-                &mut a22,
-            );
-            a22.copy_block_into(0, 0, m2, n2, a, k + kb, k + kb);
+            // Column c of the panel: rows k..k+kb hold L11, the rest L21.
+            let (l11, l21): (Vec<&[T]>, Vec<&[T]>) =
+                panel.chunks(n).map(|col| col[k..].split_at(kb)).unzip();
+            let small = gemm::is_small(n2, n2, kb);
+            let bw = gemm::tile_width(n2, params.normalized().nc, workers);
+            for_each_chunk(right, bw * n, par, |tile| {
+                // Swap, then U12 <- L11^{-1} A12, column by column.
+                let (u12, mut a22): (Vec<&[T]>, Vec<&mut [T]>) = tile
+                    .chunks_mut(n)
+                    .map(|col| {
+                        swap_rows_in_col(col, k, swaps);
+                        let (top, a22) = col.split_at_mut(k + kb);
+                        let u12 = &mut top[k..];
+                        solve_unit_lower(&l11, u12);
+                        (&*u12, a22)
+                    })
+                    .unzip();
+                // A22 <- A22 - L21 * U12.
+                gemm::gemm_nn(
+                    small,
+                    -T::one(),
+                    &l21,
+                    &u12,
+                    T::one(),
+                    &mut a22,
+                    params,
+                    kernel,
+                );
+            });
         }
         k += kb;
     }

@@ -41,6 +41,7 @@ use crate::matrix::Matrix;
 use crate::microkernel::{self, MicroKernel, MicroKernelFn};
 use crate::scalar::Scalar;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Whether an operand enters the product transposed.
@@ -213,6 +214,44 @@ fn scale_by_beta<T: Scalar>(c: &mut [T], beta: T) {
     }
 }
 
+/// `op(a)` as a no-transpose operand: `a` itself, or a transposed copy
+/// (an O(n^2) copy against O(n^3) work) so the hot loops are always the
+/// stride-1 no-transpose case.
+fn no_transpose<T: Scalar>(t: Transpose, a: &Matrix<T>) -> Cow<'_, Matrix<T>> {
+    match t {
+        Transpose::No => Cow::Borrowed(a),
+        Transpose::Yes => Cow::Owned(a.transpose()),
+    }
+}
+
+/// The columns of `a`: the column-list view the no-transpose kernels take.
+fn cols<T: Scalar>(a: &Matrix<T>) -> Vec<&[T]> {
+    (0..a.cols()).map(|j| a.col(j)).collect()
+}
+
+/// The columns of `c`, mutably.
+fn cols_mut<T: Scalar>(c: &mut Matrix<T>) -> Vec<&mut [T]> {
+    let m = c.rows().max(1);
+    c.as_mut_slice().chunks_mut(m).collect()
+}
+
+/// Whether [`gemm`] takes the column sweep for an `m x n x k` problem: one
+/// narrower than a micro-tile, or with at most [`SMALL_GEMM_FLOPS`]
+/// multiply-adds, where packing does not pay.
+pub(crate) fn is_small(m: usize, n: usize, k: usize) -> bool {
+    n < NR || m.saturating_mul(n).saturating_mul(k) <= SMALL_GEMM_FLOPS
+}
+
+/// Width of the column macro-tiles [`par_gemm`] and the parallel LU
+/// update deal out over `workers`: at most `nc`, a multiple of [`NR`], and
+/// a whole number of tiles per worker, so the static stripes of the pool
+/// carry equal work.
+pub(crate) fn tile_width(n: usize, nc: usize, workers: usize) -> usize {
+    let workers = workers.max(1);
+    let tiles = n.div_ceil(nc.max(1) * workers).max(1) * workers;
+    (n.div_ceil(tiles).div_ceil(NR) * NR).max(NR)
+}
+
 /// Sequential optimized multiply: `C <- alpha * op(A) * op(B) + beta * C`.
 ///
 /// Dispatches to the blocked packed kernel (see the module docs) with the
@@ -265,7 +304,7 @@ pub fn gemm_with_opts<T: Scalar>(
         scale_by_beta(c.as_mut_slice(), beta);
         return;
     }
-    let small = n < NR || m.saturating_mul(n).saturating_mul(k) <= SMALL_GEMM_FLOPS;
+    let small = is_small(m, n, k);
     let w = std::mem::size_of::<T>() as u64;
     let p = params.normalized();
     let _scope = xsc_metrics::record(
@@ -276,39 +315,38 @@ pub fn gemm_with_opts<T: Scalar>(
             xsc_metrics::traffic::gemm_packed(m, n, k, p.mc, p.kc, p.nc, w)
         },
     );
+    let (a_nn, b_nn) = (no_transpose(transa, a), no_transpose(transb, b));
+    gemm_nn(
+        small,
+        alpha,
+        &cols(&a_nn),
+        &cols(&b_nn),
+        beta,
+        &mut cols_mut(c),
+        params,
+        kernel,
+    );
+}
 
-    // Materialize transposed operands so the hot loop is always the
-    // stride-1 no-transpose case (an O(n^2) copy against O(n^3) work).
-    let at;
-    let a_nn = match transa {
-        Transpose::No => a,
-        Transpose::Yes => {
-            at = a.transpose();
-            &at
-        }
-    };
-    let bt;
-    let b_nn = match transb {
-        Transpose::No => b,
-        Transpose::Yes => {
-            bt = b.transpose();
-            &bt
-        }
-    };
+/// The no-transpose kernel [`gemm`] runs, on column lists: the column
+/// sweep when the whole problem is `small` (see [`is_small`]), the packed
+/// loop nest otherwise. The LU step loop calls it tile by tile with the
+/// rule applied to its whole trailing update, so its bits match `gemm`'s.
+#[allow(clippy::too_many_arguments)] // the no-transpose operand set plus the dispatch and tuning knobs
+pub(crate) fn gemm_nn<T: Scalar>(
+    small: bool,
+    alpha: T,
+    a: &[&[T]],
+    b: &[&[T]],
+    beta: T,
+    c: &mut [&mut [T]],
+    params: GemmParams,
+    kernel: MicroKernel,
+) {
     if small {
-        colsweep_nn(alpha, a_nn, b_nn, beta, c);
+        colsweep_nn(alpha, a, b, beta, c);
     } else {
-        blocked_nn(
-            alpha,
-            a_nn,
-            b_nn,
-            beta,
-            c.as_mut_slice(),
-            0,
-            n,
-            params,
-            kernel,
-        );
+        blocked_nn(alpha, a, b, beta, c, params, kernel);
     }
 }
 
@@ -336,45 +374,27 @@ pub fn colsweep_gemm<T: Scalar>(
         "colsweep_gemm",
         xsc_metrics::traffic::gemm_colsweep(m, n, _k, std::mem::size_of::<T>() as u64),
     );
-    let at;
-    let a_nn = match transa {
-        Transpose::No => a,
-        Transpose::Yes => {
-            at = a.transpose();
-            &at
-        }
-    };
-    let bt;
-    let b_nn = match transb {
-        Transpose::No => b,
-        Transpose::Yes => {
-            bt = b.transpose();
-            &bt
-        }
-    };
-    colsweep_nn(alpha, a_nn, b_nn, beta, c);
+    let (a_nn, b_nn) = (no_transpose(transa, a), no_transpose(transb, b));
+    colsweep_nn(alpha, &cols(&a_nn), &cols(&b_nn), beta, &mut cols_mut(c));
 }
 
-/// Column-sweep no-transpose kernel (see [`colsweep_gemm`]).
-fn colsweep_nn<T: Scalar>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
-    let m = a.rows();
-    let k = a.cols();
-    let n = b.cols();
-    debug_assert_eq!((c.rows(), c.cols()), (m, n));
-    for j in 0..n {
-        let bcol = b.col(j);
-        scale_by_beta(c.col_mut(j), beta);
+/// Column-sweep no-transpose kernel (see [`colsweep_gemm`]) on column
+/// lists: `a` holds `k` columns and every column of `c` has `m` rows.
+fn colsweep_nn<T: Scalar>(alpha: T, a: &[&[T]], b: &[&[T]], beta: T, c: &mut [&mut [T]]) {
+    let k = a.len();
+    for (ccol, bcol) in c.iter_mut().zip(b) {
+        let m = ccol.len();
+        scale_by_beta(ccol, beta);
         let mut l = 0;
         while l + 4 <= k {
             let s0 = alpha * bcol[l];
             let s1 = alpha * bcol[l + 1];
             let s2 = alpha * bcol[l + 2];
             let s3 = alpha * bcol[l + 3];
-            let a0 = a.col(l);
-            let a1 = a.col(l + 1);
-            let a2 = a.col(l + 2);
-            let a3 = a.col(l + 3);
-            let ccol = c.col_mut(j);
+            let a0 = &a[l][..m];
+            let a1 = &a[l + 1][..m];
+            let a2 = &a[l + 2][..m];
+            let a3 = &a[l + 3][..m];
             for i in 0..m {
                 let mut v = ccol[i];
                 v = s0.mul_add(a0[i], v);
@@ -387,8 +407,7 @@ fn colsweep_nn<T: Scalar>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &m
         }
         while l < k {
             let s = alpha * bcol[l];
-            let acol = a.col(l);
-            let ccol = c.col_mut(j);
+            let acol = &a[l][..m];
             for i in 0..m {
                 ccol[i] = s.mul_add(acol[i], ccol[i]);
             }
@@ -402,7 +421,7 @@ fn colsweep_nn<T: Scalar>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &m
 /// contiguously (`ap[panel + l*MR + i]`), pre-scaled by `alpha` and
 /// zero-padded past the matrix edge so the micro-kernel never branches.
 fn pack_a<T: Scalar>(
-    a: &Matrix<T>,
+    a: &[&[T]],
     ic: usize,
     pc: usize,
     mcb: usize,
@@ -414,7 +433,7 @@ fn pack_a<T: Scalar>(
     for ir in (0..mcb).step_by(MR) {
         let mr_eff = MR.min(mcb - ir);
         for l in 0..kcb {
-            let src = &a.col(pc + l)[ic + ir..ic + ir + mr_eff];
+            let src = &a[pc + l][ic + ir..ic + ir + mr_eff];
             let dst = &mut ap[off + l * MR..off + (l + 1) * MR];
             for i in 0..mr_eff {
                 dst[i] = alpha * src[i];
@@ -430,12 +449,12 @@ fn pack_a<T: Scalar>(
 /// Packs the `kcb x ncb` block of `B` at `(pc, jc)` into `NR`-column
 /// panels: panel `jr/NR` stores, for each depth `l`, the `NR` column
 /// entries contiguously (`bp[panel + l*NR + j]`), zero-padded at the edge.
-fn pack_b<T: Scalar>(b: &Matrix<T>, pc: usize, jc: usize, kcb: usize, ncb: usize, bp: &mut [T]) {
+fn pack_b<T: Scalar>(b: &[&[T]], pc: usize, jc: usize, kcb: usize, ncb: usize, bp: &mut [T]) {
     let mut off = 0;
     for jr in (0..ncb).step_by(NR) {
         let nr_eff = NR.min(ncb - jr);
         for j in 0..nr_eff {
-            let src = &b.col(jc + jr + j)[pc..pc + kcb];
+            let src = &b[jc + jr + j][pc..pc + kcb];
             for (l, &v) in src.iter().enumerate() {
                 bp[off + l * NR + j] = v;
             }
@@ -451,10 +470,10 @@ fn pack_b<T: Scalar>(b: &Matrix<T>, pc: usize, jc: usize, kcb: usize, ncb: usize
 
 /// Macro-kernel: sweeps the packed `mcb x kcb` `A` panels against the
 /// packed `kcb x ncb` `B` panels, accumulating each `MR x NR` micro-tile
-/// into the column-major block `cblock` (leading dimension `ldc`) at offset
-/// `(ic, jc)`. `beta` has already been applied to `cblock`. `mk` is the
-/// micro-kernel implementation resolved once per GEMM call (see
-/// [`crate::microkernel`] — every variant is bit-identical).
+/// into the columns `c` at offset `(ic, jc)`. `beta` has already been
+/// applied to `c`. `mk` is the micro-kernel implementation resolved once
+/// per GEMM call (see [`crate::microkernel`] — every variant is
+/// bit-identical).
 #[allow(clippy::too_many_arguments)] // packed panels + block geometry; splitting obscures the loop nest
 fn macro_kernel<T: Scalar>(
     ap: &[T],
@@ -462,8 +481,7 @@ fn macro_kernel<T: Scalar>(
     mcb: usize,
     ncb: usize,
     kcb: usize,
-    cblock: &mut [T],
-    ldc: usize,
+    c: &mut [&mut [T]],
     ic: usize,
     jc: usize,
     mk: MicroKernelFn<T>,
@@ -477,7 +495,7 @@ fn macro_kernel<T: Scalar>(
             let mut acc = [T::zero(); MR * NR];
             mk(kcb, apan, bpan, &mut acc);
             for j in 0..nr_eff {
-                let dst = &mut cblock[(jc + jr + j) * ldc + ic + ir..][..mr_eff];
+                let dst = &mut c[jc + jr + j][ic + ir..][..mr_eff];
                 for (i, x) in dst.iter_mut().enumerate() {
                     *x += acc[j * MR + i];
                 }
@@ -486,27 +504,28 @@ fn macro_kernel<T: Scalar>(
     }
 }
 
-/// Blocked no-transpose kernel over a contiguous column block of `C`:
-/// computes `C(:, j0..j0+ncols) <- alpha*A*B(:, j0..) + beta*C(:, j0..)`
-/// where `cblock` is the column-major storage of those columns. This is the
-/// unit of work [`par_gemm`] hands each worker, so every level of the loop
-/// nest (including packing) runs worker-locally.
-#[allow(clippy::too_many_arguments)] // the gemm operand set plus the block's column window
-fn blocked_nn<T: Scalar>(
+/// Blocked no-transpose kernel on column lists: `C <- alpha*A*B + beta*C`,
+/// where `a` holds the `k` columns of `A`, `b` one column of `B` per column
+/// of `c`, and every column of `c` has `m` rows. Column lists let a caller
+/// hand in views of one matrix — the LU update reads `U12` and writes
+/// `A22`, rows of the same columns. This is the unit of work [`par_gemm`]
+/// hands each worker, so every level of the loop nest (including packing)
+/// runs worker-locally.
+pub(crate) fn blocked_nn<T: Scalar>(
     alpha: T,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
+    a: &[&[T]],
+    b: &[&[T]],
     beta: T,
-    cblock: &mut [T],
-    j0: usize,
-    ncols: usize,
+    c: &mut [&mut [T]],
     params: GemmParams,
     kernel: MicroKernel,
 ) {
-    let m = a.rows();
-    let k = a.cols();
-    debug_assert_eq!(cblock.len(), m * ncols);
-    scale_by_beta(cblock, beta);
+    let m = c.first().map_or(0, |col| col.len());
+    let k = a.len();
+    let ncols = c.len();
+    for col in c.iter_mut() {
+        scale_by_beta(col, beta);
+    }
     if k == 0 || alpha == T::zero() || ncols == 0 || m == 0 {
         return;
     }
@@ -523,11 +542,11 @@ fn blocked_nn<T: Scalar>(
         let ncb = nc.min(ncols - jc);
         for pc in (0..k).step_by(kc) {
             let kcb = kc.min(k - pc);
-            pack_b(b, pc, j0 + jc, kcb, ncb, &mut bp);
+            pack_b(b, pc, jc, kcb, ncb, &mut bp);
             for ic in (0..m).step_by(mc) {
                 let mcb = mc.min(m - ic);
                 pack_a(a, ic, pc, mcb, kcb, alpha, &mut ap);
-                macro_kernel(&ap, &bp, mcb, ncb, kcb, cblock, m, ic, jc, mk);
+                macro_kernel(&ap, &bp, mcb, ncb, kcb, c, ic, jc, mk);
             }
         }
     }
@@ -538,10 +557,10 @@ fn blocked_nn<T: Scalar>(
 /// Each worker owns a contiguous block of `C`'s columns and runs the full
 /// blocked loop nest on it — packing its own `A` panel once per `MC x KC`
 /// block and reusing it across the whole macro-tile — instead of the old
-/// one-column-per-task sweep. The macro-tile width adapts: `NC` when that
-/// yields at least one tile per worker, `ceil(n / workers)` (rounded to
-/// [`NR`]) otherwise, so every worker gets work at any shape. This is the
-/// "compute-bound kernel" side of the strong-scaling experiment (E10).
+/// one-column-per-task sweep. The macro-tiles are at most `NC` wide and
+/// come in a whole number per worker, so every worker gets the same share
+/// at any shape. This is the "compute-bound kernel" side of the
+/// strong-scaling experiment (E10).
 pub fn par_gemm<T: Scalar>(
     transa: Transpose,
     transb: Transpose,
@@ -592,52 +611,30 @@ pub fn par_gemm_with_opts<T: Scalar>(
         gemm_with_opts(transa, transb, alpha, a, b, beta, c, params, kernel);
         return;
     }
-    let pn = params.normalized();
+    let p = params.normalized();
     let _scope = xsc_metrics::record(
         "par_gemm",
         xsc_metrics::traffic::gemm_packed(
             m,
             n,
             k,
-            pn.mc,
-            pn.kc,
-            pn.nc,
+            p.mc,
+            p.kc,
+            p.nc,
             std::mem::size_of::<T>() as u64,
         ),
     );
-
-    let at;
-    let a_nn = match transa {
-        Transpose::No => a,
-        Transpose::Yes => {
-            at = a.transpose();
-            &at
-        }
-    };
-    let bt;
-    let b_nn = match transb {
-        Transpose::No => b,
-        Transpose::Yes => {
-            bt = b.transpose();
-            &bt
-        }
-    };
-
-    let p = params.normalized();
-    let workers = rayon::current_num_threads().max(1);
-    // Macro-tile width: NC if that already feeds every worker, otherwise an
-    // even NR-aligned split of the columns.
-    let bw = if n.div_ceil(p.nc) >= workers {
-        p.nc
-    } else {
-        (n.div_ceil(workers).div_ceil(NR) * NR).min(n.div_ceil(NR) * NR)
-    };
+    let (a_nn, b_nn) = (no_transpose(transa, a), no_transpose(transb, b));
+    let (acols, bcols) = (cols(&a_nn), cols(&b_nn));
+    let bw = tile_width(n, p.nc, rayon::current_num_threads());
     c.as_mut_slice()
         .par_chunks_mut(m * bw)
         .enumerate()
         .for_each(|(bi, cblock)| {
-            let ncols = cblock.len() / m;
-            blocked_nn(alpha, a_nn, b_nn, beta, cblock, bi * bw, ncols, p, kernel);
+            let mut ccols: Vec<&mut [T]> = cblock.chunks_mut(m).collect();
+            let j0 = bi * bw;
+            let bblock = &bcols[j0..j0 + ccols.len()];
+            blocked_nn(alpha, &acols, bblock, beta, &mut ccols, p, kernel);
         });
 }
 
@@ -985,6 +982,63 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn strided_update_matches_gemm_on_copied_blocks() {
+        // The LU trailing update reads L21 and U12 in place out of one
+        // matrix and writes A22 in place, tile by tile. It must give the
+        // bits `gemm_with_opts` gives on copies of the three blocks. The
+        // offsets are not micro-tile aligned, and the block sizes straddle
+        // MR, NR and every macro-tile edge of these parameters, on both
+        // sides of the small-problem cutoff.
+        let p = GemmParams {
+            mc: 16,
+            kc: 12,
+            nc: 8,
+        };
+        let mk = microkernel::global_microkernel();
+        for &(k0, kb, m2) in &[(3, 13, 17), (5, 25, 41), (9, 24, 47), (MR + 1, 36, 33)] {
+            let n = k0 + kb + m2;
+            let big = gen::random_matrix::<f64>(n, n, (k0 + kb) as u64);
+            let (r, (alpha, beta)) = (k0 + kb, (-0.5, 1.25));
+
+            let mut want = big.clone();
+            let mut a22 = big.block(r, r, m2, m2);
+            gemm_with_opts(
+                Transpose::No,
+                Transpose::No,
+                alpha,
+                &big.block(r, k0, m2, kb),
+                &big.block(k0, r, kb, m2),
+                beta,
+                &mut a22,
+                p,
+                mk,
+            );
+            a22.copy_block_into(0, 0, m2, m2, &mut want, r, r);
+
+            let mut got = big.clone();
+            let (left, right) = got.as_mut_slice().split_at_mut(r * n);
+            let l21: Vec<&[f64]> = left[k0 * n..].chunks(n).map(|c| &c[r..]).collect();
+            for tile in right.chunks_mut(tile_width(m2, p.nc, 3) * n) {
+                let (u12, mut a22): (Vec<&[f64]>, Vec<&mut [f64]>) = tile
+                    .chunks_mut(n)
+                    .map(|col| {
+                        let (top, bottom) = col.split_at_mut(r);
+                        (&top[k0..], bottom)
+                    })
+                    .unzip();
+                let small = is_small(m2, m2, kb);
+                gemm_nn(small, alpha, &l21, &u12, beta, &mut a22, p, mk);
+            }
+            let bits =
+                |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&got) == bits(&want),
+                "in-place update differs at k0={k0} kb={kb} m2={m2}"
+            );
         }
     }
 

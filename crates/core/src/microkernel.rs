@@ -8,7 +8,10 @@
 //!
 //! * [`MicroKernel::Scalar`] — the portable baseline: plain Rust, one
 //!   multiply-add per element, vectorized only as far as the default
-//!   target baseline (SSE2 on `x86_64`) allows.
+//!   target baseline (SSE2 on `x86_64`) allows. It runs the tile as two
+//!   `MR/2`-row halves so each half's accumulators stay in registers for
+//!   the whole depth loop, which is what lets the packed GEMM beat the
+//!   column sweep in the default build.
 //! * [`MicroKernel::Avx2`] / [`MicroKernel::Avx512`] — explicit
 //!   `std::arch` intrinsic kernels (behind the `simd` cargo feature) that
 //!   vectorize across the `MR` independent *rows* of the micro-tile.
@@ -153,20 +156,50 @@ pub(crate) fn resolve<T: Scalar>(mk: MicroKernel) -> MicroKernelFn<T> {
     }
 }
 
-/// The portable scalar micro-kernel (the former `micro_kernel` of
-/// `gemm.rs`): both panels are contiguous and zero-padded, so the loop
-/// body is branch-free and the accumulator tile stays in registers.
+/// Rows of the half tile the scalar kernel keeps in registers at once.
+const HALF: usize = MR / 2;
+
+/// The portable scalar micro-kernel: both panels are contiguous and
+/// zero-padded, so the loop body is branch-free. It runs the tile as two
+/// `MR/2`-row halves, each held in a local `NR x MR/2` array across the
+/// whole depth loop. A half's 16 accumulators fit in the 16 SSE2 registers
+/// of the `x86_64` baseline with room left for the operands; the full
+/// 32-element tile does not, and walking it through memory on every depth
+/// step ran the packed GEMM slower than the column sweep. Each element
+/// still sees `a * b + acc` in ascending `l`, so the bits match every
+/// other variant.
 #[inline(always)]
 pub(crate) fn scalar_kernel<T: Scalar>(kcb: usize, apan: &[T], bpan: &[T], acc: &mut [T; MR * NR]) {
-    // Zip-structured (no slice indexing, rule P03): `chunks_exact_mut(MR)`
-    // walks the accumulator in the same j-major, i-minor order as the
-    // indexed form, so the FMA sequence — and the result bits — are
-    // unchanged.
-    for (av, bv) in apan.chunks_exact(MR).zip(bpan.chunks_exact(NR)).take(kcb) {
-        for (&bj, accj) in bv.iter().zip(acc.chunks_exact_mut(MR)) {
-            for (&ai, cij) in av.iter().zip(accj.iter_mut()) {
+    half_kernel(kcb, apan, bpan, acc, 0);
+    half_kernel(kcb, apan.get(HALF..).unwrap_or_default(), bpan, acc, HALF);
+}
+
+/// Rows `row0..row0 + HALF` of [`scalar_kernel`]: `apan` starts at the
+/// half's first row, so its depth steps are `MR` apart and the last one is
+/// only `HALF` long (hence `chunks`, not `chunks_exact`).
+#[inline(always)]
+fn half_kernel<T: Scalar>(kcb: usize, apan: &[T], bpan: &[T], acc: &mut [T; MR * NR], row0: usize) {
+    let mut c = [[T::zero(); HALF]; NR];
+    for (cj, col) in c.iter_mut().zip(acc.chunks_exact(MR)) {
+        for (x, &v) in cj.iter_mut().zip(col.iter().skip(row0)) {
+            *x = v;
+        }
+    }
+    for (av, bv) in apan.chunks(MR).zip(bpan.chunks_exact(NR)).take(kcb) {
+        let (Some((a, _)), Some((b, _))) =
+            (av.split_first_chunk::<HALF>(), bv.split_first_chunk::<NR>())
+        else {
+            break;
+        };
+        for (cj, &bj) in c.iter_mut().zip(b) {
+            for (cij, &ai) in cj.iter_mut().zip(a) {
                 *cij = ai.mul_add(bj, *cij);
             }
+        }
+    }
+    for (cj, col) in c.iter().zip(acc.chunks_exact_mut(MR)) {
+        for (x, &v) in col.iter_mut().skip(row0).zip(cj) {
+            *x = v;
         }
     }
 }

@@ -1,78 +1,18 @@
-//! HPL-like benchmark core: thread-parallel blocked LU with partial
+//! HPL-like benchmark core: the thread-parallel blocked LU with partial
 //! pivoting, HPL flop accounting, and the HPL acceptance residual.
 //!
 //! This is the "old rules" side of the keynote's headline figure: dense LU
 //! is compute-bound, so it runs at a large fraction of machine peak — the
 //! number the Top500 ranks by. The HPCG-like driver in `xsc-sparse` is the
-//! "new rules" counterpart.
+//! "new rules" counterpart. The LU itself is [`xsc_core::factor::par_getrf`]:
+//! the same step loop as the sequential `getrf_blocked`, with its trailing
+//! update on the packed GEMM that [`measure_peak_gflops`] times, so HPL's
+//! rate follows from its kernels'.
 
-use rayon::prelude::*;
+pub use xsc_core::factor::par_getrf;
 use xsc_core::{factor, flops, gen, norms};
-use xsc_core::{Matrix, Result, Scalar, Transpose};
+use xsc_core::{Matrix, Result, Transpose};
 use xsc_metrics::Stopwatch;
-
-/// Thread-parallel blocked right-looking LU with partial pivoting.
-///
-/// The panel factors sequentially (with full-row swaps, as HPL does); the
-/// `L11⁻¹`-solve and trailing `gemm` update of each step run column-parallel
-/// over the trailing submatrix.
-pub fn par_getrf<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> {
-    assert!(a.is_square(), "par_getrf requires a square matrix");
-    assert!(nb > 0, "block size must be positive");
-    let n = a.rows();
-    if n == 0 {
-        // A 0x0 system is vacuously factored; bail before the trailing-update
-        // machinery (par_chunks_mut rejects zero-sized chunks).
-        return Ok(Vec::new());
-    }
-    let _scope = xsc_metrics::record(
-        "hpl_lu",
-        xsc_metrics::traffic::lu_blocked(n, nb, std::mem::size_of::<T>() as u64),
-    );
-    let mut piv = vec![0usize; n];
-    let mut k = 0;
-    while k < n {
-        let kb = nb.min(n - k);
-        factor::getrf_panel(a, k, kb, &mut piv)?;
-        let ntrail = n - k - kb;
-        if ntrail > 0 {
-            // Split the column-major buffer: `left` holds columns
-            // [0, k+kb) — including the freshly factored panel (read-only
-            // below) — and `right` the trailing columns we update in
-            // parallel.
-            let (left, right) = a.as_mut_slice().split_at_mut((k + kb) * n);
-            let left = &*left;
-            // Column c of the panel (global column k+c), rows k..n.
-            let panel_col = |c: usize| -> &[T] { &left[(k + c) * n + k..(k + c + 1) * n] };
-            right.par_chunks_mut(n).for_each(|col| {
-                // 1) x <- L11^{-1} x  (unit lower, forward substitution).
-                for c in 0..kb {
-                    let xc = col[k + c];
-                    if xc == T::zero() {
-                        continue;
-                    }
-                    let lc = panel_col(c);
-                    for r in c + 1..kb {
-                        col[k + r] = (-xc).mul_add(lc[r], col[k + r]);
-                    }
-                }
-                // 2) y <- y - L21 * x  (trailing rows).
-                for c in 0..kb {
-                    let xc = col[k + c];
-                    if xc == T::zero() {
-                        continue;
-                    }
-                    let lc = panel_col(c);
-                    for r in kb..n - k {
-                        col[k + r] = (-xc).mul_add(lc[r], col[k + r]);
-                    }
-                }
-            });
-        }
-        k += kb;
-    }
-    Ok(piv)
-}
 
 /// Outcome of one HPL-like run.
 #[derive(Debug, Clone)]
@@ -139,21 +79,53 @@ pub fn measure_peak_gflops(s: usize, reps: usize) -> f64 {
 mod tests {
     use super::*;
 
+    /// Factors `a` with both drivers and asserts the same result, bit for
+    /// bit: the same factors and pivots, or the same error.
+    fn assert_drivers_agree(a: &Matrix<f64>, nb: usize) {
+        let n = a.rows();
+        let mut f_seq = a.clone();
+        let r_seq = factor::getrf_blocked(&mut f_seq, nb);
+        let mut f_par = a.clone();
+        let r_par = par_getrf(&mut f_par, nb);
+        assert_eq!(r_seq, r_par, "pivots or errors differ n={n} nb={nb}");
+        if r_seq.is_ok() {
+            let bits =
+                |f: &Matrix<f64>| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(bits(&f_seq) == bits(&f_par), "factors differ n={n} nb={nb}");
+        }
+    }
+
     #[test]
     fn par_getrf_matches_sequential() {
-        for (n, nb) in [(37, 8), (64, 16), (50, 64)] {
-            let a = gen::random_matrix::<f64>(n, n, 1);
-            let mut f_seq = a.clone();
-            let p_seq = factor::getrf_blocked(&mut f_seq, nb).unwrap();
-            let mut f_par = a.clone();
-            let p_par = par_getrf(&mut f_par, nb).unwrap();
-            assert_eq!(p_seq, p_par, "pivots differ n={n} nb={nb}");
-            assert!(
-                f_seq.approx_eq(&f_par, 1e-11),
-                "factors differ n={n} nb={nb}: {}",
-                f_seq.max_abs_diff(&f_par)
-            );
+        // n % nb != 0, n == nb multiples, n < nb, and shapes whose trailing
+        // updates take the column sweep, the packed path, and several
+        // macro-tiles per worker.
+        for (n, nb) in [
+            (37, 8),
+            (64, 16),
+            (50, 64),
+            (7, 16),
+            (130, 32),
+            (300, 64),
+            (700, 96),
+        ] {
+            assert_drivers_agree(&gen::random_matrix::<f64>(n, n, 1), nb);
         }
+    }
+
+    #[test]
+    fn par_getrf_matches_sequential_when_singular_in_a_later_panel() {
+        // Column 45 is zero, so the matrix turns singular only in the
+        // third panel; both drivers must stop at the same pivot.
+        let n = 64;
+        let mut a = gen::random_matrix::<f64>(n, n, 3);
+        for i in 0..n {
+            a.set(i, 45, 0.0);
+        }
+        let mut f = a.clone();
+        let err = factor::getrf_blocked(&mut f, 16).unwrap_err();
+        assert_eq!(err, xsc_core::Error::Singular { pivot: 45 });
+        assert_drivers_agree(&a, 16);
     }
 
     #[test]

@@ -181,6 +181,7 @@ const TIMING_CHOKEPOINT: &str = "crates/metrics/src/stopwatch.rs";
 /// observability regression.
 const M01_KERNEL_FILES: &[&str] = &[
     "crates/core/src/blas1.rs",
+    "crates/core/src/factor.rs",
     "crates/core/src/gemm.rs",
     "crates/core/src/syrk.rs",
     "crates/core/src/trsm.rs",
@@ -190,7 +191,6 @@ const M01_KERNEL_FILES: &[&str] = &[
     "crates/sparse/src/symgs.rs",
     "crates/sparse/src/mg.rs",
     "crates/sparse/src/coloring.rs",
-    "crates/dense/src/hpl.rs",
     "crates/dense/src/cholesky.rs",
 ];
 

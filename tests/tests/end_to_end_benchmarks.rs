@@ -15,25 +15,32 @@ fn hpl_like_run_passes_acceptance() {
 
 #[test]
 fn parallel_lu_agrees_with_sequential_reference_end_to_end() {
-    let n = 160;
-    let a = gen::random_matrix::<f64>(n, n, 2);
-    let b = gen::rhs_for_unit_solution(&a);
+    // One step loop behind both drivers: the factors, pivots and solutions
+    // are the same bits. n = 160 with nb = 32 (even), 173 with 32 (a
+    // ragged last panel) and 20 with 32 (one panel).
+    for (n, nb) in [(160, 32), (173, 32), (20, 32)] {
+        let a = gen::random_matrix::<f64>(n, n, 2);
+        let b = gen::rhs_for_unit_solution(&a);
 
-    let mut f_par = a.clone();
-    let piv_par = hpl::par_getrf(&mut f_par, 32).unwrap();
-    let mut x_par = b.clone();
-    factor::getrf_solve(&f_par, &piv_par, &mut x_par);
+        let mut f_par = a.clone();
+        let piv_par = hpl::par_getrf(&mut f_par, nb).unwrap();
+        let mut x_par = b.clone();
+        factor::getrf_solve(&f_par, &piv_par, &mut x_par);
 
-    let mut f_seq = a.clone();
-    let piv_seq = factor::getrf_blocked(&mut f_seq, 32).unwrap();
-    let mut x_seq = b.clone();
-    factor::getrf_solve(&f_seq, &piv_seq, &mut x_seq);
+        let mut f_seq = a.clone();
+        let piv_seq = factor::getrf_blocked(&mut f_seq, nb).unwrap();
+        let mut x_seq = b.clone();
+        factor::getrf_solve(&f_seq, &piv_seq, &mut x_seq);
 
-    assert_eq!(piv_par, piv_seq);
-    for (p, s) in x_par.iter().zip(x_seq.iter()) {
-        assert!((p - s).abs() < 1e-10);
+        assert_eq!(piv_par, piv_seq, "n={n} nb={nb}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(f_par.as_slice()) == bits(f_seq.as_slice()),
+            "factors differ n={n} nb={nb}"
+        );
+        assert_eq!(bits(&x_par), bits(&x_seq), "solutions differ n={n} nb={nb}");
+        assert!(norms::relative_residual(&a, &x_par, &b) < 1e-10);
     }
-    assert!(norms::relative_residual(&a, &x_par, &b) < 1e-10);
 }
 
 #[test]
