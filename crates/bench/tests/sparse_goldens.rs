@@ -1,0 +1,209 @@
+//! Golden pins for the sparse kernels under HPCG, per storage format:
+//! SpMV, parallel SpMV, fused residual, diagonal and column sums; the
+//! iterates of natural and multicolour symmetric Gauss–Seidel; an MG-PCG
+//! residual history; and the modeled SpMV/SymGS traffic of every level of
+//! a three-level hierarchy. The cross-format tests in
+//! `tests/tests/sparse_formats.rs` only compare formats with each other, so
+//! they cannot see a fold-order change that hits every format at once; a
+//! change that moves a single bit or byte shows up here as a hash mismatch.
+
+use xsc_bench::fnv1a;
+use xsc_metrics::Traffic;
+use xsc_sparse::coloring::{color_classes, greedy_coloring};
+use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
+use xsc_sparse::{run_hpcg_fmt, CsrMatrix, FormatMatrix, SparseFormat, SparseOps};
+
+/// Per-format hashes, in [`SparseFormat::all`] order.
+struct Pins {
+    /// `spmv`, `spmv_par`, `fused_residual`, `diagonal`, `column_sums`
+    /// outputs on both matrices of [`matrices`].
+    kernels: u64,
+    /// Iterates after 3 natural SymGS applications on both matrices.
+    natural: u64,
+    /// Iterates after 3 multicolour SymGS applications on both matrices.
+    colored: u64,
+    /// `run_hpcg_fmt(16³, 3 levels, 10 iterations)` residual history.
+    history: u64,
+    /// `spmv_traffic()` and `symgs_traffic()` of each level's matrix.
+    traffic: u64,
+}
+
+const PINS: [(SparseFormat, Pins); 3] = [
+    (
+        SparseFormat::CsrUsize,
+        Pins {
+            kernels: 0x320e_d377_f4e0_1598,
+            natural: 0x7469_fbeb_de09_2811,
+            colored: 0x9d74_9508_b79c_2759,
+            history: 0x0f91_c398_9b89_d56f,
+            traffic: 0x2546_066d_9976_eb85,
+        },
+    ),
+    (
+        SparseFormat::Csr32,
+        Pins {
+            kernels: 0x320e_d377_f4e0_1598,
+            natural: 0x7469_fbeb_de09_2811,
+            colored: 0x9d74_9508_b79c_2759,
+            history: 0x0f91_c398_9b89_d56f,
+            traffic: 0xd4a0_f447_56f0_b231,
+        },
+    ),
+    (
+        SparseFormat::SellCSigma,
+        Pins {
+            kernels: 0xe160_475b_d74e_b0b0,
+            natural: 0x7469_fbeb_de09_2811,
+            colored: 0x9d74_9508_b79c_2759,
+            history: 0x0f91_c398_9b89_d56f,
+            traffic: 0x4bb3_fa2e_ddab_6465,
+        },
+    ),
+];
+
+/// A 27-point-stencil-patterned matrix with pseudo-random (seeded)
+/// off-diagonal values and a diagonal strong enough for Gauss–Seidel (the
+/// generator of `tests/tests/sparse_formats.rs`).
+fn random_stencil(nx: usize, ny: usize, nz: usize, seed: u64) -> CsrMatrix<f64> {
+    let pattern = build_matrix(Geometry::new(nx, ny, nz));
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        let u = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        (u >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    };
+    let n = pattern.nrows();
+    let mut triplets = Vec::new();
+    for i in 0..n {
+        let (cols, _) = pattern.row(i);
+        let mut offdiag_sum = 0.0;
+        for &j in cols {
+            if j != i {
+                let v = next();
+                offdiag_sum += v.abs();
+                triplets.push((i, j, v));
+            }
+        }
+        triplets.push((i, i, offdiag_sum + 1.0 + next().abs()));
+    }
+    CsrMatrix::from_triplets(n, n, triplets)
+}
+
+/// The 16³ HPCG operator and one irregular-valued, ragged-sized stencil.
+fn matrices() -> [CsrMatrix<f64>; 2] {
+    [
+        build_matrix(Geometry::new(16, 16, 16)),
+        random_stencil(7, 6, 5, 42),
+    ]
+}
+
+fn vector(n: usize, salt: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| ((i * 37 + salt) % 101) as f64 * 0.02 - 1.0)
+        .collect()
+}
+
+fn bits(v: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    v.iter().map(|x| x.to_bits())
+}
+
+fn traffic_words(t: Traffic) -> [u64; 3] {
+    [t.flops, t.bytes_read, t.bytes_written]
+}
+
+fn kernels_hash(fmt: SparseFormat) -> u64 {
+    let mut words = Vec::new();
+    for a in matrices() {
+        let n = a.nrows();
+        let m = FormatMatrix::convert(a, fmt).unwrap();
+        let x = vector(n, 1);
+        let b = vector(n, 2);
+        let mut y = vec![0.0; n];
+        m.spmv(&x, &mut y);
+        words.extend(bits(&y));
+        m.spmv_par(&x, &mut y);
+        words.extend(bits(&y));
+        m.fused_residual(&x, &b, &mut y);
+        words.extend(bits(&y));
+        words.extend(bits(&m.diagonal()));
+        words.extend(bits(&m.column_sums()));
+    }
+    fnv1a(words)
+}
+
+fn symgs_hash(fmt: SparseFormat, colored: bool) -> u64 {
+    let mut words = Vec::new();
+    for a in matrices() {
+        let n = a.nrows();
+        let (b, _) = build_rhs(&a);
+        let classes = color_classes(&greedy_coloring(&a));
+        let m = FormatMatrix::convert(a, fmt).unwrap();
+        let mut x = vector(n, 3);
+        for _ in 0..3 {
+            if colored {
+                m.colored_symgs(&classes, &b, &mut x);
+            } else {
+                m.symgs(&b, &mut x);
+            }
+        }
+        words.extend(bits(&x));
+    }
+    fnv1a(words)
+}
+
+fn history_hash(fmt: SparseFormat) -> u64 {
+    let r = run_hpcg_fmt(Geometry::new(16, 16, 16), 3, 10, fmt);
+    fnv1a(bits(&r.residual_history).chain([r.iterations as u64]))
+}
+
+fn traffic_hash(fmt: SparseFormat) -> u64 {
+    let mut words = Vec::new();
+    for g in [16, 8, 4] {
+        let m = FormatMatrix::convert(build_matrix(Geometry::new(g, g, g)), fmt).unwrap();
+        words.extend(traffic_words(m.spmv_traffic()));
+        words.extend(traffic_words(m.symgs_traffic()));
+    }
+    fnv1a(words)
+}
+
+fn check(what: &str, hash: impl Fn(SparseFormat) -> u64, pin: impl Fn(&Pins) -> u64) {
+    for (fmt, pins) in &PINS {
+        let got = hash(*fmt);
+        assert_eq!(got, pin(pins), "{fmt} {what} changed: got {got:#018x}");
+    }
+}
+
+#[test]
+fn kernel_outputs_match_golden_hash() {
+    check("kernel outputs", kernels_hash, |p| p.kernels);
+}
+
+#[test]
+fn natural_symgs_iterates_match_golden_hash() {
+    check(
+        "natural SymGS iterates",
+        |f| symgs_hash(f, false),
+        |p| p.natural,
+    );
+}
+
+#[test]
+fn colored_symgs_iterates_match_golden_hash() {
+    check(
+        "colored SymGS iterates",
+        |f| symgs_hash(f, true),
+        |p| p.colored,
+    );
+}
+
+#[test]
+fn hpcg_residual_history_matches_golden_hash() {
+    check("hpcg residual history", history_hash, |p| p.history);
+}
+
+#[test]
+fn modeled_traffic_matches_golden_hash() {
+    check("modeled traffic", traffic_hash, |p| p.traffic);
+}
