@@ -22,7 +22,7 @@ use crate::table::{f2, sci, secs, Table};
 use crate::{best_of, Scale};
 use xsc_metrics::traffic::{self, XGather};
 use xsc_sparse::stencil::build_matrix;
-use xsc_sparse::{run_hpcg_fmt, FormatMatrix, Geometry, SparseFormat, SparseOps};
+use xsc_sparse::{run_hpcg_fmt, FormatMatrix, Geometry, SparseFormat, SparseIndex, SparseOps};
 
 /// Minimum factor by which the compact formats must beat the `usize` CSR
 /// on measured SpMV bytes per nonzero (the PR's acceptance criterion).
@@ -41,9 +41,10 @@ fn bytes_per_nnz(c: &xsc_metrics::KernelCounters) -> f64 {
 /// Modeled SpMV bytes/nnz for `fmt` under an explicit gather policy.
 fn modeled(fmt: &FormatMatrix, gather: XGather) -> f64 {
     let (n, nc, nnz) = (fmt.nrows(), fmt.ncols(), fmt.nnz());
+    let csr = |idx_bytes| traffic::spmv_csr(n, nc, nnz, 8, idx_bytes, gather);
     let t = match fmt {
-        FormatMatrix::CsrUsize(_) => traffic::spmv_csr_gather(n, nc, nnz, 8, gather),
-        FormatMatrix::Csr32(_) => traffic::spmv_csr32(n, nc, nnz, 8, gather),
+        FormatMatrix::CsrUsize(_) => csr(usize::BYTES),
+        FormatMatrix::Csr32(_) => csr(u32::BYTES),
         FormatMatrix::Sell(s) => {
             traffic::spmv_sell(n, nc, nnz, s.padded_slots(), s.nchunks(), 8, gather)
         }

@@ -186,7 +186,6 @@ const M01_KERNEL_FILES: &[&str] = &[
     "crates/core/src/syrk.rs",
     "crates/core/src/trsm.rs",
     "crates/sparse/src/csr.rs",
-    "crates/sparse/src/csr32.rs",
     "crates/sparse/src/sell.rs",
     "crates/sparse/src/symgs.rs",
     "crates/sparse/src/mg.rs",
@@ -299,7 +298,7 @@ pub const X01_CHOKEPOINTS: &[(&str, &str)] = &[
     ("crates/core/src/scalar.rs", "to_f64"),
     ("crates/core/src/scalar.rs", "from_f64"),
     ("crates/sparse/src/idx.rs", "widen"),
-    ("crates/sparse/src/csr32.rs", "check_compact_bounds"),
+    ("crates/sparse/src/idx.rs", "check_compact_bounds"),
     ("crates/precision/src/half.rs", "to_f64"),
     ("crates/precision/src/half.rs", "from_f64"),
 ];

@@ -12,15 +12,16 @@
 //! Conventions, used consistently below:
 //!
 //! * `w` is the element width in bytes (8 for `f64`, 4 for `f32`);
-//!   index arrays in the CSR models are `usize` = [`IDX_BYTES`] bytes.
+//!   sparse index arrays are [`IDX_BYTES`] (`usize`) or [`IDX32_BYTES`]
+//!   (`u32`) per entry.
 //! * Packing buffers and operand panels sized to fit in cache are **not**
 //!   charged — the model counts compulsory DRAM traffic plus the *reload
 //!   factors* forced by the loop order (how many times an operand is
 //!   re-streamed), which is exactly what distinguishes the packed blocked
 //!   GEMM from the naive sweep.
-//! * Gathered vector reads (`x[col[j]]` in CSR kernels) are charged one
-//!   element per nonzero — the bandwidth-pessimal but cache-honest choice
-//!   for the large, irregular problems HPCG models.
+//! * Gathered vector reads (`x[col[j]]` in sparse kernels) are charged
+//!   under an explicit [`XGather`] policy: per nonzero (pessimal) or once
+//!   per sweep (cache-resident gather window).
 
 use crate::counters::Traffic;
 
@@ -192,67 +193,50 @@ pub fn syrk(n: usize, k: usize, w: u64) -> Traffic {
     }
 }
 
-/// Traffic of one CSR SpMV `y ← Ax` with `nrows` rows, `ncols` columns and
-/// `nnz` stored entries:
+/// Traffic of one CSR SpMV `y ← Ax` with `nrows` rows, `ncols` columns,
+/// `nnz` stored entries and `idx_bytes` per stored index:
 ///
-/// * matrix stream: `nnz·(w + IDX_BYTES)` values+indices plus
-///   `(nrows+1)·IDX_BYTES` row pointers — with `w = 8` this is the
-///   "`nnz·12`-ish bytes per nonzero" CSR bill (12 with 4-byte indices,
-///   16 with the `usize` indices xsc stores);
-/// * `x` gathered once per nonzero (`nnz·w`);
+/// * matrix stream: `nnz·(w + idx_bytes)` values+indices plus
+///   `(nrows+1)·idx_bytes` row pointers — with `w = 8` this is the
+///   "~12 bytes per nonzero" CSR bill with [`IDX32_BYTES`] indices, 16
+///   with `usize` ([`IDX_BYTES`]) ones;
+/// * `x` charged under the chosen [`XGather`] policy;
 /// * `y` written once.
 ///
 /// `flops = 2·nnz`.
-pub fn spmv_csr(nrows: usize, nnz: usize, w: u64) -> Traffic {
-    let (nrows, nnz) = (nrows as u64, nnz as u64);
-    Traffic {
-        flops: 2 * nnz,
-        bytes_read: nnz * (w + IDX_BYTES) + (nrows + 1) * IDX_BYTES + nnz * w,
-        bytes_written: w * nrows,
-    }
-}
-
-/// Traffic of one symmetric Gauss–Seidel application (forward + backward
-/// sweep, HPCG's `ComputeSYMGS`): each sweep re-streams the matrix and
-/// gathers `x` like an SpMV, reads `b`, and writes `x` once.
-/// `flops = 4·nnz` (HPCG accounting).
-pub fn symgs_csr(nrows: usize, nnz: usize, w: u64) -> Traffic {
-    let (nr, nz) = (nrows as u64, nnz as u64);
-    let per_sweep_read = nz * (w + IDX_BYTES) + (nr + 1) * IDX_BYTES + nz * w + nr * w;
-    Traffic {
-        flops: 4 * nz,
-        bytes_read: 2 * per_sweep_read,
-        bytes_written: 2 * w * nr,
-    }
-}
-
-/// Traffic of one compact-index CSR (`Csr32`) SpMV `y ← Ax`: values at `w`
-/// bytes, column indices and row pointers at [`IDX32_BYTES`], `x` charged
-/// under the chosen [`XGather`] policy, `y` written once. `flops = 2·nnz`.
-///
-/// With `w = 8` and [`XGather::Streamed`] this is the canonical-HPCG
-/// "~12 B/nnz" matrix stream — half the `usize`-index [`spmv_csr`] bill.
-pub fn spmv_csr32(nrows: usize, ncols: usize, nnz: usize, w: u64, gather: XGather) -> Traffic {
+pub fn spmv_csr(
+    nrows: usize,
+    ncols: usize,
+    nnz: usize,
+    w: u64,
+    idx_bytes: u64,
+    gather: XGather,
+) -> Traffic {
     let (nr, nc, nz) = (nrows as u64, ncols as u64, nnz as u64);
     Traffic {
         flops: 2 * nz,
-        bytes_read: nz * (w + IDX32_BYTES) + (nr + 1) * IDX32_BYTES + gather.x_bytes(nz, nc, w),
+        bytes_read: nz * (w + idx_bytes) + (nr + 1) * idx_bytes + gather.x_bytes(nz, nc, w),
         bytes_written: w * nr,
     }
 }
 
-/// Traffic of one symmetric Gauss–Seidel application over `Csr32` storage
-/// (forward + backward sweep): each sweep streams values + `u32` indices +
-/// row pointers, reads `b`, gathers `x` per the policy, and writes `x`
-/// once. `flops = 4·nnz` (HPCG accounting).
-pub fn symgs_csr32(nrows: usize, ncols: usize, nnz: usize, w: u64, gather: XGather) -> Traffic {
-    let (nr, nc, nz) = (nrows as u64, ncols as u64, nnz as u64);
-    let per_sweep =
-        nz * (w + IDX32_BYTES) + (nr + 1) * IDX32_BYTES + gather.x_bytes(nz, nc, w) + nr * w;
+/// Traffic of one symmetric Gauss–Seidel application over CSR storage
+/// (forward + backward sweep, HPCG's `ComputeSYMGS`): each sweep streams
+/// the matrix and charges `x` like an [`spmv_csr`], reads `b`, and writes
+/// `x` once. `flops = 4·nnz` (HPCG accounting).
+pub fn symgs_csr(
+    nrows: usize,
+    ncols: usize,
+    nnz: usize,
+    w: u64,
+    idx_bytes: u64,
+    gather: XGather,
+) -> Traffic {
+    let sweep = spmv_csr(nrows, ncols, nnz, w, idx_bytes, gather);
     Traffic {
-        flops: 4 * nz,
-        bytes_read: 2 * per_sweep,
-        bytes_written: 2 * w * nr,
+        flops: 2 * sweep.flops,
+        bytes_read: 2 * (sweep.bytes_read + w * nrows as u64),
+        bytes_written: 2 * sweep.bytes_written,
     }
 }
 
@@ -312,18 +296,6 @@ pub fn symgs_sell(
     }
 }
 
-/// [`spmv_csr`] with an explicit gather policy (the 3-argument form keeps
-/// the legacy pessimal charge): used by E19 to print both conventions for
-/// the `usize`-index baseline.
-pub fn spmv_csr_gather(nrows: usize, ncols: usize, nnz: usize, w: u64, gather: XGather) -> Traffic {
-    let (nr, nc, nz) = (nrows as u64, ncols as u64, nnz as u64);
-    Traffic {
-        flops: 2 * nz,
-        bytes_read: nz * (w + IDX_BYTES) + (nr + 1) * IDX_BYTES + gather.x_bytes(nz, nc, w),
-        bytes_written: w * nr,
-    }
-}
-
 /// Traffic of one ABFT SpMV checksum cross-check over `n`-element vectors
 /// (the column-sum invariant `eᵀ(Ax) = (eᵀA)·x`): a dot of the reference
 /// checksum with `x` (`2n`), a pairwise sum of `y` (`n`), and the
@@ -350,40 +322,6 @@ pub fn residual_drift_extra(n: usize, w: u64) -> Traffic {
         bytes_read: w * 2 * n,
         bytes_written: 0,
     }
-}
-
-/// Traffic of one multigrid V-cycle over `levels` given as
-/// `(rows, nnz)` per level, fine to coarse (HPCG's cycle: pre-smooth,
-/// residual SpMV, injection restriction, recursive coarse solve,
-/// injection-add prolongation, post-smooth; the coarsest level is a single
-/// smoother application).
-pub fn mg_vcycle(levels: &[(usize, usize)], w: u64) -> Traffic {
-    let mut t = Traffic::default();
-    for (l, &(n, nnz)) in levels.iter().enumerate() {
-        let coarsest = l + 1 == levels.len();
-        if coarsest {
-            t = t.plus(symgs_csr(n, nnz, w));
-        } else {
-            let nc = levels[l + 1].0 as u64;
-            // Pre- and post-smooth.
-            t = t.plus(symgs_csr(n, nnz, w).times(2));
-            // Residual: SpMV plus the subtraction pass over b and r.
-            t = t.plus(spmv_csr(n, nnz, w));
-            t = t.plus(Traffic {
-                flops: n as u64,
-                bytes_read: w * n as u64,
-                bytes_written: w * n as u64,
-            });
-            // Injection restriction (read r at coarse points, write rc) and
-            // injection-add prolongation (read zc, read+write x).
-            t = t.plus(Traffic {
-                flops: nc,
-                bytes_read: w * 3 * nc,
-                bytes_written: w * 2 * nc,
-            });
-        }
-    }
-    t
 }
 
 /// Traffic of blocked right-looking LU with panel width `nb` (the HPL
@@ -485,34 +423,51 @@ mod tests {
     }
 
     #[test]
-    fn spmv_counts_match_csr_layout() {
-        // nnz·(8 val + 8 idx) + (n+1)·8 rowptr + nnz·8 gather, write 8n.
-        let t = spmv_csr(100, 2700, 8);
-        assert_eq!(t.flops, 5400);
-        assert_eq!(t.bytes_read, 2700 * 16 + 101 * 8 + 2700 * 8);
-        assert_eq!(t.bytes_written, 800);
+    fn spmv_csr_counts_match_layout() {
+        // nnz·(8 val + idx) + (n+1)·idx rowptr + x gather, write 8n.
+        for (idx, gather, read) in [
+            (IDX_BYTES, XGather::PerNnz, 2700 * 16 + 101 * 8 + 2700 * 8),
+            (IDX32_BYTES, XGather::PerNnz, 2700 * 12 + 101 * 4 + 2700 * 8),
+            // Streamed gather: x charged once, not per nonzero.
+            (
+                IDX32_BYTES,
+                XGather::Streamed,
+                2700 * 12 + 101 * 4 + 100 * 8,
+            ),
+        ] {
+            let t = spmv_csr(100, 100, 2700, 8, idx, gather);
+            assert_eq!(t.flops, 5400);
+            assert_eq!(t.bytes_read, read);
+            assert_eq!(t.bytes_written, 800);
+        }
+        let legacy = spmv_csr(100, 100, 2700, 8, IDX_BYTES, XGather::PerNnz);
+        let streamed = spmv_csr(100, 100, 2700, 8, IDX_BYTES, XGather::Streamed);
+        assert!(streamed.bytes_read < legacy.bytes_read);
+        // The headline ratio: usize-CSR pessimal vs u32 CSR streamed is >= 1.5x.
+        let lean = spmv_csr(100, 100, 2700, 8, IDX32_BYTES, XGather::Streamed);
+        assert!(legacy.bytes() as f64 / lean.bytes() as f64 >= 1.5);
     }
 
     #[test]
-    fn symgs_is_two_spmv_like_sweeps() {
-        let t = symgs_csr(100, 2700, 8);
-        assert_eq!(t.flops, 4 * 2700);
-        let per_sweep = 2700 * 16 + 101 * 8 + 2700 * 8 + 100 * 8;
-        assert_eq!(t.bytes_read, 2 * per_sweep);
-        assert_eq!(t.bytes_written, 2 * 800);
-    }
-
-    #[test]
-    fn vcycle_includes_every_level() {
-        let levels = [(4096, 104_000), (512, 11_000), (64, 1_000)];
-        let t = mg_vcycle(&levels, 8);
-        // At least the two smoother applications on the fine grid plus the
-        // coarsest smoother.
-        let fine2 = symgs_csr(4096, 104_000, 8).times(2);
-        assert!(t.bytes() > fine2.bytes());
-        assert!(t.flops > fine2.flops + 4 * 1_000);
-        // One level == one smoother application.
-        assert_eq!(mg_vcycle(&levels[2..], 8), symgs_csr(64, 1_000, 8));
+    fn symgs_csr_is_two_spmv_like_sweeps() {
+        // (idx, gather, one sweep's reads): matrix + x + b.
+        for (idx, gather, per_sweep) in [
+            (
+                IDX_BYTES,
+                XGather::PerNnz,
+                2700 * 16 + 101 * 8 + 2700 * 8 + 100 * 8,
+            ),
+            (
+                IDX32_BYTES,
+                XGather::Streamed,
+                2700 * 12 + 101 * 4 + 100 * 8 + 100 * 8,
+            ),
+        ] {
+            let t = symgs_csr(100, 100, 2700, 8, idx, gather);
+            assert_eq!(t.flops, 4 * 2700);
+            assert_eq!(t.bytes_read, 2 * per_sweep);
+            assert_eq!(t.bytes_written, 2 * 800);
+        }
     }
 
     #[test]
@@ -547,7 +502,7 @@ mod tests {
         // intensity of the 27-point-stencil SpMV.
         let g = gemm_packed(256, 256, 256, 128, 256, 512, 8);
         let n = 32 * 32 * 32;
-        let s = spmv_csr(n, 27 * n, 8);
+        let s = spmv_csr(n, n, 27 * n, 8, IDX_BYTES, XGather::PerNnz);
         let ig = g.flops as f64 / g.bytes() as f64;
         let is = s.flops as f64 / s.bytes() as f64;
         assert!(
@@ -557,58 +512,31 @@ mod tests {
     }
 
     #[test]
-    fn csr32_halves_the_matrix_stream() {
-        // nnz·(8+4) + (n+1)·4 + gather, write 8n.
-        let t = spmv_csr32(100, 100, 2700, 8, XGather::PerNnz);
-        assert_eq!(t.flops, 5400);
-        assert_eq!(t.bytes_read, 2700 * 12 + 101 * 4 + 2700 * 8);
-        assert_eq!(t.bytes_written, 800);
-        // Streamed gather: x charged once, not per nonzero.
-        let s = spmv_csr32(100, 100, 2700, 8, XGather::Streamed);
-        assert_eq!(s.bytes_read, 2700 * 12 + 101 * 4 + 100 * 8);
-        // The headline ratio: usize-CSR pessimal vs Csr32 streamed is >= 1.5x.
-        let legacy = spmv_csr(100, 2700, 8);
-        assert!(legacy.bytes() as f64 / s.bytes() as f64 >= 1.5);
-    }
-
-    #[test]
-    fn csr_gather_policy_form_matches_legacy() {
-        let legacy = spmv_csr(100, 2700, 8);
-        let general = spmv_csr_gather(100, 100, 2700, 8, XGather::PerNnz);
-        assert_eq!(legacy, general);
-        let streamed = spmv_csr_gather(100, 100, 2700, 8, XGather::Streamed);
-        assert!(streamed.bytes_read < legacy.bytes_read);
-    }
-
-    #[test]
     fn sell_charges_padding_in_bytes_but_not_flops() {
         // 2700 real entries padded to 3000 slots in 13 chunks.
         let t = spmv_sell(100, 100, 2700, 3000, 13, 8, XGather::Streamed);
         assert_eq!(t.flops, 5400, "padding must not inflate useful flops");
         assert_eq!(t.bytes_read, 3000 * 12 + 14 * 8 + 100 * 8);
         assert_eq!(t.bytes_written, 800);
-        // Zero padding degenerates to the Csr32 matrix stream (different
+        // Zero padding degenerates to the u32 CSR matrix stream (different
         // pointer arrays only).
         let sell = spmv_sell(100, 100, 2700, 2700, 13, 8, XGather::Streamed);
-        let csr32 = spmv_csr32(100, 100, 2700, 8, XGather::Streamed);
+        let csr32 = spmv_csr(100, 100, 2700, 8, IDX32_BYTES, XGather::Streamed);
         let ptr_diff = (101 * 4) as i64 - (14 * 8) as i64;
         assert_eq!(csr32.bytes_read as i64 - sell.bytes_read as i64, ptr_diff);
     }
 
     #[test]
     fn symgs_compact_models_are_two_sweeps() {
-        let t = symgs_csr32(100, 100, 2700, 8, XGather::Streamed);
-        assert_eq!(t.flops, 4 * 2700);
-        let per_sweep = 2700 * 12 + 101 * 4 + 100 * 8 + 100 * 8;
-        assert_eq!(t.bytes_read, 2 * per_sweep);
-        assert_eq!(t.bytes_written, 2 * 800);
+        let t = symgs_csr(100, 100, 2700, 8, IDX32_BYTES, XGather::Streamed);
         let s = symgs_sell(100, 100, 2700, 13, 8, XGather::Streamed);
         assert_eq!(s.flops, 4 * 2700);
         let sweep = 2700 * 12 + 14 * 8 + 100 * 4 + 100 * 8 + 100 * 8;
         assert_eq!(s.bytes_read, 2 * sweep);
         // Both compact SymGS models undercut the usize-index model.
-        assert!(t.bytes() < symgs_csr(100, 2700, 8).bytes());
-        assert!(s.bytes() < symgs_csr(100, 2700, 8).bytes());
+        let legacy = symgs_csr(100, 100, 2700, 8, IDX_BYTES, XGather::PerNnz);
+        assert!(t.bytes() < legacy.bytes());
+        assert!(s.bytes() < legacy.bytes());
     }
 
     #[test]
@@ -622,7 +550,7 @@ mod tests {
         assert_eq!(drift.flops, 3 * n as u64);
         // Both detectors are O(n) against the O(nnz) kernel they guard:
         // under 10 % of one 27-point SpMV's bill.
-        let kernel = spmv_csr(n, 27 * n, 8);
+        let kernel = spmv_csr(n, n, 27 * n, 8, IDX_BYTES, XGather::PerNnz);
         assert!(check.bytes() * 10 < kernel.bytes());
         assert!(drift.bytes() * 10 < kernel.bytes());
     }

@@ -6,8 +6,13 @@
 //! within a color then update in parallel, color by color. Convergence per
 //! sweep weakens slightly (the update order changes), but each sweep now
 //! scales with cores.
+//!
+//! This module owns the crate's only multicolour sweep; every format
+//! plugs its row update into it (see [`crate::symgs`]).
 
-use crate::csr::CsrMatrix;
+use crate::csr::{Csr, CsrMatrix};
+use crate::idx::SparseIndex;
+use crate::symgs::GsRow;
 use rayon::prelude::*;
 
 /// Greedy graph coloring of the matrix's adjacency structure: returns a
@@ -60,34 +65,17 @@ pub fn is_valid_coloring(a: &CsrMatrix<f64>, colors: &[usize]) -> bool {
     true
 }
 
-/// One parallel multi-color symmetric Gauss–Seidel application: colors in
-/// ascending order (forward half-sweep), then descending (backward), rows
-/// within a color updated concurrently.
-pub fn colored_symgs(a: &CsrMatrix<f64>, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
-    let _scope = xsc_metrics::record(
-        "symgs",
-        xsc_metrics::traffic::symgs_csr(a.nrows(), a.nnz(), 8),
-    );
+/// One parallel multi-color symmetric Gauss–Seidel application on any
+/// format: colors in ascending order (forward half-sweep), then descending
+/// (backward), rows within a color updated concurrently.
+pub(crate) fn colored_sweeps<M: GsRow>(a: &M, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
+    let _scope = xsc_metrics::record("symgs", a.symgs_traffic());
     let sweep = |x: &mut [f64], class: &[usize]| {
         // Rows in one class are independent: read the shared x snapshot,
         // write disjoint entries. Collect updates first to satisfy the
         // borrow rules without unsafe.
-        let updates: Vec<(usize, f64)> = class
-            .par_iter()
-            .map(|&i| {
-                let (cols, vals) = a.row(i);
-                let mut acc = b[i];
-                let mut diag = 0.0;
-                for (&c, &v) in cols.iter().zip(vals.iter()) {
-                    if c == i {
-                        diag = v;
-                    } else {
-                        acc -= v * x[c];
-                    }
-                }
-                (i, acc / diag)
-            })
-            .collect();
+        let updates: Vec<(usize, f64)> =
+            class.par_iter().map(|&i| (i, a.gs_row(i, b, x))).collect();
         for (i, v) in updates {
             x[i] = v;
         }
@@ -98,6 +86,17 @@ pub fn colored_symgs(a: &CsrMatrix<f64>, classes: &[Vec<usize>], b: &[f64], x: &
     for class in classes.iter().rev() {
         sweep(x, class);
     }
+}
+
+/// One parallel multi-color symmetric Gauss–Seidel application on a CSR
+/// matrix (classes from [`color_classes`]).
+pub fn colored_symgs<I: SparseIndex>(
+    a: &Csr<f64, I>,
+    classes: &[Vec<usize>],
+    b: &[f64],
+    x: &mut [f64],
+) {
+    colored_sweeps(a, classes, b, x);
 }
 
 #[cfg(test)]

@@ -1,22 +1,43 @@
-//! Compressed sparse row matrix storage and SpMV.
+//! Compressed sparse row storage and SpMV, generic over the index width.
 //!
-//! SpMV is the canonical memory-bound kernel: ~2 flops per 12–16 bytes of
+//! SpMV is the canonical memory-bound kernel: ~2 flops per 12–24 bytes of
 //! traffic, so its rate is pinned to memory bandwidth no matter how many
 //! flops the machine has — the arithmetic behind the HPCG side of E01 and
 //! the flat scaling curve of E10.
+//!
+//! One struct, [`Csr<T, I>`], serves both index widths: [`CsrMatrix`]
+//! (`usize` indices, ~24 B/nnz through DRAM) and [`Csr32`] (`u32`
+//! indices, ~12 B/nnz, what canonical HPCG codes stream). On a
+//! bandwidth-bound kernel that factor is the attained rate. Both run the
+//! same kernels, so the per-row folds are bit-identical by construction;
+//! only the bytes streamed and the recorded traffic model
+//! ([`SparseIndex`]) differ. Conversion to `u32` is fallible: a matrix
+//! whose column space or nonzero count does not fit returns
+//! [`IndexOverflow`] instead of silently truncating indices.
 
+use crate::idx::{check_compact_bounds, IndexOverflow, SparseIndex};
+use crate::symgs::GsRow;
 use rayon::prelude::*;
 use xsc_core::{Matrix, Scalar};
+use xsc_metrics::{traffic, Traffic};
 
-/// A sparse matrix in compressed sparse row format.
+/// A sparse matrix in compressed sparse row format, with column indices
+/// and row pointers stored as `I` ([`SparseIndex`]: `usize` or `u32`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix<T> {
+pub struct Csr<T, I> {
     nrows: usize,
     ncols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    row_ptr: Vec<I>,
+    col_idx: Vec<I>,
     vals: Vec<T>,
 }
+
+/// CSR with `usize` indices: the format every matrix is built in.
+pub type CsrMatrix<T> = Csr<T, usize>;
+
+/// CSR with `u32` indices: the bandwidth-lean twin of [`CsrMatrix`],
+/// converted from it with `Csr32::try_from`.
+pub type Csr32<T> = Csr<T, u32>;
 
 impl<T: Scalar> CsrMatrix<T> {
     /// Builds a CSR matrix from `(row, col, value)` triplets. Duplicate
@@ -59,7 +80,27 @@ impl<T: Scalar> CsrMatrix<T> {
             vals,
         }
     }
+}
 
+impl<T: Scalar> TryFrom<&CsrMatrix<T>> for Csr32<T> {
+    type Error = IndexOverflow;
+
+    fn try_from(a: &CsrMatrix<T>) -> Result<Self, IndexOverflow> {
+        check_compact_bounds(a.ncols, a.nnz())?;
+        let narrow = |idx: &[usize], err| -> Result<Vec<u32>, IndexOverflow> {
+            idx.iter().map(|&i| u32::narrow(i).ok_or(err)).collect()
+        };
+        Ok(Csr {
+            nrows: a.nrows,
+            ncols: a.ncols,
+            row_ptr: narrow(&a.row_ptr, IndexOverflow::Nnz { nnz: a.nnz() })?,
+            col_idx: narrow(&a.col_idx, IndexOverflow::Cols { ncols: a.ncols })?,
+            vals: a.vals.clone(),
+        })
+    }
+}
+
+impl<T: Scalar, I: SparseIndex> Csr<T, I> {
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -77,8 +118,8 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// `(columns, values)` of row `i`.
     #[inline]
-    pub fn row(&self, i: usize) -> (&[usize], &[T]) {
-        let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
+    pub fn row(&self, i: usize) -> (&[I], &[T]) {
+        let (s, e) = (self.row_ptr[i].widen(), self.row_ptr[i + 1].widen());
         (&self.col_idx[s..e], &self.vals[s..e])
     }
 
@@ -98,51 +139,48 @@ impl<T: Scalar> CsrMatrix<T> {
     /// checksum behind the SpMV invariant `eᵀ(Ax) = (eᵀA)·x`.
     pub fn column_sums(&self) -> Vec<T> {
         let mut c = vec![T::zero(); self.ncols];
-        for (k, &j) in self.col_idx.iter().enumerate() {
-            c[j] += self.vals[k];
+        for (&j, &v) in self.col_idx.iter().zip(self.vals.iter()) {
+            c[j.widen()] += v;
         }
         c
+    }
+
+    /// Modeled traffic of one SpMV under this index width's convention.
+    pub(crate) fn spmv_model(&self) -> Traffic {
+        let w = std::mem::size_of::<T>() as u64;
+        traffic::spmv_csr(self.nrows, self.ncols, self.nnz(), w, I::BYTES, I::GATHER)
+    }
+
+    #[inline]
+    fn row_dot(&self, i: usize, x: &[T]) -> T {
+        let (cols, vals) = self.row(i);
+        let mut acc = T::zero();
+        for (&c, &v) in cols.iter().zip(vals.iter()) {
+            acc = v.mul_add(x[c.widen()], acc);
+        }
+        acc
     }
 
     /// Sequential sparse matrix–vector product `y <- A x`.
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        let _scope = xsc_metrics::record(
-            "spmv",
-            xsc_metrics::traffic::spmv_csr(self.nrows, self.nnz(), std::mem::size_of::<T>() as u64),
-        );
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            let mut acc = T::zero();
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                acc = v.mul_add(x[c], acc);
-            }
-            y[i] = acc;
+        let _scope = xsc_metrics::record("spmv", self.spmv_model());
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = self.row_dot(i, x);
         }
     }
 
-    /// Thread-parallel SpMV (rayon over row blocks). Bit-identical to the
+    /// Thread-parallel SpMV (rayon over rows). Bit-identical to the
     /// sequential version: each row's dot product is computed in the same
     /// order regardless of thread count.
     pub fn spmv_par(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        let _scope = xsc_metrics::record(
-            "spmv",
-            xsc_metrics::traffic::spmv_csr(self.nrows, self.nnz(), std::mem::size_of::<T>() as u64),
-        );
-        let row_ptr = &self.row_ptr;
-        let col_idx = &self.col_idx;
-        let vals = &self.vals;
-        y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-            let (s, e) = (row_ptr[i], row_ptr[i + 1]);
-            let mut acc = T::zero();
-            for k in s..e {
-                acc = vals[k].mul_add(x[col_idx[k]], acc);
-            }
-            *yi = acc;
-        });
+        let _scope = xsc_metrics::record("spmv", self.spmv_model());
+        y.par_iter_mut()
+            .enumerate()
+            .for_each(|(i, yi)| *yi = self.row_dot(i, x));
     }
 
     /// The diagonal entries (zero where a row has no diagonal entry).
@@ -151,7 +189,7 @@ impl<T: Scalar> CsrMatrix<T> {
         for i in 0..self.nrows.min(self.ncols) {
             let (cols, vals) = self.row(i);
             for (&c, &v) in cols.iter().zip(vals.iter()) {
-                if c == i {
+                if c.widen() == i {
                     d[i] = v;
                 }
             }
@@ -170,7 +208,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Fused residual `r = b - A x` in a **single** sweep over the matrix:
     /// each row folds `acc ← acc - a_ij·x_j` starting from `b_i`, so `b`
     /// is read in the same pass that streams `A` — one fewer traversal of
-    /// `r` than [`CsrMatrix::residual`]'s SpMV-then-subtract. Every sparse
+    /// `r` than [`Csr::residual`]'s SpMV-then-subtract. Every sparse
     /// format implements the same fold order, so results are bitwise
     /// comparable across formats (see `xsc_sparse::ops`).
     pub fn fused_residual(&self, x: &[T], b: &[T], r: &mut [T]) {
@@ -180,7 +218,7 @@ impl<T: Scalar> CsrMatrix<T> {
         let w = std::mem::size_of::<T>() as u64;
         let _scope = xsc_metrics::record(
             "spmv",
-            xsc_metrics::traffic::spmv_csr(self.nrows, self.nnz(), w).plus(xsc_metrics::Traffic {
+            self.spmv_model().plus(Traffic {
                 flops: 0,
                 bytes_read: w * self.nrows as u64,
                 bytes_written: 0,
@@ -190,7 +228,7 @@ impl<T: Scalar> CsrMatrix<T> {
             let (cols, vals) = self.row(i);
             let mut acc = b[i];
             for (&c, &v) in cols.iter().zip(vals.iter()) {
-                acc = (-v).mul_add(x[c], acc);
+                acc = (-v).mul_add(x[c.widen()], acc);
             }
             r[i] = acc;
         }
@@ -202,7 +240,7 @@ impl<T: Scalar> CsrMatrix<T> {
         for i in 0..self.nrows {
             let (cols, vals) = self.row(i);
             for (&c, &v) in cols.iter().zip(vals.iter()) {
-                m.set(i, c, m.get(i, c) + v);
+                m.set(i, c.widen(), m.get(i, c.widen()) + v);
             }
         }
         m
@@ -217,10 +255,10 @@ impl<T: Scalar> CsrMatrix<T> {
         for i in 0..self.nrows {
             let (cols, vals) = self.row(i);
             for (&j, &v) in cols.iter().zip(vals.iter()) {
-                let (jc, jv) = self.row(j);
+                let (jc, jv) = self.row(j.widen());
                 let back = jc
                     .iter()
-                    .position(|&c| c == i)
+                    .position(|&c| c.widen() == i)
                     .map(|p| jv[p])
                     .unwrap_or_else(T::zero);
                 if (back - v).abs().to_f64() > tol {
@@ -232,9 +270,30 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
+impl<I: SparseIndex> GsRow for Csr<f64, I> {
+    #[inline]
+    fn gs_row(&self, i: usize, b: &[f64], x: &[f64]) -> f64 {
+        let (cols, vals) = self.row(i);
+        let mut acc = b[i];
+        let mut diag = 0.0;
+        for (&c, &v) in cols.iter().zip(vals.iter()) {
+            let c = c.widen();
+            if c == i {
+                diag = v;
+            } else {
+                acc -= v * x[c];
+            }
+        }
+        debug_assert!(diag != 0.0, "zero diagonal at row {i}");
+        acc / diag
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::SparseOps;
+    use crate::stencil::{build_matrix, build_rhs, Geometry};
 
     fn sample() -> CsrMatrix<f64> {
         // [[2, 0, 1], [0, 3, 0], [1, 0, 4]]
@@ -380,5 +439,131 @@ mod tests {
         let mut y = vec![9.0; 3];
         a.spmv(&[1.0, 1.0, 1.0], &mut y);
         assert_eq!(y, vec![1.0, 0.0, 0.0]);
+    }
+
+    // --- u32 indices -----------------------------------------------------
+
+    fn stencil() -> CsrMatrix<f64> {
+        build_matrix(Geometry::new(5, 4, 3))
+    }
+
+    #[test]
+    fn u32_roundtrip_preserves_structure() {
+        let a = stencil();
+        let c = Csr32::try_from(&a).unwrap();
+        assert_eq!(c.nrows(), a.nrows());
+        assert_eq!(c.ncols(), a.ncols());
+        assert_eq!(c.nnz(), a.nnz());
+        for i in 0..a.nrows() {
+            let (cols, vals) = a.row(i);
+            let (c32, v32) = c.row(i);
+            assert_eq!(vals, v32);
+            assert!(cols.iter().zip(c32.iter()).all(|(&u, &v)| u == v as usize));
+        }
+    }
+
+    #[test]
+    fn u32_spmv_is_bit_identical_to_usize_csr() {
+        let a = stencil();
+        let c = Csr32::try_from(&a).unwrap();
+        let n = a.nrows();
+        let x: Vec<f64> = (0..n).map(|i| ((i * 37 % 101) as f64).sin()).collect();
+        let mut y1 = vec![0.0; n];
+        let mut y2 = vec![0.0; n];
+        let mut y3 = vec![0.0; n];
+        a.spmv(&x, &mut y1);
+        c.spmv(&x, &mut y2);
+        c.spmv_par(&x, &mut y3);
+        assert_eq!(y1, y2);
+        assert_eq!(y1, y3);
+    }
+
+    #[test]
+    fn u32_fused_residual_is_bit_identical_to_usize_csr() {
+        let a = stencil();
+        let c = Csr32::try_from(&a).unwrap();
+        let (b, _) = build_rhs(&a);
+        let n = a.nrows();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).cos()).collect();
+        let mut r1 = vec![0.0; n];
+        let mut r2 = vec![0.0; n];
+        a.fused_residual(&x, &b, &mut r1);
+        c.fused_residual(&x, &b, &mut r2);
+        assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn u32_symgs_is_bit_identical_to_reference() {
+        let a = stencil();
+        let c = Csr32::try_from(&a).unwrap();
+        let (b, _) = build_rhs(&a);
+        let mut x1 = vec![0.0; a.nrows()];
+        let mut x2 = vec![0.0; a.nrows()];
+        for _ in 0..3 {
+            crate::symgs::symgs(&a, &b, &mut x1);
+            SparseOps::symgs(&c, &b, &mut x2);
+        }
+        assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn u32_colored_symgs_is_bit_identical_to_reference() {
+        let a = stencil();
+        let c = Csr32::try_from(&a).unwrap();
+        let (b, _) = build_rhs(&a);
+        let classes = crate::coloring::color_classes(&crate::coloring::greedy_coloring(&a));
+        let mut x1 = vec![0.0; a.nrows()];
+        let mut x2 = vec![0.0; a.nrows()];
+        for _ in 0..3 {
+            crate::coloring::colored_symgs(&a, &classes, &b, &mut x1);
+            SparseOps::colored_symgs(&c, &classes, &b, &mut x2);
+        }
+        assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn u32_diagonal_and_column_sums_match() {
+        let a = stencil();
+        let c = Csr32::try_from(&a).unwrap();
+        assert_eq!(a.diagonal(), c.diagonal());
+        assert_eq!(a.column_sums(), c.column_sums());
+    }
+
+    #[test]
+    fn huge_ncols_is_rejected_not_truncated() {
+        let wide = CsrMatrix::<f64>::from_triplets(1, u32::MAX as usize + 2, vec![]);
+        let err = Csr32::try_from(&wide).unwrap_err();
+        assert_eq!(
+            err,
+            IndexOverflow::Cols {
+                ncols: u32::MAX as usize + 2
+            }
+        );
+        assert!(err.to_string().contains("truncate"));
+    }
+
+    #[test]
+    fn huge_nnz_is_rejected_not_wrapped() {
+        // A real 2^32-entry matrix would need >48 GiB; the bounds check is
+        // factored out precisely so this arm stays testable.
+        let err = check_compact_bounds(10, u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(
+            err,
+            IndexOverflow::Nnz {
+                nnz: u32::MAX as usize + 1
+            }
+        );
+        assert!(err.to_string().contains("wrap"));
+        assert!(check_compact_bounds(10, u32::MAX as usize).is_ok());
+    }
+
+    #[test]
+    fn huge_nrows_reports_truncation() {
+        // The rows arm is raised by SELL-C-σ's u32 row permutation; a
+        // 2^32-row matrix does not fit in memory, so pin its report.
+        let err = IndexOverflow::Rows {
+            nrows: u32::MAX as usize + 1,
+        };
+        assert!(err.to_string().contains("row permutations would truncate"));
     }
 }

@@ -11,7 +11,7 @@
 //! wrappers remain as thin shims over the fallible cores.
 
 use crate::abft::SdcDetected;
-use crate::csr32::IndexOverflow;
+use crate::idx::IndexOverflow;
 use crate::stencil::Geometry;
 
 /// A recoverable solver-stack failure: configuration the caller can fix or

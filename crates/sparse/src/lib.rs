@@ -5,12 +5,12 @@
 //! of peak run a memory-bound PDE solve at 1–5 %. This crate rebuilds the
 //! HPCG benchmark stack from scratch:
 //!
-//! * [`csr::CsrMatrix`] — compressed sparse row storage with sequential and
-//!   thread-parallel SpMV;
-//! * [`csr32::Csr32`] and [`sell::SellCSigma`] — bandwidth-lean formats
-//!   (`u32` indices; SELL-C-σ adds chunked, vectorization-friendly
-//!   layout) that halve the matrix stream while computing bit-identical
-//!   results;
+//! * [`csr::Csr`] — compressed sparse row storage with sequential and
+//!   thread-parallel SpMV, generic over its index width ([`idx`]):
+//!   [`CsrMatrix`] (`usize`) and the bandwidth-lean [`Csr32`] (`u32`);
+//! * [`sell::SellCSigma`] — chunked, vectorization-friendly SELL-C-σ with
+//!   `u32` indices; like `Csr32` it halves the matrix stream while
+//!   computing bit-identical results;
 //! * [`ops`] — the [`SparseOps`] trait the whole solver
 //!   path is written against, plus [`FormatMatrix`]
 //!   for runtime format selection;
@@ -48,7 +48,6 @@ pub mod cg;
 pub mod chebyshev;
 pub mod coloring;
 pub mod csr;
-pub mod csr32;
 pub mod error;
 pub mod hpcg;
 pub mod idx;
@@ -63,10 +62,10 @@ pub mod symgs;
 
 pub use abft::{residual_drift, CheckedApply, SdcDetected, SpmvGuard};
 pub use cg::{pcg, try_pcg, CgResult, Identity, Preconditioner};
-pub use csr::CsrMatrix;
-pub use csr32::{Csr32, IndexOverflow};
+pub use csr::{Csr, Csr32, CsrMatrix};
 pub use error::SolverError;
 pub use hpcg::{run_hpcg, run_hpcg_fmt, try_run_hpcg_fmt, HpcgResult};
+pub use idx::{IndexOverflow, SparseIndex};
 pub use ops::{FormatMatrix, SparseFormat, SparseOps};
 pub use pipelined::{pipelined_cg, PipelinedCgResult};
 pub use sell::SellCSigma;

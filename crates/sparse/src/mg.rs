@@ -109,7 +109,7 @@ impl MgPreconditioner {
         num_levels: usize,
         smoother: Smoother,
         format: SparseFormat,
-    ) -> Result<Self, crate::csr32::IndexOverflow> {
+    ) -> Result<Self, crate::idx::IndexOverflow> {
         match MgPreconditioner::try_with_format(g, num_levels, smoother, format) {
             Ok(mg) => Ok(mg),
             Err(SolverError::IndexOverflow(e)) => Err(e),

@@ -10,10 +10,18 @@
 //! wrapper ([`SparseFormat`] names the variants), converted fallibly from
 //! a [`CsrMatrix`] because the compact formats reject shapes that overflow
 //! `u32` indices.
+//!
+//! There are two implementations, not three: one generic over the CSR
+//! index width ([`Csr<f64, I>`](Csr), monomorphized per [`SparseIndex`])
+//! and one for SELL-C-σ. Both smooth through the crate's single natural
+//! sweep ([`crate::symgs`]) and single multicolour sweep
+//! ([`crate::coloring`]); each format supplies only its row update.
 
-use crate::csr::CsrMatrix;
-use crate::csr32::{Csr32, IndexOverflow};
+use crate::coloring::colored_sweeps;
+use crate::csr::{Csr, Csr32, CsrMatrix};
+use crate::idx::{IndexOverflow, SparseIndex};
 use crate::sell::SellCSigma;
+use crate::symgs::symgs_sweeps;
 use xsc_metrics::traffic::{self, XGather};
 use xsc_metrics::Traffic;
 
@@ -72,111 +80,52 @@ pub trait SparseOps {
     }
 }
 
-impl SparseOps for CsrMatrix<f64> {
+impl<I: SparseIndex> SparseOps for Csr<f64, I> {
     fn nrows(&self) -> usize {
-        CsrMatrix::nrows(self)
+        Csr::nrows(self)
     }
     fn ncols(&self) -> usize {
-        CsrMatrix::ncols(self)
+        Csr::ncols(self)
     }
     fn nnz(&self) -> usize {
-        CsrMatrix::nnz(self)
+        Csr::nnz(self)
     }
     fn format_name(&self) -> &'static str {
-        SparseFormat::CsrUsize.name()
+        I::FORMAT.name()
     }
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        CsrMatrix::spmv(self, x, y);
+        Csr::spmv(self, x, y);
     }
     fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
-        CsrMatrix::spmv_par(self, x, y);
+        Csr::spmv_par(self, x, y);
     }
     fn fused_residual(&self, x: &[f64], b: &[f64], r: &mut [f64]) {
-        CsrMatrix::fused_residual(self, x, b, r);
+        Csr::fused_residual(self, x, b, r);
     }
     fn diagonal(&self) -> Vec<f64> {
-        CsrMatrix::diagonal(self)
+        Csr::diagonal(self)
     }
     fn symgs(&self, b: &[f64], x: &mut [f64]) {
-        crate::symgs::symgs(self, b, x);
+        symgs_sweeps(self, b, x);
     }
     fn colored_symgs(&self, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
-        crate::coloring::colored_symgs(self, classes, b, x);
+        colored_sweeps(self, classes, b, x);
     }
     fn spmv_traffic(&self) -> Traffic {
-        traffic::spmv_csr(CsrMatrix::nrows(self), CsrMatrix::nnz(self), 8)
+        self.spmv_model()
     }
     fn symgs_traffic(&self) -> Traffic {
-        traffic::symgs_csr(CsrMatrix::nrows(self), CsrMatrix::nnz(self), 8)
+        let (nrows, ncols, nnz) = (Csr::nrows(self), Csr::ncols(self), Csr::nnz(self));
+        traffic::symgs_csr(nrows, ncols, nnz, 8, I::BYTES, I::GATHER)
     }
     fn values(&self) -> &[f64] {
-        CsrMatrix::values(self)
+        Csr::values(self)
     }
     fn values_mut(&mut self) -> &mut [f64] {
-        CsrMatrix::values_mut(self)
+        Csr::values_mut(self)
     }
     fn column_sums(&self) -> Vec<f64> {
-        CsrMatrix::column_sums(self)
-    }
-}
-
-impl SparseOps for Csr32<f64> {
-    fn nrows(&self) -> usize {
-        Csr32::nrows(self)
-    }
-    fn ncols(&self) -> usize {
-        Csr32::ncols(self)
-    }
-    fn nnz(&self) -> usize {
-        Csr32::nnz(self)
-    }
-    fn format_name(&self) -> &'static str {
-        SparseFormat::Csr32.name()
-    }
-    fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        Csr32::spmv(self, x, y);
-    }
-    fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
-        Csr32::spmv_par(self, x, y);
-    }
-    fn fused_residual(&self, x: &[f64], b: &[f64], r: &mut [f64]) {
-        Csr32::fused_residual(self, x, b, r);
-    }
-    fn diagonal(&self) -> Vec<f64> {
-        Csr32::diagonal(self)
-    }
-    fn symgs(&self, b: &[f64], x: &mut [f64]) {
-        Csr32::symgs(self, b, x);
-    }
-    fn colored_symgs(&self, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
-        Csr32::colored_symgs(self, classes, b, x);
-    }
-    fn spmv_traffic(&self) -> Traffic {
-        traffic::spmv_csr32(
-            Csr32::nrows(self),
-            Csr32::ncols(self),
-            Csr32::nnz(self),
-            8,
-            XGather::Streamed,
-        )
-    }
-    fn symgs_traffic(&self) -> Traffic {
-        traffic::symgs_csr32(
-            Csr32::nrows(self),
-            Csr32::ncols(self),
-            Csr32::nnz(self),
-            8,
-            XGather::Streamed,
-        )
-    }
-    fn values(&self) -> &[f64] {
-        Csr32::values(self)
-    }
-    fn values_mut(&mut self) -> &mut [f64] {
-        Csr32::values_mut(self)
-    }
-    fn column_sums(&self) -> Vec<f64> {
-        Csr32::column_sums(self)
+        Csr::column_sums(self)
     }
 }
 
@@ -206,21 +155,13 @@ impl SparseOps for SellCSigma<f64> {
         SellCSigma::diagonal(self)
     }
     fn symgs(&self, b: &[f64], x: &mut [f64]) {
-        SellCSigma::symgs(self, b, x);
+        symgs_sweeps(self, b, x);
     }
     fn colored_symgs(&self, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
-        SellCSigma::colored_symgs(self, classes, b, x);
+        colored_sweeps(self, classes, b, x);
     }
     fn spmv_traffic(&self) -> Traffic {
-        traffic::spmv_sell(
-            SellCSigma::nrows(self),
-            SellCSigma::ncols(self),
-            SellCSigma::nnz(self),
-            self.padded_slots(),
-            self.nchunks(),
-            8,
-            XGather::Streamed,
-        )
+        self.spmv_model()
     }
     fn symgs_traffic(&self) -> Traffic {
         traffic::symgs_sell(
@@ -392,6 +333,15 @@ mod tests {
             m.spmv(&x, &mut y);
             assert_eq!(y, y_ref, "{fmt}");
         }
+    }
+
+    #[test]
+    fn converting_to_usize_csr_moves_the_value_buffer() {
+        // A copy would add the whole fine operator to HPCG's peak RSS.
+        let a = build_matrix(Geometry::new(4, 4, 4));
+        let vals = a.values().as_ptr();
+        let m = FormatMatrix::convert(a, SparseFormat::CsrUsize).unwrap();
+        assert_eq!(SparseOps::values(&m).as_ptr(), vals);
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //! row's entries in the original CSR order, so results are bit-identical
 //! to the other formats.
 //!
-//! [`Csr32`]: crate::csr32::Csr32
+//! SELL-C-σ keeps its own SpMV over the chunked layout; its Gauss–Seidel
+//! row update (`GsRow`) plugs into the crate's one natural sweep
+//! ([`crate::symgs`]) and one multicolour sweep ([`crate::coloring`]).
+//!
+//! [`Csr32`]: crate::csr::Csr32
 
 use crate::csr::CsrMatrix;
-use crate::csr32::{check_compact_bounds, IndexOverflow};
-use crate::idx::widen;
+use crate::idx::{check_compact_bounds, widen, IndexOverflow, SparseIndex};
+use crate::symgs::GsRow;
 use rayon::prelude::*;
 use xsc_core::cast::count_f64;
 use xsc_core::Scalar;
@@ -70,7 +74,7 @@ impl<T: Scalar> SellCSigma<T> {
         );
         check_compact_bounds(a.ncols(), a.nnz())?;
         let n = a.nrows();
-        let n32 = u32::try_from(n).map_err(|_| IndexOverflow::Rows { nrows: n })?;
+        let n32 = u32::narrow(n).ok_or(IndexOverflow::Rows { nrows: n })?;
         // Stable descending-length sort within each σ-window: ties keep
         // their original relative order, so the layout is deterministic.
         let mut perm: Vec<u32> = (0..n32).collect();
@@ -80,9 +84,8 @@ impl<T: Scalar> SellCSigma<T> {
             perm[wstart..wend].sort_by_key(|&q| std::cmp::Reverse(len_of(q)));
         }
         let mut inv = vec![0u32; n];
-        for (slot, &r) in perm.iter().enumerate() {
-            // xsc-lint: allow(A01, reason = "slot < nrows <= u32::MAX, checked via n32 above")
-            inv[widen(r)] = slot as u32;
+        for (slot, &r) in (0..n32).zip(perm.iter()) {
+            inv[widen(r)] = slot;
         }
         let nchunks = n.div_ceil(c.max(1));
         let mut chunk_off = Vec::with_capacity(nchunks + 1);
@@ -102,8 +105,9 @@ impl<T: Scalar> SellCSigma<T> {
                 for l in 0..rows_in {
                     let (cols, v) = a.row(widen(perm[s0 + l]));
                     if j < cols.len() {
-                        // xsc-lint: allow(A01, reason = "col < ncols <= u32::MAX per check_compact_bounds")
-                        col_idx.push(cols[j] as u32);
+                        col_idx.push(
+                            u32::narrow(cols[j]).ok_or(IndexOverflow::Cols { ncols: a.ncols() })?,
+                        );
                         vals.push(v[j]);
                     } else {
                         col_idx.push(0);
@@ -112,8 +116,8 @@ impl<T: Scalar> SellCSigma<T> {
                 }
             }
             for l in 0..rows_in {
-                // xsc-lint: allow(A01, reason = "row length <= nnz <= u32::MAX per check_compact_bounds")
-                row_len.push(len_of(perm[s0 + l]) as u32);
+                let len = len_of(perm[s0 + l]);
+                row_len.push(u32::narrow(len).ok_or(IndexOverflow::Nnz { nnz: a.nnz() })?);
             }
             chunk_off.push(col_idx.len());
         }
@@ -237,7 +241,8 @@ impl<T: Scalar> SellCSigma<T> {
         accs
     }
 
-    fn spmv_traffic(&self) -> xsc_metrics::Traffic {
+    /// Modeled traffic of one SpMV over the padded slab.
+    pub(crate) fn spmv_model(&self) -> xsc_metrics::Traffic {
         xsc_metrics::traffic::spmv_sell(
             self.nrows,
             self.ncols,
@@ -255,7 +260,7 @@ impl<T: Scalar> SellCSigma<T> {
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        let _scope = xsc_metrics::record("spmv", self.spmv_traffic());
+        let _scope = xsc_metrics::record("spmv", self.spmv_model());
         for ch in 0..self.nchunks() {
             let accs = self.chunk_accs(ch, x);
             let s0 = ch * self.c;
@@ -270,7 +275,7 @@ impl<T: Scalar> SellCSigma<T> {
     pub fn spmv_par(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        let _scope = xsc_metrics::record("spmv", self.spmv_traffic());
+        let _scope = xsc_metrics::record("spmv", self.spmv_model());
         let per_chunk: Vec<Vec<T>> = (0..self.nchunks())
             .into_par_iter()
             .map(|ch| self.chunk_accs(ch, x))
@@ -292,7 +297,7 @@ impl<T: Scalar> SellCSigma<T> {
         let w = self.width();
         let _scope = xsc_metrics::record(
             "spmv",
-            self.spmv_traffic().plus(xsc_metrics::Traffic {
+            self.spmv_model().plus(xsc_metrics::Traffic {
                 flops: 0,
                 bytes_read: w * self.nrows as u64,
                 bytes_written: 0,
@@ -319,20 +324,9 @@ impl<T: Scalar> SellCSigma<T> {
     }
 }
 
-impl SellCSigma<f64> {
-    fn symgs_traffic(&self) -> xsc_metrics::Traffic {
-        xsc_metrics::traffic::symgs_sell(
-            self.nrows,
-            self.ncols,
-            self.nnz,
-            self.nchunks(),
-            8,
-            XGather::Streamed,
-        )
-    }
-
+impl GsRow for SellCSigma<f64> {
     #[inline]
-    fn gs_update(&self, i: usize, b: &[f64], x: &[f64]) -> f64 {
+    fn gs_row(&self, i: usize, b: &[f64], x: &[f64]) -> f64 {
         let mut acc = b[i];
         let mut diag = 0.0;
         self.for_row(i, |c, v| {
@@ -345,51 +339,12 @@ impl SellCSigma<f64> {
         debug_assert!(diag != 0.0, "zero diagonal at row {i}");
         acc / diag
     }
-
-    /// One symmetric Gauss–Seidel application (natural row order, forward
-    /// then backward); walks only real entries via the per-row lengths.
-    pub fn symgs(&self, b: &[f64], x: &mut [f64]) {
-        let n = self.nrows;
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-        let _scope = xsc_metrics::record("symgs", self.symgs_traffic());
-        for i in 0..n {
-            let v = self.gs_update(i, b, x);
-            x[i] = v;
-        }
-        for i in (0..n).rev() {
-            let v = self.gs_update(i, b, x);
-            x[i] = v;
-        }
-    }
-
-    /// One parallel multicolor symmetric Gauss–Seidel application; same
-    /// class ordering and row updates as
-    /// `xsc_sparse::coloring::colored_symgs`, so results are bit-identical
-    /// across formats.
-    pub fn colored_symgs(&self, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
-        let _scope = xsc_metrics::record("symgs", self.symgs_traffic());
-        let sweep = |x: &mut [f64], class: &[usize]| {
-            let updates: Vec<(usize, f64)> = class
-                .par_iter()
-                .map(|&i| (i, self.gs_update(i, b, x)))
-                .collect();
-            for (i, v) in updates {
-                x[i] = v;
-            }
-        };
-        for class in classes {
-            sweep(x, class);
-        }
-        for class in classes.iter().rev() {
-            sweep(x, class);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::SparseOps;
     use crate::stencil::{build_matrix, build_rhs, Geometry};
 
     fn sample() -> CsrMatrix<f64> {
@@ -471,7 +426,7 @@ mod tests {
         let mut x2 = vec![0.0; a.nrows()];
         for _ in 0..3 {
             crate::symgs::symgs(&a, &b, &mut x1);
-            s.symgs(&b, &mut x2);
+            SparseOps::symgs(&s, &b, &mut x2);
         }
         assert_eq!(x1, x2);
     }
@@ -486,7 +441,7 @@ mod tests {
         let mut x2 = vec![0.0; a.nrows()];
         for _ in 0..3 {
             crate::coloring::colored_symgs(&a, &classes, &b, &mut x1);
-            s.colored_symgs(&classes, &b, &mut x2);
+            SparseOps::colored_symgs(&s, &classes, &b, &mut x2);
         }
         assert_eq!(x1, x2);
     }

@@ -4,71 +4,68 @@
 //! Gauss–Seidel on `A x = b`. Its data dependencies chain through the rows,
 //! which is precisely why HPCG resists the "throw more cores at it"
 //! approach — the reference sweep is inherently sequential.
+//!
+//! This module owns the only natural-order sweep in the crate; the
+//! multicolour sweep lives in [`crate::coloring`]. Both are generic over
+//! `GsRow`, the one per-row update each storage layout implements (CSR
+//! of either index width, and SELL-C-σ), so every format runs the same
+//! loops and produces bit-identical iterates.
 
-use crate::csr::CsrMatrix;
+use crate::csr::Csr;
+use crate::idx::SparseIndex;
+use crate::ops::SparseOps;
 
-/// One forward Gauss–Seidel sweep: `x` updated in place, rows in order.
-pub fn forward_sweep(a: &CsrMatrix<f64>, b: &[f64], x: &mut [f64]) {
-    let n = a.nrows();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    for i in 0..n {
-        let (cols, vals) = a.row(i);
-        let mut acc = b[i];
-        let mut diag = 0.0;
-        for (&c, &v) in cols.iter().zip(vals.iter()) {
-            if c == i {
-                diag = v;
-            } else {
-                acc -= v * x[c];
-            }
-        }
-        debug_assert!(diag != 0.0, "zero diagonal at row {i}");
-        x[i] = acc / diag;
+/// One Gauss–Seidel row update, implemented once per storage layout.
+pub(crate) trait GsRow: SparseOps + Sync {
+    /// `(b_i - Σ_{j≠i} a_ij·x_j) / a_ii`, folding row `i`'s entries in
+    /// stored (CSR) order.
+    fn gs_row(&self, i: usize, b: &[f64], x: &[f64]) -> f64;
+}
+
+/// Updates `x` in place over `rows`, in order.
+fn sweep<M: GsRow>(a: &M, rows: impl Iterator<Item = usize>, b: &[f64], x: &mut [f64]) {
+    assert_eq!(b.len(), a.nrows());
+    assert_eq!(x.len(), a.nrows());
+    for i in rows {
+        x[i] = a.gs_row(i, b, x);
     }
 }
 
-/// One backward Gauss–Seidel sweep (rows in reverse order).
-pub fn backward_sweep(a: &CsrMatrix<f64>, b: &[f64], x: &mut [f64]) {
+/// One symmetric Gauss–Seidel application (forward then backward sweep)
+/// on any format, recorded as one `symgs` kernel.
+pub(crate) fn symgs_sweeps<M: GsRow>(a: &M, b: &[f64], x: &mut [f64]) {
+    let _scope = xsc_metrics::record("symgs", a.symgs_traffic());
     let n = a.nrows();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    for i in (0..n).rev() {
-        let (cols, vals) = a.row(i);
-        let mut acc = b[i];
-        let mut diag = 0.0;
-        for (&c, &v) in cols.iter().zip(vals.iter()) {
-            if c == i {
-                diag = v;
-            } else {
-                acc -= v * x[c];
-            }
-        }
-        debug_assert!(diag != 0.0, "zero diagonal at row {i}");
-        x[i] = acc / diag;
-    }
+    sweep(a, 0..n, b, x);
+    sweep(a, (0..n).rev(), b, x);
+}
+
+/// One forward Gauss–Seidel sweep: `x` updated in place, rows in order.
+pub fn forward_sweep<I: SparseIndex>(a: &Csr<f64, I>, b: &[f64], x: &mut [f64]) {
+    sweep(a, 0..a.nrows(), b, x);
+}
+
+/// One backward Gauss–Seidel sweep (rows in reverse order).
+pub fn backward_sweep<I: SparseIndex>(a: &Csr<f64, I>, b: &[f64], x: &mut [f64]) {
+    sweep(a, (0..a.nrows()).rev(), b, x);
 }
 
 /// One symmetric Gauss–Seidel application (forward then backward sweep) —
 /// the HPCG `ComputeSYMGS` reference kernel.
-pub fn symgs(a: &CsrMatrix<f64>, b: &[f64], x: &mut [f64]) {
-    let _scope = xsc_metrics::record(
-        "symgs",
-        xsc_metrics::traffic::symgs_csr(a.nrows(), a.nnz(), 8),
-    );
-    forward_sweep(a, b, x);
-    backward_sweep(a, b, x);
+pub fn symgs<I: SparseIndex>(a: &Csr<f64, I>, b: &[f64], x: &mut [f64]) {
+    symgs_sweeps(a, b, x);
 }
 
 /// Flops of one symmetric Gauss–Seidel application (HPCG accounting:
 /// ~`4·nnz`, two sweeps at `2·nnz` each).
-pub fn symgs_flops(a: &CsrMatrix<f64>) -> u64 {
+pub fn symgs_flops<I: SparseIndex>(a: &Csr<f64, I>) -> u64 {
     4 * a.nnz() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrMatrix;
     use crate::stencil::{build_matrix, build_rhs, Geometry};
 
     fn residual_norm(a: &CsrMatrix<f64>, x: &[f64], b: &[f64]) -> f64 {

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use xsc_sparse::coloring::{color_classes, colored_symgs, greedy_coloring};
 use xsc_sparse::stencil::{build_matrix, Geometry};
 use xsc_sparse::symgs::symgs;
-use xsc_sparse::{run_hpcg_fmt, Csr32, CsrMatrix, SellCSigma, SparseFormat};
+use xsc_sparse::{run_hpcg_fmt, Csr32, CsrMatrix, SellCSigma, SparseFormat, SparseOps};
 
 /// A 27-point-stencil-patterned matrix with pseudo-random (seeded)
 /// off-diagonal values and a diagonal strong enough for Gauss–Seidel.
