@@ -1,8 +1,10 @@
-//! E15 — making the HPCG smoother parallel: multi-color Gauss–Seidel vs
-//! the sequential natural-order sweep (HPCG's sanctioned optimization).
+//! E15 — making the HPCG smoother parallel: multi-color Gauss–Seidel
+//! (HPCG's sanctioned optimization, which changes the iterates) vs the
+//! natural-order sweep run level by level along its wavefronts (which
+//! keeps them bit for bit).
 
 use crate::table::{f2, sci, secs, Table};
-use crate::{best_of, Scale};
+use crate::{best_of, ncpus, with_threads, Scale};
 use xsc_core::blas1;
 use xsc_sparse::coloring::{color_classes, colored_symgs, greedy_coloring};
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
@@ -17,23 +19,34 @@ fn residual(a: &CsrMatrix<f64>, x: &[f64], b: &[f64]) -> f64 {
 
 /// Runs the experiment and prints its table.
 pub fn run(scale: Scale) {
-    let g = scale.pick(24, 48);
+    let g = scale.pick(32, 48);
     let geom = Geometry::new(g, g, g);
     let a = build_matrix(geom);
     let (b, _) = build_rhs(&a);
     let reps = scale.pick(2, 3);
+    let threads = ncpus();
 
     let colors = greedy_coloring(&a);
     let num_colors = colors.iter().max().unwrap() + 1;
     let classes = color_classes(&colors);
+    let levels = a.gs_schedule().expect("the stencil is square").num_levels();
 
+    let five_natural = |x: &mut Vec<f64>| {
+        best_of(reps, || {
+            x.iter_mut().for_each(|v| *v = 0.0);
+            for _ in 0..5 {
+                symgs(&a, &b, x);
+            }
+        })
+    };
+    let mut x_seq = vec![0.0; a.nrows()];
+    let t_seq = with_threads(1, || five_natural(&mut x_seq));
     let mut x_nat = vec![0.0; a.nrows()];
-    let t_nat = best_of(reps, || {
-        x_nat.iter_mut().for_each(|v| *v = 0.0);
-        for _ in 0..5 {
-            symgs(&a, &b, &mut x_nat);
-        }
-    });
+    let t_nat = five_natural(&mut x_nat);
+    assert_eq!(
+        x_nat, x_seq,
+        "the level-scheduled sweep must reproduce the natural iterates bit for bit"
+    );
     let mut x_col = vec![0.0; a.nrows()];
     let t_col = best_of(reps, || {
         x_col.iter_mut().for_each(|v| *v = 0.0);
@@ -49,13 +62,19 @@ pub fn run(scale: Scale) {
         "parallel rows per step",
     ]);
     t.row(vec![
-        "natural order (sequential)".into(),
-        secs(t_nat),
-        sci(residual(&a, &x_nat, &b)),
+        "natural order, 1 thread".into(),
+        secs(t_seq),
+        sci(residual(&a, &x_seq, &b)),
         "1".into(),
     ]);
     t.row(vec![
-        format!("{num_colors}-color (parallel)"),
+        format!("natural order, {levels} levels ({threads} threads)"),
+        secs(t_nat),
+        sci(residual(&a, &x_nat, &b)),
+        f2(a.nrows() as f64 / levels as f64),
+    ]);
+    t.row(vec![
+        format!("{num_colors}-color ({threads} threads)"),
         secs(t_col),
         sci(residual(&a, &x_col, &b)),
         f2(a.nrows() as f64 / num_colors as f64),
@@ -96,12 +115,16 @@ pub fn run(scale: Scale) {
         "CG iterations",
         "time",
         "final residual",
-        "sequential?",
+        "parallel across",
     ]);
-    for (name, sm, seq) in [
-        ("SymGS (natural)", Smoother::SymGs, "yes"),
-        ("SymGS (8-color)", Smoother::Colored, "no"),
-        ("Chebyshev deg-4", Smoother::Chebyshev { degree: 4 }, "no"),
+    for (name, sm, par) in [
+        ("SymGS (natural)", Smoother::SymGs, "level wavefronts"),
+        ("SymGS (8-color)", Smoother::Colored, "colors"),
+        (
+            "Chebyshev deg-4",
+            Smoother::Chebyshev { degree: 4 },
+            "SpMV rows",
+        ),
     ] {
         let mg = MgPreconditioner::with_smoother(geom2, 3, sm);
         let mut x = vec![0.0; a2.nrows()];
@@ -116,12 +139,14 @@ pub fn run(scale: Scale) {
             res.iterations.to_string(),
             secs(tm),
             sci(res.final_residual()),
-            seq.into(),
+            par.into(),
         ]);
     }
     t2.print(&format!("E15b: smoother families inside MG-CG ({g2}^3)"));
     println!("  keynote claim: reordering trades a little convergence per sweep for");
     println!("  a smoother that scales — rows within a color update concurrently.");
-    println!("  (On a 1-core host the colored sweep shows overhead, not speedup; the");
-    println!("  'parallel rows per step' column is the concurrency a wide machine exploits.)");
+    println!("  The natural order is not sequential either: rows on one level of its");
+    println!("  wavefront schedule update concurrently and the iterates stay HPCG's.");
+    println!("  Colors expose far more rows per step than levels, which only pays on");
+    println!("  machines with more cores than the wavefront is wide.");
 }

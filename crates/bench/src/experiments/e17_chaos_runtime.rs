@@ -306,9 +306,11 @@ pub fn run_opts(scale: Scale, json: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time_it;
 
     #[test]
     fn campaign_summary_is_byte_identical_across_runs() {
+        let _serial = crate::serial_experiment_test();
         // The PR's reproducibility gate: same seed, same bytes — twice,
         // on a live multi-threaded executor. Table and JSON both.
         let (one, j1) = campaign_report(Scale::Quick);
@@ -324,21 +326,38 @@ mod tests {
 
     #[test]
     fn fault_free_layer_overhead_is_modest() {
+        let _serial = crate::serial_experiment_test();
         // Acceptance: at rate 0 the resilience machinery (fallible
         // kernels, attempt accounting, outcome tracking) stays under 5%
         // makespan overhead on a synthetic DAG where kernels dominate.
+        // The arms alternate, each going first in turn (best of 5 each):
+        // run back to back, the second arm read ~2% slow.
         let exec = Executor::new(4, SchedPolicy::CriticalPath);
         let tasks = 128;
         let work = 60_000;
-        let plain = best_of(5, || {
-            exec.execute(synthetic_graph(tasks, work, false));
-        });
-        let resil = best_of(5, || {
-            exec.execute_resilient(
-                synthetic_graph(tasks, work, true),
-                RecoveryPolicy::default(),
-            );
-        });
+        let time_plain = || {
+            time_it(|| {
+                exec.execute(synthetic_graph(tasks, work, false));
+            })
+        };
+        let time_resil = || {
+            time_it(|| {
+                exec.execute_resilient(
+                    synthetic_graph(tasks, work, true),
+                    RecoveryPolicy::default(),
+                );
+            })
+        };
+        let (mut plain, mut resil) = (f64::INFINITY, f64::INFINITY);
+        for k in 0..5 {
+            if k % 2 == 0 {
+                plain = plain.min(time_plain());
+                resil = resil.min(time_resil());
+            } else {
+                resil = resil.min(time_resil());
+                plain = plain.min(time_plain());
+            }
+        }
         let overhead = resil / plain - 1.0;
         assert!(
             overhead < 0.05,

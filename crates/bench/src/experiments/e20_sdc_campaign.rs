@@ -475,6 +475,7 @@ mod tests {
 
     #[test]
     fn campaign_summary_is_byte_identical_across_runs() {
+        let _serial = crate::serial_experiment_test();
         // The PR's reproducibility gate: same seed, same bytes — table
         // and JSON both, twice, in one process.
         let (t1, j1) = campaign_summary(Scale::Quick);

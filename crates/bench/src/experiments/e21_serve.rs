@@ -261,6 +261,7 @@ mod tests {
 
     #[test]
     fn service_summary_is_byte_identical_across_runs() {
+        let _serial = crate::serial_experiment_test();
         // The PR's reproducibility gate: same seed, same bytes — table
         // and JSON both, twice, in one process.
         let (t1, j1) = service_summary(Scale::Quick);

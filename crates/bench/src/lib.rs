@@ -95,6 +95,18 @@ pub fn thread_sweep() -> Vec<usize> {
     v
 }
 
+/// Makes this binary's experiment tests run one at a time (the cheap unit
+/// tests still run alongside). The E17 overhead gate compares two
+/// executor makespans; an experiment test busy on the same two cores
+/// (E21's CPU-dense burst) moved that ratio by 10–40%.
+#[cfg(test)]
+pub(crate) fn serial_experiment_test() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,8 @@
 //! the data-parallel surface the workspace actually calls: `par_iter`,
 //! `par_iter_mut`, `into_par_iter` (ranges and vectors), `par_chunks`,
 //! `par_chunks_mut`, with `map` / `enumerate` / `for_each` / `collect` on
-//! the result, plus `ThreadPoolBuilder::install` for thread-count sweeps.
+//! the result, [`broadcast`] (one call per pool thread), plus
+//! `ThreadPoolBuilder::install` for thread-count sweeps.
 //!
 //! Unlike rayon's lazy work-stealing iterators, [`ParIter`] materializes
 //! its items and fans them out as contiguous stripes over scoped OS
@@ -16,12 +17,22 @@
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Thread-count override installed by [`ThreadPool::install`]
     /// (0 = use the hardware default).
     static POOL_THREADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The hardware default thread count, read once: on Linux
+/// `available_parallelism` reads cgroup files on every call, which costs
+/// more than a small kernel.
+fn default_num_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Number of worker threads parallel operations currently target.
@@ -30,7 +41,7 @@ pub fn current_num_threads() -> usize {
     if installed > 0 {
         installed
     } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        default_num_threads()
     }
 }
 
@@ -63,6 +74,64 @@ fn run_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
             .collect()
     });
     per_stripe.into_iter().flatten().collect()
+}
+
+/// What one [`broadcast`] call knows about where it runs.
+#[derive(Debug, Clone, Copy)]
+pub struct BroadcastContext<'a> {
+    index: usize,
+    num_threads: usize,
+    _scope: PhantomData<&'a ()>,
+}
+
+impl BroadcastContext<'_> {
+    /// This call's thread index, in `0..num_threads()`.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Number of threads the broadcast runs on.
+    pub fn num_threads(&self) -> usize {
+        self.num_threads
+    }
+}
+
+/// Runs `op` once on each of [`current_num_threads`] threads, all at the
+/// same time, and returns the results in index order. Index 0 runs on
+/// the calling thread; the others run on scoped threads that inherit the
+/// caller's [`ThreadPool::install`] override. Unlike the iterator
+/// methods, every call is live at once, so the calls may wait for each
+/// other (a barrier between phases). A panic in any call propagates to
+/// the caller once all calls have returned.
+pub fn broadcast<OP, R>(op: OP) -> Vec<R>
+where
+    OP: Fn(BroadcastContext<'_>) -> R + Sync,
+    R: Send,
+{
+    let num_threads = current_num_threads();
+    let installed = POOL_THREADS.with(Cell::get);
+    let ctx = |index| BroadcastContext {
+        index,
+        num_threads,
+        _scope: PhantomData,
+    };
+    let op = &op;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (1..num_threads)
+            .map(|index| {
+                s.spawn(move || {
+                    POOL_THREADS.with(|c| c.set(installed));
+                    op(ctx(index))
+                })
+            })
+            .collect();
+        let mut out = Vec::with_capacity(num_threads);
+        out.push(op(ctx(0)));
+        for h in handles {
+            out.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        out
+    })
 }
 
 /// A materialized "parallel iterator": holds its items and runs terminal
@@ -242,7 +311,7 @@ impl ThreadPool {
         if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            default_num_threads()
         }
     }
 }
@@ -331,5 +400,55 @@ mod tests {
             });
         });
         assert!(r.is_err());
+    }
+    #[test]
+    fn broadcast_runs_every_index_exactly_once() {
+        for n in 1..=4 {
+            let pool = ThreadPoolBuilder::new().num_threads(n).build().unwrap();
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = pool.install(|| {
+                broadcast(|ctx| {
+                    assert_eq!(ctx.num_threads(), n);
+                    hits[ctx.index()].fetch_add(1, Ordering::Relaxed);
+                    ctx.index()
+                })
+            });
+            assert_eq!(out, (0..n).collect::<Vec<_>>());
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn broadcast_honours_install_and_passes_it_on() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let seen = pool.install(|| broadcast(|ctx| (ctx.num_threads(), current_num_threads())));
+        assert_eq!(seen, vec![(3, 3); 3]);
+        // The calls are live together: a three-way rendezvous completes.
+        let arrived = AtomicUsize::new(0);
+        pool.install(|| {
+            broadcast(|_| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while arrived.load(Ordering::SeqCst) < 3 {
+                    std::thread::yield_now();
+                }
+            })
+        });
+    }
+
+    #[test]
+    fn broadcast_panic_propagates() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        for bad in 0..3 {
+            let r = std::panic::catch_unwind(|| {
+                pool.install(|| {
+                    broadcast(|ctx| {
+                        if ctx.index() == bad {
+                            panic!("broadcast panic");
+                        }
+                    })
+                })
+            });
+            assert!(r.is_err(), "panic on index {bad} must reach the caller");
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! [`IndexOverflow`] instead of silently truncating indices.
 
 use crate::idx::{check_compact_bounds, IndexOverflow, SparseIndex};
-use crate::symgs::GsRow;
+use crate::symgs::{GsRow, GsSchedule, XView};
 use rayon::prelude::*;
 use xsc_core::{Matrix, Scalar};
 use xsc_metrics::{traffic, Traffic};
@@ -30,6 +30,8 @@ pub struct Csr<T, I> {
     row_ptr: Vec<I>,
     col_idx: Vec<I>,
     vals: Vec<T>,
+    /// Gauss–Seidel level schedule of the pattern (square matrices only).
+    gs: Option<GsSchedule>,
 }
 
 /// CSR with `usize` indices: the format every matrix is built in.
@@ -70,14 +72,16 @@ impl<T: Scalar> CsrMatrix<T> {
         for i in 0..nrows {
             row_ptr[i + 1] += row_ptr[i];
         }
-        let col_idx = merged.iter().map(|&(_, c, _)| c).collect();
+        let col_idx: Vec<usize> = merged.iter().map(|&(_, c, _)| c).collect();
         let vals = merged.into_iter().map(|(_, _, v)| v).collect();
+        let gs = (nrows == ncols).then(|| GsSchedule::build(&row_ptr, &col_idx));
         CsrMatrix {
             nrows,
             ncols,
             row_ptr,
             col_idx,
             vals,
+            gs,
         }
     }
 }
@@ -96,6 +100,7 @@ impl<T: Scalar> TryFrom<&CsrMatrix<T>> for Csr32<T> {
             row_ptr: narrow(&a.row_ptr, IndexOverflow::Nnz { nnz: a.nnz() })?,
             col_idx: narrow(&a.col_idx, IndexOverflow::Cols { ncols: a.ncols })?,
             vals: a.vals.clone(),
+            gs: a.gs.clone(),
         })
     }
 }
@@ -121,6 +126,12 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
     pub fn row(&self, i: usize) -> (&[I], &[T]) {
         let (s, e) = (self.row_ptr[i].widen(), self.row_ptr[i + 1].widen());
         (&self.col_idx[s..e], &self.vals[s..e])
+    }
+
+    /// The Gauss–Seidel level schedule built with the matrix (`None` if
+    /// it is not square).
+    pub fn gs_schedule(&self) -> Option<&GsSchedule> {
+        self.gs.as_ref()
     }
 
     /// The raw stored values, in row-major CSR order.
@@ -171,16 +182,15 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
         }
     }
 
-    /// Thread-parallel SpMV (rayon over rows). Bit-identical to the
-    /// sequential version: each row's dot product is computed in the same
-    /// order regardless of thread count.
+    /// Thread-parallel SpMV: one contiguous row range per pool thread,
+    /// on the calling thread alone below half a million stored entries.
+    /// Bit-identical to the sequential version: each row's dot product is
+    /// computed in the same order regardless of thread count.
     pub fn spmv_par(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
         let _scope = xsc_metrics::record("spmv", self.spmv_model());
-        y.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, yi)| *yi = self.row_dot(i, x));
+        for_row_ranges(y, kernel_threads(self.nnz()), |i| self.row_dot(i, x));
     }
 
     /// The diagonal entries (zero where a row has no diagonal entry).
@@ -208,9 +218,10 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
     /// Fused residual `r = b - A x` in a **single** sweep over the matrix:
     /// each row folds `acc ← acc - a_ij·x_j` starting from `b_i`, so `b`
     /// is read in the same pass that streams `A` — one fewer traversal of
-    /// `r` than [`Csr::residual`]'s SpMV-then-subtract. Every sparse
-    /// format implements the same fold order, so results are bitwise
-    /// comparable across formats (see `xsc_sparse::ops`).
+    /// `r` than [`Csr::residual`]'s SpMV-then-subtract. The rows split
+    /// into one contiguous range per pool thread, as in [`Csr::spmv_par`].
+    /// Every sparse format implements the same fold order, so results are
+    /// bitwise comparable across formats (see `xsc_sparse::ops`).
     pub fn fused_residual(&self, x: &[T], b: &[T], r: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "fused_residual x length mismatch");
         assert_eq!(b.len(), self.nrows, "fused_residual b length mismatch");
@@ -224,14 +235,20 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
                 bytes_written: 0,
             }),
         );
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            let mut acc = b[i];
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                acc = (-v).mul_add(x[c.widen()], acc);
-            }
-            r[i] = acc;
+        for_row_ranges(r, kernel_threads(self.nnz()), |i| {
+            self.residual_row(i, x, b)
+        });
+    }
+
+    /// Row `i` of `b - A x`, folding `acc ← acc - a_ij·x_j` from `b_i`.
+    #[inline]
+    fn residual_row(&self, i: usize, x: &[T], b: &[T]) -> T {
+        let (cols, vals) = self.row(i);
+        let mut acc = b[i];
+        for (&c, &v) in cols.iter().zip(vals.iter()) {
+            acc = (-v).mul_add(x[c.widen()], acc);
         }
+        acc
     }
 
     /// Dense materialization (testing helper; quadratic memory).
@@ -270,9 +287,34 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
     }
 }
 
+/// Fewest stored entries worth a pool thread of their own. A row kernel
+/// below twice this runs on the calling thread: spawning a thread
+/// (~0.1 ms on a 2-vCPU Xeon) costs more than its share of a 24³ sweep
+/// saves.
+const MIN_NNZ_PER_THREAD: usize = 1 << 18;
+
+/// Threads a row kernel over `nnz` stored entries runs on: the current
+/// pool's count, capped so each gets at least [`MIN_NNZ_PER_THREAD`].
+pub(crate) fn kernel_threads(nnz: usize) -> usize {
+    rayon::current_num_threads()
+        .min(nnz / MIN_NNZ_PER_THREAD)
+        .max(1)
+}
+
+/// `out[i] = row(i)` for every row, as `tasks` contiguous row ranges on
+/// the pool (one task runs inline).
+fn for_row_ranges<T: Send>(out: &mut [T], tasks: usize, row: impl Fn(usize) -> T + Sync) {
+    let chunk = out.len().div_ceil(tasks.max(1)).max(1);
+    out.par_chunks_mut(chunk).enumerate().for_each(|(k, part)| {
+        for (i, o) in (k * chunk..).zip(part.iter_mut()) {
+            *o = row(i);
+        }
+    });
+}
+
 impl<I: SparseIndex> GsRow for Csr<f64, I> {
     #[inline]
-    fn gs_row(&self, i: usize, b: &[f64], x: &[f64]) -> f64 {
+    fn gs_row<X: XView + ?Sized>(&self, i: usize, b: &[f64], x: &X) -> f64 {
         let (cols, vals) = self.row(i);
         let mut acc = b[i];
         let mut diag = 0.0;
@@ -281,11 +323,15 @@ impl<I: SparseIndex> GsRow for Csr<f64, I> {
             if c == i {
                 diag = v;
             } else {
-                acc -= v * x[c];
+                acc -= v * x.at(c);
             }
         }
         debug_assert!(diag != 0.0, "zero diagonal at row {i}");
         acc / diag
+    }
+
+    fn gs_schedule(&self) -> Option<&GsSchedule> {
+        Csr::gs_schedule(self)
     }
 }
 
@@ -384,6 +430,30 @@ mod tests {
         a.spmv(&x, &mut y1);
         a.spmv_par(&x, &mut y2);
         assert_eq!(y1, y2, "parallel SpMV must be bit-identical");
+    }
+
+    #[test]
+    fn row_ranges_are_bit_identical_for_any_task_count() {
+        let a = stencil();
+        let n = a.nrows();
+        let x: Vec<f64> = (0..n).map(|i| ((i * 31 % 97) as f64).sin()).collect();
+        let (b, _) = build_rhs(&a);
+        let (mut y1, mut r1) = (vec![0.0; n], vec![0.0; n]);
+        for_row_ranges(&mut y1, 1, |i| a.row_dot(i, &x));
+        for_row_ranges(&mut r1, 1, |i| a.residual_row(i, &x, &b));
+        for tasks in [2, 3, 4, n + 1] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(tasks.min(4))
+                .build()
+                .unwrap();
+            let (mut y, mut r) = (vec![0.0; n], vec![0.0; n]);
+            pool.install(|| {
+                for_row_ranges(&mut y, tasks, |i| a.row_dot(i, &x));
+                for_row_ranges(&mut r, tasks, |i| a.residual_row(i, &x, &b));
+            });
+            assert_eq!(y, y1, "spmv rows on {tasks} tasks");
+            assert_eq!(r, r1, "residual rows on {tasks} tasks");
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   for runtime format selection;
 //! * [`stencil`] — the 27-point 3-D stencil problem generator (the HPCG
 //!   operator) and its geometric coarsening;
-//! * [`symgs`] — the symmetric Gauss–Seidel smoother;
+//! * [`symgs`] — the symmetric Gauss–Seidel smoother, in natural order on
+//!   every pool thread along a level schedule of the sparsity pattern;
 //! * [`mg`] — the 4-level geometric multigrid V-cycle preconditioner;
 //! * [`cg`] — preconditioned conjugate gradients with deterministic
 //!   (pairwise) reductions;

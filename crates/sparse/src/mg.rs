@@ -4,6 +4,12 @@
 //! 4 levels). The cycle is HPCG's: one symmetric Gauss–Seidel pre-smooth,
 //! residual restriction by injection, recursive coarse solve, prolongation
 //! by injection-add, one post-smooth; the coarsest level is a single SymGS.
+//!
+//! Every kernel of the cycle uses the pool's threads once its level is
+//! big enough: SymGS along the matrix's level schedule
+//! ([`crate::symgs`]), the fused residual over one contiguous row range
+//! per thread. Neither changes a bit of the result, so the V-cycle's
+//! output does not depend on the thread count.
 
 use crate::abft::{CheckedApply, SdcDetected};
 use crate::cg::Preconditioner;
@@ -19,7 +25,8 @@ use xsc_metrics::Traffic;
 /// Smoother family used on every multigrid level.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Smoother {
-    /// Natural-order symmetric Gauss-Seidel (HPCG's reference; sequential).
+    /// Natural-order symmetric Gauss-Seidel (HPCG's reference), run on
+    /// the pool's threads along its level schedule with unchanged iterates.
     SymGs,
     /// Multi-color symmetric Gauss-Seidel (parallel sweeps).
     Colored,
@@ -92,8 +99,8 @@ impl MgPreconditioner {
     }
 
     /// Like [`MgPreconditioner::new`] but with a chosen smoother family
-    /// (the "optimized HPCG" configurations swap the sequential sweep for
-    /// a parallel one here).
+    /// (the "optimized HPCG" configurations swap the natural-order sweep
+    /// for a reordered or polynomial one here).
     pub fn with_smoother(g: Geometry, num_levels: usize, smoother: Smoother) -> Self {
         MgPreconditioner::with_format(g, num_levels, smoother, SparseFormat::CsrUsize)
             .expect("usize CSR cannot overflow")
@@ -516,6 +523,25 @@ mod tests {
         for (s, i) in iters {
             assert!(i <= best * 3, "{s:?} took {i} iterations (best {best})");
         }
+    }
+
+    #[test]
+    fn chebyshev_mg_pcg_converges_at_64_cubed() {
+        // 64³ is the smallest cubic grid (4 levels, 50 iterations, 1e-6)
+        // on which a power-method λmax estimate (12 iterations, +10 %)
+        // fell below the true λmax (≈ 35.9) and PCG stalled at 7.6e-3.
+        let g = Geometry::new(64, 64, 64);
+        let a = build_matrix(g);
+        let (b, _) = build_rhs(&a);
+        let mg = MgPreconditioner::with_smoother(g, 4, Smoother::Chebyshev { degree: 4 });
+        let mut x = vec![0.0; a.nrows()];
+        let res = crate::cg::pcg(&a, &b, &mut x, 50, 1e-6, &mg);
+        assert!(
+            res.converged,
+            "Chebyshev MG-PCG stalled at {:.2e} after {} iterations",
+            res.final_residual(),
+            res.iterations
+        );
     }
 
     #[test]

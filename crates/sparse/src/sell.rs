@@ -22,7 +22,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::idx::{check_compact_bounds, widen, IndexOverflow, SparseIndex};
-use crate::symgs::GsRow;
+use crate::symgs::{GsRow, GsSchedule, XView};
 use rayon::prelude::*;
 use xsc_core::cast::count_f64;
 use xsc_core::Scalar;
@@ -52,6 +52,8 @@ pub struct SellCSigma<T> {
     perm: Vec<u32>,
     /// `inv[row]` = sorted slot holding original row `row`.
     inv: Vec<u32>,
+    /// The source CSR's Gauss–Seidel level schedule (same row indices).
+    gs: Option<GsSchedule>,
 }
 
 impl<T: Scalar> TryFrom<&CsrMatrix<T>> for SellCSigma<T> {
@@ -133,6 +135,7 @@ impl<T: Scalar> SellCSigma<T> {
             row_len,
             perm,
             inv,
+            gs: a.gs_schedule().cloned(),
         })
     }
 
@@ -178,6 +181,12 @@ impl<T: Scalar> SellCSigma<T> {
         } else {
             count_f64(self.padded_slots() as u64) / count_f64(self.nnz as u64)
         }
+    }
+
+    /// The Gauss–Seidel level schedule copied from the source CSR matrix
+    /// (`None` if it is not square).
+    pub fn gs_schedule(&self) -> Option<&GsSchedule> {
+        self.gs.as_ref()
     }
 
     /// The raw stored value slab (chunked layout, padding slots included —
@@ -326,18 +335,22 @@ impl<T: Scalar> SellCSigma<T> {
 
 impl GsRow for SellCSigma<f64> {
     #[inline]
-    fn gs_row(&self, i: usize, b: &[f64], x: &[f64]) -> f64 {
+    fn gs_row<X: XView + ?Sized>(&self, i: usize, b: &[f64], x: &X) -> f64 {
         let mut acc = b[i];
         let mut diag = 0.0;
         self.for_row(i, |c, v| {
             if c == i {
                 diag = v;
             } else {
-                acc -= v * x[c];
+                acc -= v * x.at(c);
             }
         });
         debug_assert!(diag != 0.0, "zero diagonal at row {i}");
         acc / diag
+    }
+
+    fn gs_schedule(&self) -> Option<&GsSchedule> {
+        SellCSigma::gs_schedule(self)
     }
 }
 
