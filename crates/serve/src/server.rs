@@ -20,7 +20,7 @@ use xsc_core::{gen, Matrix};
 use xsc_metrics::{record_untimed, Stopwatch, Traffic};
 use xsc_runtime::{Access, Executor, SchedPolicy, TaskGraph};
 use xsc_sparse::mg::{MgPreconditioner, Smoother};
-use xsc_sparse::stencil::{build_matrix, build_rhs};
+use xsc_sparse::stencil::build_rhs;
 use xsc_sparse::{pcg, Geometry, SparseFormat};
 
 /// Server knobs.
@@ -185,8 +185,6 @@ fn execute_single(job: &QueuedJob) -> JobOutcome {
             max_iters,
         } => {
             let geom = Geometry::new(grid, grid, grid);
-            let a = build_matrix(geom);
-            let (b, _) = build_rhs(&a);
             let mg = MgPreconditioner::try_with_format(
                 geom,
                 levels,
@@ -195,8 +193,11 @@ fn execute_single(job: &QueuedJob) -> JobOutcome {
             )
             // xsc-lint: allow(P01, reason = "admission validated grid/levels against the coarsening rule before enqueue")
             .expect("validated grids are coarsenable to the requested depth");
-            let mut x = vec![0.0; a.nrows()];
-            pcg(&a, &b, &mut x, max_iters, tol, &mg);
+            // Level 0 of the hierarchy is the operator itself.
+            let a = mg.fine_matrix();
+            let (b, _) = build_rhs(a);
+            let mut x = vec![0.0; b.len()];
+            pcg(a, &b, &mut x, max_iters, tol, &mg);
             x.iter().sum()
         }
     };

@@ -74,6 +74,43 @@ impl<T: Scalar> CsrMatrix<T> {
         }
         let col_idx: Vec<usize> = merged.iter().map(|&(_, c, _)| c).collect();
         let vals = merged.into_iter().map(|(_, _, v)| v).collect();
+        CsrMatrix::from_sorted_rows(nrows, ncols, row_ptr, col_idx, vals)
+    }
+
+    /// Builds a CSR matrix from arrays already in CSR layout: `row_ptr`
+    /// (length `nrows + 1`) starts at 0, never decreases and ends at the
+    /// entry count; each row's columns strictly increase and are below
+    /// `ncols`. Panics if any of that fails. Builds the Gauss–Seidel
+    /// schedule of a square matrix, as [`CsrMatrix::from_triplets`] does.
+    pub(crate) fn from_sorted_rows(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        vals: Vec<T>,
+    ) -> Self {
+        assert_eq!(row_ptr.len(), nrows + 1, "row_ptr needs nrows + 1 entries");
+        assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
+        assert_eq!(
+            col_idx.len(),
+            vals.len(),
+            "col_idx and vals differ in length"
+        );
+        assert_eq!(row_ptr[nrows], col_idx.len(), "row_ptr must end at nnz");
+        assert!(
+            row_ptr.windows(2).all(|w| w[0] <= w[1]),
+            "row_ptr must not decrease"
+        );
+        for (i, w) in row_ptr.windows(2).enumerate() {
+            let cols = &col_idx[w[0]..w[1]];
+            assert!(
+                cols.windows(2).all(|p| p[0] < p[1]),
+                "row {i}: columns must strictly increase"
+            );
+            if let Some(&last) = cols.last() {
+                assert!(last < ncols, "row {i}: column {last} out of bounds");
+            }
+        }
         let gs = (nrows == ncols).then(|| GsSchedule::build(&row_ptr, &col_idx));
         CsrMatrix {
             nrows,
@@ -251,6 +288,32 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
         acc
     }
 
+    /// Modeled traffic of [`Csr::residual_at`] over `rows`: the SpMV
+    /// model on the touched rows and their entries, plus `b` at those rows.
+    pub(crate) fn residual_at_model(&self, rows: &RowSet) -> Traffic {
+        let w = std::mem::size_of::<T>() as u64;
+        let t = traffic::spmv_csr(rows.len(), self.ncols, rows.nnz, w, I::BYTES, I::GATHER);
+        t.plus(Traffic {
+            flops: 0,
+            bytes_read: w * rows.len() as u64,
+            bytes_written: 0,
+        })
+    }
+
+    /// `out[c] = (b - A x)[rows[c]]`: [`Csr::fused_residual`] at the
+    /// listed rows only, each with the same fold, so it equals the full
+    /// residual gathered at `rows` bit for bit. One contiguous range of
+    /// `out` per pool thread, threads sized by the touched entries.
+    pub(crate) fn residual_at(&self, rows: &RowSet, x: &[T], b: &[T], out: &mut [T]) {
+        assert_eq!(x.len(), self.ncols, "residual_at x length mismatch");
+        assert_eq!(b.len(), self.nrows, "residual_at b length mismatch");
+        assert_eq!(out.len(), rows.len(), "residual_at out length mismatch");
+        let _scope = xsc_metrics::record("spmv", self.residual_at_model(rows));
+        for_row_ranges(out, kernel_threads(rows.nnz), |c| {
+            self.residual_row(rows.idx[c], x, b)
+        });
+    }
+
     /// Dense materialization (testing helper; quadratic memory).
     pub fn to_dense(&self) -> Matrix<T> {
         let mut m = Matrix::zeros(self.nrows, self.ncols);
@@ -287,6 +350,39 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
     }
 }
 
+/// A fixed list of rows (in any order, repeats allowed) and the stored
+/// entries they hold, counted once when the list is made so that each
+/// `residual_at` call sizes its threads and prices its traffic without
+/// walking the rows first.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowSet {
+    idx: Vec<usize>,
+    nnz: usize,
+}
+
+impl RowSet {
+    /// The rows `idx` of `a` (each must be below `a.nrows()`).
+    pub(crate) fn new<T: Scalar, I: SparseIndex>(a: &Csr<T, I>, idx: Vec<usize>) -> Self {
+        let nnz = idx.iter().fold(0, |acc, &i| acc + a.row(i).0.len());
+        RowSet { idx, nnz }
+    }
+
+    /// The rows, in the order `residual_at` writes them.
+    pub(crate) fn rows(&self) -> &[usize] {
+        &self.idx
+    }
+
+    /// Number of listed rows.
+    pub(crate) fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// Stored entries the listed rows hold (a repeated row counts again).
+    pub(crate) fn nnz(&self) -> usize {
+        self.nnz
+    }
+}
+
 /// Fewest stored entries worth a pool thread of their own. A row kernel
 /// below twice this runs on the calling thread: spawning a thread
 /// (~0.1 ms on a 2-vCPU Xeon) costs more than its share of a 24³ sweep
@@ -303,7 +399,11 @@ pub(crate) fn kernel_threads(nnz: usize) -> usize {
 
 /// `out[i] = row(i)` for every row, as `tasks` contiguous row ranges on
 /// the pool (one task runs inline).
-fn for_row_ranges<T: Send>(out: &mut [T], tasks: usize, row: impl Fn(usize) -> T + Sync) {
+pub(crate) fn for_row_ranges<T: Send>(
+    out: &mut [T],
+    tasks: usize,
+    row: impl Fn(usize) -> T + Sync,
+) {
     let chunk = out.len().div_ceil(tasks.max(1)).max(1);
     out.par_chunks_mut(chunk).enumerate().for_each(|(k, part)| {
         for (i, o) in (k * chunk..).zip(part.iter_mut()) {
@@ -501,6 +601,30 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn triplets_bounds_checked() {
         let _ = CsrMatrix::from_triplets(2, 2, vec![(2, 0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "columns must strictly increase")]
+    fn sorted_rows_reject_unsorted_columns() {
+        let _ = CsrMatrix::from_sorted_rows(2, 3, vec![0, 2, 3], vec![2, 0, 1], vec![1.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "columns must strictly increase")]
+    fn sorted_rows_reject_duplicate_columns() {
+        let _ = CsrMatrix::from_sorted_rows(2, 3, vec![0, 1, 3], vec![0, 1, 1], vec![1.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn sorted_rows_reject_out_of_bounds_columns() {
+        let _ = CsrMatrix::from_sorted_rows(2, 3, vec![0, 1, 2], vec![0, 3], vec![1.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not decrease")]
+    fn sorted_rows_reject_a_decreasing_row_ptr() {
+        let _ = CsrMatrix::from_sorted_rows(2, 3, vec![0, 2, 1], vec![0], vec![1.0]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The HPCG-like benchmark driver.
 //!
-//! Mirrors the official benchmark's structure: build the 27-point problem,
-//! build the multigrid hierarchy, run a fixed number of MG-preconditioned
+//! Mirrors the official benchmark's structure: build the multigrid
+//! hierarchy, whose level 0 is the 27-point operator (built once, straight
+//! into CSR, and shared with CG), run a fixed number of MG-preconditioned
 //! CG iterations, and report Gflop/s using HPCG's flop accounting. The
 //! resulting rate — compared against the same machine's HPL rate — is the
 //! keynote's headline figure (experiment E01).
@@ -9,8 +10,8 @@
 use crate::cg::{try_pcg, CgResult};
 use crate::error::SolverError;
 use crate::mg::{MgPreconditioner, Smoother};
-use crate::ops::{FormatMatrix, SparseFormat};
-use crate::stencil::{build_matrix, build_rhs, Geometry};
+use crate::ops::{SparseFormat, SparseOps};
+use crate::stencil::{build_rhs, Geometry};
 use xsc_core::flops;
 use xsc_metrics::Stopwatch;
 
@@ -70,15 +71,12 @@ pub fn try_run_hpcg_fmt(
     iters: usize,
     format: SparseFormat,
 ) -> Result<HpcgResult, SolverError> {
-    let a_csr = build_matrix(g);
-    let (b, _) = build_rhs(&a_csr);
-    let (n, nnz) = (a_csr.nrows(), a_csr.nnz());
-    let a = FormatMatrix::convert(a_csr, format)?;
-    let mg = MgPreconditioner::try_with_format(g, levels, Smoother::SymGs, format)?;
-
+    let (mg, b) = problem(g, levels, format)?;
+    let a = mg.fine_matrix();
+    let (n, nnz) = (a.nrows(), a.nnz());
     let mut x = vec![0.0f64; n];
     let start = Stopwatch::start();
-    let res: CgResult = try_pcg(&a, &b, &mut x, iters, 0.0, &mg)?;
+    let res: CgResult = try_pcg(a, &b, &mut x, iters, 0.0, &mg)?;
     let seconds = start.seconds();
 
     let initial = res.residual_history.first().copied().unwrap_or(1.0);
@@ -96,6 +94,18 @@ pub fn try_run_hpcg_fmt(
         format,
         residual_history: res.residual_history,
     })
+}
+
+/// The hierarchy (whose level 0 is the operator `A`) and `b = A · 1`,
+/// with `A` built once.
+fn problem(
+    g: Geometry,
+    levels: usize,
+    format: SparseFormat,
+) -> Result<(MgPreconditioner, Vec<f64>), SolverError> {
+    let mg = MgPreconditioner::try_with_format(g, levels, Smoother::SymGs, format)?;
+    let (b, _) = build_rhs(mg.fine_matrix());
+    Ok((mg, b))
 }
 
 #[cfg(test)]
@@ -116,6 +126,21 @@ mod tests {
             res.final_residual
         );
         assert!(res.passed);
+    }
+
+    #[test]
+    fn rhs_from_the_shared_operator_is_bitwise_the_csr_one() {
+        use crate::stencil::build_matrix;
+        let g = Geometry::new(8, 6, 4);
+        let want = build_rhs(&build_matrix(g)).0;
+        for fmt in SparseFormat::all() {
+            let (mg, b) = problem(g, 2, fmt).unwrap();
+            assert_eq!(mg.format(), fmt);
+            assert!(
+                b.iter().zip(&want).all(|(u, v)| u.to_bits() == v.to_bits()),
+                "{fmt}"
+            );
+        }
     }
 
     #[test]

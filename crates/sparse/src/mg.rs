@@ -1,20 +1,29 @@
 //! Geometric multigrid V-cycle — HPCG's preconditioner.
 //!
 //! Levels are built by coarsening the grid by 2 per dimension (HPCG uses
-//! 4 levels). The cycle is HPCG's: one symmetric Gauss–Seidel pre-smooth,
+//! 4 levels). Level 0 is the operator `A` itself, so a solver can take it
+//! from [`MgPreconditioner::fine_matrix`] instead of building a second
+//! copy. The cycle is HPCG's: one symmetric Gauss–Seidel pre-smooth,
 //! residual restriction by injection, recursive coarse solve, prolongation
 //! by injection-add, one post-smooth; the coarsest level is a single SymGS.
 //!
+//! Injection reads the residual at one fine point in eight, so the cycle
+//! computes it at those rows only, with the fused residual's per-row fold:
+//! the restricted vector is the full residual gathered, bit for bit. The
+//! flop count stays HPCG's reference one (`2·nnz` per residual); the
+//! traffic model charges only the rows touched.
+//!
 //! Every kernel of the cycle uses the pool's threads once its level is
 //! big enough: SymGS along the matrix's level schedule
-//! ([`crate::symgs`]), the fused residual over one contiguous row range
-//! per thread. Neither changes a bit of the result, so the V-cycle's
-//! output does not depend on the thread count.
+//! ([`crate::symgs`]), the residual over one contiguous row range per
+//! thread. Neither changes a bit of the result, so the V-cycle's output
+//! does not depend on the thread count.
 
 use crate::abft::{CheckedApply, SdcDetected};
 use crate::cg::Preconditioner;
 use crate::chebyshev::ChebyshevSmoother;
 use crate::coloring::{color_classes, greedy_coloring};
+use crate::csr::RowSet;
 use crate::error::SolverError;
 use crate::ops::{FormatMatrix, SparseFormat, SparseOps};
 use crate::stencil::{build_matrix, f2c_map, Geometry};
@@ -66,14 +75,16 @@ struct Level {
     a: FormatMatrix,
     smoother: LevelSmoother,
     /// Fine-grid index of each coarse point on the *next* level
-    /// (empty for the coarsest level).
-    f2c: Vec<usize>,
+    /// (empty for the coarsest level): the rows restriction reads.
+    f2c: RowSet,
     /// Scratch vectors, reused across applications.
     scratch: RefCell<Scratch>,
 }
 
+/// Per-level vectors, sized on first use and reused after.
 #[derive(Default)]
 struct Scratch {
+    /// The full residual; only the audited level-0 cycle needs it.
     r: Vec<f64>,
     rc: Vec<f64>,
     zc: Vec<f64>,
@@ -143,7 +154,7 @@ impl MgPreconditioner {
             let a_csr = build_matrix(geom);
             let last = l + 1 == num_levels;
             let f2c = if last {
-                Vec::new()
+                RowSet::default()
             } else {
                 if !geom.coarsenable() {
                     return Err(SolverError::NotCoarsenable {
@@ -151,9 +162,8 @@ impl MgPreconditioner {
                         level: l + 1,
                     });
                 }
-                f2c_map(geom)
+                RowSet::new(&a_csr, f2c_map(geom))
             };
-            let n = a_csr.nrows();
             let level_smoother = match smoother {
                 Smoother::SymGs => LevelSmoother::SymGs,
                 Smoother::Colored => {
@@ -167,11 +177,7 @@ impl MgPreconditioner {
                 a: FormatMatrix::convert(a_csr, format)?,
                 smoother: level_smoother,
                 f2c,
-                scratch: RefCell::new(Scratch {
-                    r: vec![0.0; n],
-                    rc: Vec::new(),
-                    zc: Vec::new(),
-                }),
+                scratch: RefCell::default(),
             });
             if !last {
                 geom = geom.coarsen();
@@ -185,8 +191,8 @@ impl MgPreconditioner {
     }
 
     /// Analytic DRAM traffic of one V-cycle, summed from each level's
-    /// per-format kernel models (pre/post smooth, fused residual, and the
-    /// injection transfer passes).
+    /// per-format kernel models (pre/post smooth, the residual at the rows
+    /// restriction reads, and the injection transfer passes).
     fn cycle_traffic(levels: &[Level]) -> Traffic {
         let mut t = Traffic::default();
         for (l, lv) in levels.iter().enumerate() {
@@ -194,22 +200,17 @@ impl MgPreconditioner {
             if coarsest {
                 t = t.plus(lv.a.symgs_traffic());
             } else {
-                let n = lv.a.nrows() as u64;
                 let nc = levels[l + 1].a.nrows() as u64;
                 // Pre- and post-smooth.
                 t = t.plus(lv.a.symgs_traffic().times(2));
-                // Fused residual: an SpMV sweep that also reads b.
-                t = t.plus(lv.a.spmv_traffic()).plus(Traffic {
-                    flops: 0,
-                    bytes_read: 8 * n,
-                    bytes_written: 0,
-                });
-                // Injection restriction (read r at coarse points, write rc)
-                // and injection-add prolongation (read zc, read+write x).
+                // Restriction: the residual at the coarse points only,
+                // written straight into rc.
+                t = t.plus(lv.a.residual_at_traffic(&lv.f2c));
+                // Injection-add prolongation (read zc, read+write x).
                 t = t.plus(Traffic {
                     flops: nc,
-                    bytes_read: 8 * 3 * nc,
-                    bytes_written: 8 * 2 * nc,
+                    bytes_read: 8 * 2 * nc,
+                    bytes_written: 8 * nc,
                 });
             }
         }
@@ -226,7 +227,9 @@ impl MgPreconditioner {
         self.levels.len()
     }
 
-    /// The operator at level 0 (callers typically share the same stencil).
+    /// The operator at level 0: the 27-point stencil on the geometry the
+    /// hierarchy was built from, which [`run_hpcg`](crate::hpcg::run_hpcg)
+    /// solves with rather than building it twice.
     pub fn fine_matrix(&self) -> &FormatMatrix {
         &self.levels[0].a
     }
@@ -241,28 +244,23 @@ impl MgPreconditioner {
             return;
         }
         let mut s = lv.scratch.borrow_mut();
+        let Scratch { rc, zc, .. } = &mut *s;
         let nc = lv.f2c.len();
-        s.rc.resize(nc, 0.0);
-        s.zc.resize(nc, 0.0);
+        rc.resize(nc, 0.0);
+        zc.resize(nc, 0.0);
 
         // Pre-smooth from zero.
         x.iter_mut().for_each(|v| *v = 0.0);
         lv.smoother.apply(a, b, x);
-        // Residual and injection restriction.
-        a.fused_residual(x, b, &mut s.r);
-        for (c, &f) in lv.f2c.iter().enumerate() {
-            s.rc[c] = s.r[f];
-        }
+        // Injection restriction of the residual, computed only at the
+        // coarse points.
+        a.residual_at(&lv.f2c, x, b, rc);
         // Coarse solve. Scratch for the coarse level belongs to that level,
         // so the borrow here is disjoint.
-        let (rc, zc) = {
-            let Scratch { rc, zc, .. } = &mut *s;
-            (rc.clone(), zc)
-        };
-        self.cycle(level + 1, &rc, zc);
+        self.cycle(level + 1, rc, zc);
         // Prolongation by injection-add.
-        for (c, &f) in lv.f2c.iter().enumerate() {
-            x[f] += s.zc[c];
+        for (&f, &z) in lv.f2c.rows().iter().zip(zc.iter()) {
+            x[f] += z;
         }
         // Post-smooth.
         lv.smoother.apply(a, b, x);
@@ -352,12 +350,14 @@ impl MgPreconditioner {
         let lv = &self.levels[0];
         let a = &lv.a;
         let mut s = lv.scratch.borrow_mut();
+        let Scratch { r, rc, zc } = &mut *s;
+        r.resize(b.len(), 0.0);
 
         // Pre-smooth from zero (the coarsest-level cycle is exactly this).
         x.iter_mut().for_each(|v| *v = 0.0);
         lv.smoother.apply(a, b, x);
-        a.fused_residual(x, b, &mut s.r);
-        let pre = blas1::nrm2(&s.r);
+        a.fused_residual(x, b, r);
+        let pre = blas1::nrm2(r);
         // `!(.. <= ..)` so a NaN norm also trips the detector.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(pre <= MG_PRE_SLACK * bnorm) {
@@ -373,23 +373,19 @@ impl MgPreconditioner {
 
         // Injection restriction, coarse solve, injection-add prolongation.
         let nc = lv.f2c.len();
-        s.rc.resize(nc, 0.0);
-        s.zc.resize(nc, 0.0);
-        for (c, &f) in lv.f2c.iter().enumerate() {
-            s.rc[c] = s.r[f];
+        rc.resize(nc, 0.0);
+        zc.resize(nc, 0.0);
+        for (c, &f) in rc.iter_mut().zip(lv.f2c.rows()) {
+            *c = r[f];
         }
-        let (rc, zc) = {
-            let Scratch { rc, zc, .. } = &mut *s;
-            (rc.clone(), zc)
-        };
-        self.cycle(1, &rc, zc);
-        for (c, &f) in lv.f2c.iter().enumerate() {
-            x[f] += s.zc[c];
+        self.cycle(1, rc, zc);
+        for (&f, &z) in lv.f2c.rows().iter().zip(zc.iter()) {
+            x[f] += z;
         }
         // Post-smooth, then audit the whole cycle's contraction.
         lv.smoother.apply(a, b, x);
-        a.fused_residual(x, b, &mut s.r);
-        let post = blas1::nrm2(&s.r);
+        a.fused_residual(x, b, r);
+        let post = blas1::nrm2(r);
         // `!(.. <= ..)` so a NaN norm also trips the detector.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(post <= MG_POST_SLACK * pre + MG_ROUND_FLOOR * bnorm) {

@@ -18,7 +18,7 @@
 //! ([`crate::coloring`]); each format supplies only its row update.
 
 use crate::coloring::colored_sweeps;
-use crate::csr::{Csr, Csr32, CsrMatrix};
+use crate::csr::{Csr, Csr32, CsrMatrix, RowSet};
 use crate::idx::{IndexOverflow, SparseIndex};
 use crate::sell::SellCSigma;
 use crate::symgs::symgs_sweeps;
@@ -265,6 +265,20 @@ macro_rules! dispatch {
     };
 }
 
+impl FormatMatrix {
+    /// `out[c] = (b - Ax)[rows[c]]`, bit-identical to [`SparseOps::fused_residual`]
+    /// gathered at `rows` (what multigrid restriction reads). Not on the
+    /// trait: implementors outside this crate need not provide it.
+    pub(crate) fn residual_at(&self, rows: &RowSet, x: &[f64], b: &[f64], out: &mut [f64]) {
+        dispatch!(self, a => a.residual_at(rows, x, b, out))
+    }
+
+    /// Modeled DRAM traffic of one [`FormatMatrix::residual_at`] over `rows`.
+    pub(crate) fn residual_at_traffic(&self, rows: &RowSet) -> Traffic {
+        dispatch!(self, a => a.residual_at_model(rows))
+    }
+}
+
 impl SparseOps for FormatMatrix {
     fn nrows(&self) -> usize {
         dispatch!(self, a => a.nrows())
@@ -352,6 +366,33 @@ mod tests {
             let m = FormatMatrix::convert(a.clone(), fmt).unwrap();
             let ratio = base.modeled_spmv_bytes_per_nnz() / m.modeled_spmv_bytes_per_nnz();
             assert!(ratio >= 1.5, "{fmt}: modeled ratio {ratio:.2} < 1.5");
+        }
+    }
+
+    #[test]
+    fn residual_at_is_the_gathered_fused_residual_in_every_format() {
+        use crate::stencil::f2c_map;
+        let g = Geometry::new(16, 16, 16);
+        for a in [build_matrix(g), crate::symgs::tests::irregular(g, 7)] {
+            let n = a.nrows();
+            let x: Vec<f64> = (0..n).map(|i| ((i * 29 % 83) as f64).sin()).collect();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 13 % 71) as f64).cos()).collect();
+            let lists = [f2c_map(g), vec![], vec![n - 1, 5, 0, 5, 77, n - 1, 3]];
+            for fmt in SparseFormat::all() {
+                let m = FormatMatrix::convert(a.clone(), fmt).unwrap();
+                let mut r = vec![0.0; n];
+                m.fused_residual(&x, &b, &mut r);
+                for rows in &lists {
+                    let set = RowSet::new(&a, rows.clone());
+                    let mut out = vec![f64::NAN; rows.len()];
+                    m.residual_at(&set, &x, &b, &mut out);
+                    let same = rows
+                        .iter()
+                        .zip(&out)
+                        .all(|(&i, v)| v.to_bits() == r[i].to_bits());
+                    assert!(same, "{fmt}: {} rows", rows.len());
+                }
+            }
         }
     }
 

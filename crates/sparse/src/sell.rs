@@ -20,7 +20,7 @@
 //!
 //! [`Csr32`]: crate::csr::Csr32
 
-use crate::csr::CsrMatrix;
+use crate::csr::{for_row_ranges, kernel_threads, CsrMatrix, RowSet};
 use crate::idx::{check_compact_bounds, widen, IndexOverflow, SparseIndex};
 use crate::symgs::{GsRow, GsSchedule, XView};
 use rayon::prelude::*;
@@ -312,11 +312,45 @@ impl<T: Scalar> SellCSigma<T> {
                 bytes_written: 0,
             }),
         );
-        for i in 0..self.nrows {
-            let mut acc = b[i];
-            self.for_row(i, |c, v| acc = (-v).mul_add(x[c], acc));
-            r[i] = acc;
+        for (i, ri) in r.iter_mut().enumerate() {
+            *ri = self.residual_row(i, x, b);
         }
+    }
+
+    /// Row `i` of `b - A x`, folding `acc ← acc - a_ij·x_j` from `b_i`.
+    #[inline]
+    fn residual_row(&self, i: usize, x: &[T], b: &[T]) -> T {
+        let mut acc = b[i];
+        self.for_row(i, |c, v| acc = (-v).mul_add(x[c], acc));
+        acc
+    }
+
+    /// Modeled traffic of [`SellCSigma::residual_at`] over `rows`: the
+    /// SpMV model on the touched rows and their entries (no padding: rows
+    /// are walked by their real length, one chunk offset each), plus `b`.
+    pub(crate) fn residual_at_model(&self, rows: &RowSet) -> xsc_metrics::Traffic {
+        let (nr, nz, w) = (rows.len(), rows.nnz(), self.width());
+        xsc_metrics::traffic::spmv_sell(nr, self.ncols, nz, nz, nr, w, XGather::Streamed).plus(
+            xsc_metrics::Traffic {
+                flops: 0,
+                bytes_read: w * nr as u64,
+                bytes_written: 0,
+            },
+        )
+    }
+
+    /// [`SellCSigma::fused_residual`] at the listed rows only, with the
+    /// same per-row fold; see
+    /// [`CsrMatrix::residual_at`](crate::csr::Csr::residual_at).
+    pub(crate) fn residual_at(&self, rows: &RowSet, x: &[T], b: &[T], out: &mut [T]) {
+        assert_eq!(x.len(), self.ncols, "residual_at x length mismatch");
+        assert_eq!(b.len(), self.nrows, "residual_at b length mismatch");
+        assert_eq!(out.len(), rows.len(), "residual_at out length mismatch");
+        let _scope = xsc_metrics::record("spmv", self.residual_at_model(rows));
+        let idx = rows.rows();
+        for_row_ranges(out, kernel_threads(rows.nnz()), |c| {
+            self.residual_row(idx[c], x, b)
+        });
     }
 
     /// The diagonal entries (zero where a row has no diagonal entry).

@@ -7,6 +7,7 @@
 //! operator is what HPCG measures machines with.
 
 use crate::csr::CsrMatrix;
+use crate::ops::SparseOps;
 
 /// Dimensions of a 3-D structured grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,45 +69,43 @@ impl Geometry {
     }
 }
 
-/// Builds the 27-point HPCG operator on `g`.
+/// Builds the 27-point HPCG operator on `g`, writing the CSR arrays
+/// directly in row order: a row's neighbours come out in ascending column
+/// order (z, then y, then x), so no sort or merge is needed.
 pub fn build_matrix(g: Geometry) -> CsrMatrix<f64> {
     let n = g.len();
-    let mut trips = Vec::with_capacity(n * 27);
+    // Per dimension of size m there are 3m - 2 in-range neighbour pairs,
+    // and the stencil factorizes across dimensions.
+    let nnz = (3 * g.nx - 2) * (3 * g.ny - 2) * (3 * g.nz - 2);
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::with_capacity(nnz);
+    let mut vals = Vec::with_capacity(nnz);
+    row_ptr.push(0);
+    let near = |i: usize, m: usize| i.saturating_sub(1)..(i + 2).min(m);
     for iz in 0..g.nz {
         for iy in 0..g.ny {
             for ix in 0..g.nx {
                 let row = g.index(ix, iy, iz);
-                for dz in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            let jx = ix as i64 + dx;
-                            let jy = iy as i64 + dy;
-                            let jz = iz as i64 + dz;
-                            if jx < 0
-                                || jy < 0
-                                || jz < 0
-                                || jx >= g.nx as i64
-                                || jy >= g.ny as i64
-                                || jz >= g.nz as i64
-                            {
-                                continue;
-                            }
-                            // xsc-lint: allow(X01, reason = "i64 -> usize after the 0 <= j < n bound check above; idx::widen is u32-only")
-                            let col = g.index(jx as usize, jy as usize, jz as usize);
-                            let v = if col == row { 26.0 } else { -1.0 };
-                            trips.push((row, col, v));
+                for jz in near(iz, g.nz) {
+                    for jy in near(iy, g.ny) {
+                        for jx in near(ix, g.nx) {
+                            let col = g.index(jx, jy, jz);
+                            col_idx.push(col);
+                            vals.push(if col == row { 26.0 } else { -1.0 });
                         }
                     }
                 }
+                row_ptr.push(col_idx.len());
             }
         }
     }
-    CsrMatrix::from_triplets(n, n, trips)
+    CsrMatrix::from_sorted_rows(n, n, row_ptr, col_idx, vals)
 }
 
 /// The HPCG right-hand side: `b = A · 1` (so the exact solution is the
-/// all-ones vector), plus that exact solution.
-pub fn build_rhs(a: &CsrMatrix<f64>) -> (Vec<f64>, Vec<f64>) {
+/// all-ones vector), plus that exact solution. Every format folds a row
+/// the same way, so `b` has the same bits whichever format `a` is in.
+pub fn build_rhs<A: SparseOps + ?Sized>(a: &A) -> (Vec<f64>, Vec<f64>) {
     let n = a.nrows();
     let x_exact = vec![1.0f64; n];
     let mut b = vec![0.0f64; n];
@@ -141,6 +140,35 @@ mod tests {
         assert_eq!(g.index(1, 0, 0), 1);
         assert_eq!(g.index(0, 1, 0), 4);
         assert_eq!(g.index(0, 0, 1), 12);
+    }
+
+    /// The stencil's `(row, col, value)` triplets from a loop over all 27
+    /// offsets that drops the out-of-grid ones.
+    fn stencil_triplets(g: Geometry) -> Vec<(usize, usize, f64)> {
+        let mut trips = Vec::new();
+        let dims = [g.nx as i64, g.ny as i64, g.nz as i64];
+        for row in 0..g.len() {
+            let p = [row % g.nx, row / g.nx % g.ny, row / (g.nx * g.ny)].map(|v| v as i64);
+            for d in 0..27i64 {
+                let q = [p[0] + d % 3 - 1, p[1] + d / 3 % 3 - 1, p[2] + d / 9 - 1];
+                if q.iter().zip(&dims).all(|(&q, &m)| (0..m).contains(&q)) {
+                    let col = (q[0] + dims[0] * (q[1] + dims[1] * q[2])) as usize;
+                    trips.push((row, col, if col == row { 26.0 } else { -1.0 }));
+                }
+            }
+        }
+        trips
+    }
+
+    #[test]
+    fn direct_assembly_equals_the_triplet_build() {
+        for (nx, ny, nz) in [(1, 1, 1), (5, 1, 3), (2, 3, 4), (7, 6, 5), (16, 16, 16)] {
+            let g = Geometry::new(nx, ny, nz);
+            let want = CsrMatrix::from_triplets(g.len(), g.len(), stencil_triplets(g));
+            let got = build_matrix(g);
+            assert!(got.gs_schedule().is_some());
+            assert_eq!(got, want, "{g:?}");
+        }
     }
 
     #[test]

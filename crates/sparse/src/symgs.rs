@@ -367,7 +367,7 @@ pub fn symgs_flops<I: SparseIndex>(a: &Csr<f64, I>) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::csr::{Csr32, CsrMatrix};
     use crate::sell::SellCSigma;
@@ -480,7 +480,7 @@ mod tests {
 
     /// The 27-point pattern on `g` with seeded off-diagonal values in
     /// `[-1, 1)` and a dominant diagonal.
-    fn irregular(g: Geometry, seed: u64) -> CsrMatrix<f64> {
+    pub(crate) fn irregular(g: Geometry, seed: u64) -> CsrMatrix<f64> {
         let pattern = build_matrix(g);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let mut trips = Vec::new();
