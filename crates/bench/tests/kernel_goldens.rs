@@ -1,5 +1,6 @@
 //! Golden pins for the dense kernels under HPL: `gemm`, `par_gemm` and the
-//! blocked LU `getrf_blocked`, in the default (scalar) build. Every
+//! blocked LU `getrf_blocked`, in `f64` and in `f32` (E03's LU-IR factors
+//! in `f32` on the same micro-kernel), in the default (scalar) build. Every
 //! micro-kernel variant is bit-identical to the scalar one, so the same
 //! constants hold in the `simd` build. A change to the micro-kernel, the
 //! packed loop nest, the small-problem dispatch or the LU step loop that
@@ -7,7 +8,7 @@
 
 use xsc_bench::fnv1a;
 use xsc_core::gemm::{self, GemmParams, Transpose, MR, NR};
-use xsc_core::{factor, gen, Matrix};
+use xsc_core::{factor, gen, Matrix, Scalar};
 
 /// Hash of every `gemm` output over [`shapes`], in order.
 const GEMM: u64 = 0x5cb1_06fe_a5d6_b34d;
@@ -20,6 +21,19 @@ const GETRF_BLOCKED: [(usize, usize, u64); 3] = [
     (37, 8, 0x50c6_79ad_c48d_1f78),
     (300, 64, 0x13dc_f794_5f3f_98da),
     (517, 128, 0x0297_e6ee_26e4_a152),
+];
+
+/// [`GEMM`] for `f32` operands.
+const GEMM_F32: u64 = 0xe2ba_f120_d631_d535;
+
+/// [`PAR_GEMM`] for `f32` operands.
+const PAR_GEMM_F32: u64 = 0xe2ba_f120_d631_d535;
+
+/// [`GETRF_BLOCKED`] for `f32` operands.
+const GETRF_BLOCKED_F32: [(usize, usize, u64); 3] = [
+    (37, 8, 0xc65b_04ee_f419_1a32),
+    (300, 64, 0x94b9_1323_13e9_2c30),
+    (517, 128, 0x97ed_e15e_4851_478a),
 ];
 
 /// `(m, k, n)` shapes on both sides of the small-problem cutoff, and ones
@@ -37,15 +51,17 @@ fn shapes() -> Vec<(usize, usize, usize)> {
     ]
 }
 
-fn bits(m: &Matrix<f64>) -> impl Iterator<Item = u64> + '_ {
-    m.as_slice().iter().map(|x| x.to_bits())
+/// The bits of every entry, widened to `f64` first: the identity on `f64`
+/// and lossless on `f32`, so one hash covers both element types.
+fn bits<T: Scalar>(m: &Matrix<T>) -> impl Iterator<Item = u64> + '_ {
+    m.as_slice().iter().map(|x| x.to_f64().to_bits())
 }
 
-type GemmFn = fn(Transpose, Transpose, f64, &Matrix<f64>, &Matrix<f64>, f64, &mut Matrix<f64>);
+type GemmFn<T> = fn(Transpose, Transpose, T, &Matrix<T>, &Matrix<T>, T, &mut Matrix<T>);
 
 /// Runs `kernel` over every shape and transpose pair with `alpha` and
 /// `beta` outside {0, 1}, and hashes all outputs.
-fn gemm_hash(kernel: GemmFn) -> u64 {
+fn gemm_hash<T: Scalar>(kernel: GemmFn<T>) -> u64 {
     let mut words = Vec::new();
     for (s, (m, k, n)) in shapes().into_iter().enumerate() {
         for ta in [Transpose::No, Transpose::Yes] {
@@ -53,10 +69,10 @@ fn gemm_hash(kernel: GemmFn) -> u64 {
                 let (ar, ac) = if ta == Transpose::No { (m, k) } else { (k, m) };
                 let (br, bc) = if tb == Transpose::No { (k, n) } else { (n, k) };
                 let seed = 10 * s as u64;
-                let a = gen::random_matrix::<f64>(ar, ac, seed + 1);
-                let b = gen::random_matrix::<f64>(br, bc, seed + 2);
-                let mut c = gen::random_matrix::<f64>(m, n, seed + 3);
-                kernel(ta, tb, 1.5, &a, &b, -0.75, &mut c);
+                let a = gen::random_matrix::<T>(ar, ac, seed + 1);
+                let b = gen::random_matrix::<T>(br, bc, seed + 2);
+                let mut c = gen::random_matrix::<T>(m, n, seed + 3);
+                kernel(ta, tb, T::from_f64(1.5), &a, &b, T::from_f64(-0.75), &mut c);
                 words.extend(bits(&c));
             }
         }
@@ -66,24 +82,48 @@ fn gemm_hash(kernel: GemmFn) -> u64 {
 
 #[test]
 fn gemm_outputs_match_golden_hash() {
-    assert_eq!(gemm_hash(gemm::gemm), GEMM, "gemm output bits changed");
+    assert_eq!(
+        gemm_hash::<f64>(gemm::gemm),
+        GEMM,
+        "gemm output bits changed"
+    );
+    assert_eq!(
+        gemm_hash::<f32>(gemm::gemm),
+        GEMM_F32,
+        "f32 gemm output bits changed"
+    );
 }
 
 #[test]
 fn par_gemm_outputs_match_golden_hash() {
     assert_eq!(
-        gemm_hash(gemm::par_gemm),
+        gemm_hash::<f64>(gemm::par_gemm),
         PAR_GEMM,
         "par_gemm output bits changed"
     );
+    assert_eq!(
+        gemm_hash::<f32>(gemm::par_gemm),
+        PAR_GEMM_F32,
+        "f32 par_gemm output bits changed"
+    );
+}
+
+/// Hash of `getrf_blocked`'s factors then pivots on the order-`n` random
+/// matrix seeded with `n`.
+fn getrf_hash<T: Scalar>(n: usize, nb: usize) -> u64 {
+    let mut a = gen::random_matrix::<T>(n, n, n as u64);
+    let piv = factor::getrf_blocked(&mut a, nb).expect("random matrix is nonsingular");
+    fnv1a(bits(&a).chain(piv.iter().map(|&p| p as u64)))
 }
 
 #[test]
 fn getrf_blocked_factors_match_golden_hash() {
     for (n, nb, want) in GETRF_BLOCKED {
-        let mut a = gen::random_matrix::<f64>(n, n, n as u64);
-        let piv = factor::getrf_blocked(&mut a, nb).expect("random matrix is nonsingular");
-        let got = fnv1a(bits(&a).chain(piv.iter().map(|&p| p as u64)));
+        let got = getrf_hash::<f64>(n, nb);
         assert_eq!(got, want, "getrf_blocked bits changed at n={n} nb={nb}");
+    }
+    for (n, nb, want) in GETRF_BLOCKED_F32 {
+        let got = getrf_hash::<f32>(n, nb);
+        assert_eq!(got, want, "f32 getrf_blocked bits changed at n={n} nb={nb}");
     }
 }
