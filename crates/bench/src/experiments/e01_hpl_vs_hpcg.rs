@@ -6,17 +6,20 @@
 //! peak HPL divides by). The old column-sweep kernel is timed alongside as
 //! the before/after record of that rewrite.
 //!
-//! The dense ladder breaks HPL's rate into the layers under it —
+//! The dense ladder breaks HPL's rate into the layers under it — the
+//! build's multiply-add roof on one core, one micro-kernel tile from L1,
 //! sequential `gemm`, `par_gemm` at HPL's first trailing-update shape,
 //! `par_getrf`, `run_hpl` — each as a median with min/max over 5 runs and
 //! as a fraction of the rung above. If HPL's rate follows from its
-//! kernels, the `par_getrf` and `run_hpl` rungs sit close to `par_gemm`'s.
+//! kernels, the `par_getrf` and `run_hpl` rungs sit close to `par_gemm`'s,
+//! and the micro-kernel's fraction of the roof bounds every rung above.
 
 use crate::json::{write_report, Json};
 use crate::measured::{kernel, leaf_sum};
 use crate::table::{f2, pct, secs, Table};
 use crate::{best_of, time_it, Scale};
-use xsc_core::gemm::{colsweep_gemm, gemm, par_gemm, Transpose};
+use xsc_core::gemm::{colsweep_gemm, gemm, par_gemm, Transpose, MR, NR};
+use xsc_core::microkernel::{global_microkernel, mulacc_roof_gflops, tile_gflops};
 use xsc_core::{flops, gen, Matrix};
 use xsc_dense::hpl;
 use xsc_machine::KernelProfile;
@@ -74,10 +77,29 @@ fn rates(flop: u64, mut op: impl FnMut()) -> Vec<f64> {
         .collect()
 }
 
-/// The dense ladder for HPL at order `n`: sequential `gemm` at 512³,
-/// `par_gemm` on HPL's first trailing update (`(n−nb) × nb` times
-/// `nb × (n−nb)`), `par_getrf` and `run_hpl`.
+/// Rounds of the multiply-add roof per run (about 10 ms on a 2-vCPU Xeon).
+const ROOF_STEPS: usize = 4_000_000;
+
+/// Depth of the micro-kernel rung's packed panels: the default `kc`. The
+/// tile's two panels are 32 KiB of `f64` with the scalar kernel's `B`
+/// stored twice, so they stay in L1.
+const TILE_KCB: usize = 256;
+
+/// Micro-kernel calls per run (about 10 ms on a 2-vCPU Xeon).
+const TILE_CALLS: usize = 10_000;
+
+/// The dense ladder for HPL at order `n`: the multiply-add roof and one
+/// micro-kernel tile from L1 (measured alternately, on one core), sequential
+/// `gemm` at 512³, `par_gemm` on HPL's first trailing update (`(n−nb) × nb`
+/// times `nb × (n−nb)`), `par_getrf` and `run_hpl`.
 fn dense_ladder(n: usize) -> Vec<Rung> {
+    let mk = global_microkernel();
+    let (mut roof_rates, mut tile_rates) = (Vec::new(), Vec::new());
+    for _ in 0..LADDER_REPEATS {
+        roof_rates.push(mulacc_roof_gflops(ROOF_STEPS));
+        tile_rates.push(tile_gflops(mk, TILE_KCB, TILE_CALLS));
+    }
+
     let s = 512;
     let a = gen::random_matrix::<f64>(s, s, 1);
     let b = gen::random_matrix::<f64>(s, s, 2);
@@ -109,6 +131,16 @@ fn dense_ladder(n: usize) -> Vec<Rung> {
         .collect();
 
     vec![
+        Rung {
+            layer: "mulacc_roof",
+            problem: "24 chains".into(),
+            rates: roof_rates,
+        },
+        Rung {
+            layer: "microkernel",
+            problem: format!("{MR}x{NR} kcb={TILE_KCB} {mk}"),
+            rates: tile_rates,
+        },
         Rung {
             layer: "gemm",
             problem: format!("{s}^3"),

@@ -38,7 +38,7 @@
 //! compares against.
 
 use crate::matrix::Matrix;
-use crate::microkernel::{self, MicroKernel, MicroKernelFn};
+use crate::microkernel::{self, MicroKernel, Resolved};
 use crate::scalar::Scalar;
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -468,32 +468,48 @@ fn pack_b<T: Scalar>(b: &[&[T]], pc: usize, jc: usize, kcb: usize, ncb: usize, b
     }
 }
 
+/// One packed `B` micro-panel in the layout a kernel reading `copies`
+/// copies of each entry takes (see [`microkernel::Resolved`]): `bpan`
+/// itself for one copy, otherwise each entry written `copies` times in a
+/// row into `scratch`.
+fn spread<'a, T: Scalar>(bpan: &'a [T], copies: usize, scratch: &'a mut [T]) -> &'a [T] {
+    if copies == 1 {
+        return bpan;
+    }
+    let out = &mut scratch[..bpan.len() * copies];
+    for (dst, &v) in out.chunks_exact_mut(copies).zip(bpan) {
+        dst.fill(v);
+    }
+    out
+}
+
 /// Macro-kernel: sweeps the packed `mcb x kcb` `A` panels against the
 /// packed `kcb x ncb` `B` panels, accumulating each `MR x NR` micro-tile
 /// into the columns `c` at offset `(ic, jc)`. `beta` has already been
-/// applied to `c`. `mk` is the micro-kernel implementation resolved once
-/// per GEMM call (see [`crate::microkernel`] — every variant is
-/// bit-identical).
+/// applied to `c`. `mk` is the micro-kernel resolved once per GEMM call
+/// (see [`crate::microkernel`] — every variant is bit-identical); each `B`
+/// micro-panel is [`spread`] into `bcopy` once and read by every row tile.
 #[allow(clippy::too_many_arguments)] // packed panels + block geometry; splitting obscures the loop nest
 fn macro_kernel<T: Scalar>(
     ap: &[T],
     bp: &[T],
+    bcopy: &mut [T],
     mcb: usize,
     ncb: usize,
     kcb: usize,
     c: &mut [&mut [T]],
     ic: usize,
     jc: usize,
-    mk: MicroKernelFn<T>,
+    mk: Resolved<T>,
 ) {
     for jr in (0..ncb).step_by(NR) {
         let nr_eff = NR.min(ncb - jr);
-        let bpan = &bp[(jr / NR) * kcb * NR..][..kcb * NR];
+        let bpan = spread(&bp[(jr / NR) * kcb * NR..][..kcb * NR], mk.b_copies, bcopy);
         for ir in (0..mcb).step_by(MR) {
             let mr_eff = MR.min(mcb - ir);
             let apan = &ap[(ir / MR) * kcb * MR..][..kcb * MR];
             let mut acc = [T::zero(); MR * NR];
-            mk(kcb, apan, bpan, &mut acc);
+            (mk.run)(kcb, apan, bpan, &mut acc);
             for j in 0..nr_eff {
                 let dst = &mut c[jc + jr + j][ic + ir..][..mr_eff];
                 for (i, x) in dst.iter_mut().enumerate() {
@@ -538,6 +554,7 @@ pub(crate) fn blocked_nn<T: Scalar>(
     let nc = p.nc.min(ncols.div_ceil(NR) * NR);
     let mut ap = vec![T::zero(); mc * kc];
     let mut bp = vec![T::zero(); kc * nc];
+    let mut bcopy = vec![T::zero(); kc * NR * mk.b_copies];
     for jc in (0..ncols).step_by(nc) {
         let ncb = nc.min(ncols - jc);
         for pc in (0..k).step_by(kc) {
@@ -546,7 +563,7 @@ pub(crate) fn blocked_nn<T: Scalar>(
             for ic in (0..m).step_by(mc) {
                 let mcb = mc.min(m - ic);
                 pack_a(a, ic, pc, mcb, kcb, alpha, &mut ap);
-                macro_kernel(&ap, &bp, mcb, ncb, kcb, c, ic, jc, mk);
+                macro_kernel(&ap, &bp, &mut bcopy, mcb, ncb, kcb, c, ic, jc, mk);
             }
         }
     }
