@@ -1,6 +1,8 @@
 //! Golden pins for the dense kernels under HPL: `gemm`, `par_gemm` and the
 //! blocked LU `getrf_blocked`, in `f64` and in `f32` (E03's LU-IR factors
-//! in `f32` on the same micro-kernel), in the default (scalar) build. Every
+//! in `f32` on the same micro-kernel), in the default (scalar) build.
+//! `par_getrf` on 1 to 3 threads must hash to the `getrf_blocked`
+//! constants. Every
 //! micro-kernel variant is bit-identical to the scalar one, so the same
 //! constants hold in the `simd` build. A change to the micro-kernel, the
 //! packed loop nest, the small-problem dispatch or the LU step loop that
@@ -108,22 +110,52 @@ fn par_gemm_outputs_match_golden_hash() {
     );
 }
 
-/// Hash of `getrf_blocked`'s factors then pivots on the order-`n` random
+type LuFn<T> = fn(&mut Matrix<T>, usize) -> xsc_core::Result<Vec<usize>>;
+
+/// Hash of the factors then pivots `lu` gives on the order-`n` random
 /// matrix seeded with `n`.
-fn getrf_hash<T: Scalar>(n: usize, nb: usize) -> u64 {
+fn getrf_hash<T: Scalar>(n: usize, nb: usize, lu: LuFn<T>) -> u64 {
     let mut a = gen::random_matrix::<T>(n, n, n as u64);
-    let piv = factor::getrf_blocked(&mut a, nb).expect("random matrix is nonsingular");
+    let piv = lu(&mut a, nb).expect("random matrix is nonsingular");
     fnv1a(bits(&a).chain(piv.iter().map(|&p| p as u64)))
 }
 
 #[test]
 fn getrf_blocked_factors_match_golden_hash() {
     for (n, nb, want) in GETRF_BLOCKED {
-        let got = getrf_hash::<f64>(n, nb);
+        let got = getrf_hash::<f64>(n, nb, factor::getrf_blocked);
         assert_eq!(got, want, "getrf_blocked bits changed at n={n} nb={nb}");
     }
     for (n, nb, want) in GETRF_BLOCKED_F32 {
-        let got = getrf_hash::<f32>(n, nb);
+        let got = getrf_hash::<f32>(n, nb, factor::getrf_blocked);
         assert_eq!(got, want, "f32 getrf_blocked bits changed at n={n} nb={nb}");
+    }
+}
+
+/// `par_getrf` gives `getrf_blocked`'s bits on every thread count, so it
+/// hashes to the same constants.
+#[test]
+fn par_getrf_factors_match_getrf_blocked_golden_hash() {
+    for threads in 1..=3 {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            for (n, nb, want) in GETRF_BLOCKED {
+                let got = getrf_hash::<f64>(n, nb, factor::par_getrf);
+                assert_eq!(
+                    got, want,
+                    "par_getrf bits at n={n} nb={nb} threads={threads}"
+                );
+            }
+            for (n, nb, want) in GETRF_BLOCKED_F32 {
+                let got = getrf_hash::<f32>(n, nb, factor::par_getrf);
+                assert_eq!(
+                    got, want,
+                    "f32 par_getrf bits at n={n} nb={nb} threads={threads}"
+                );
+            }
+        });
     }
 }

@@ -6,13 +6,13 @@
 //! against these.
 
 use crate::error::{Error, Result};
-use crate::gemm::{self, gemm, Transpose};
+use crate::gemm::{self, gemm, GemmParams, Transpose};
 use crate::matrix::Matrix;
-use crate::microkernel;
+use crate::microkernel::{self, MicroKernel};
 use crate::scalar::Scalar;
 use crate::syrk::syrk;
 use crate::trsm::{trsm, trsv, Diag, Side, Uplo};
-use rayon::prelude::*;
+use parking_lot::Mutex;
 
 /// Unblocked right-looking Cholesky: overwrites the lower triangle of `a`
 /// with `L` such that `A = L L^T`. The strict upper triangle is not
@@ -104,14 +104,14 @@ pub fn potrf_solve<T: Scalar>(l: &Matrix<T>, b: &mut [T]) {
 /// Unblocked right-looking LU with partial pivoting on columns
 /// `[j0, j0+ncols)` of the full matrix `a`, pivoting over rows
 /// `[j0, a.rows())`. Row swaps are applied only inside the panel's columns
-/// and recorded in `piv` as absolute row indices; the caller applies them
-/// to the other columns (the blocked drivers do so a column at a time, so
-/// every swap is a contiguous move). A full-width panel (`j0 == 0`,
-/// `ncols == a.cols()`), as the unblocked drivers pass, leaves no other
-/// columns.
+/// and recorded in `piv` as absolute row indices (`piv[j]` for column
+/// `j`); the caller applies them to the other columns. A full-width panel
+/// (`j0 == 0`, `ncols == a.cols()`), as the unblocked drivers pass, leaves
+/// no other columns.
 ///
-/// This in-place panel form is shared by the unblocked drivers and by the
-/// blocked step loop behind [`getrf_blocked`] and [`par_getrf`].
+/// A thin wrapper over the one panel loop, which the blocked step loop
+/// behind [`getrf_blocked`] and [`par_getrf`] runs on the panel's columns
+/// directly.
 pub fn getrf_panel<T: Scalar>(
     a: &mut Matrix<T>,
     j0: usize,
@@ -119,11 +119,24 @@ pub fn getrf_panel<T: Scalar>(
     piv: &mut [usize],
 ) -> Result<()> {
     let m = a.rows();
-    for jj in 0..ncols {
+    panel_lu(
+        &mut a.as_mut_slice()[j0 * m..(j0 + ncols) * m],
+        m,
+        j0,
+        &mut piv[j0..j0 + ncols],
+    )
+}
+
+/// The panel loop: LU with partial pivoting of the `piv.len()` columns
+/// `cols` (each `ld` long), the first of which is column `j0` of the whole
+/// matrix, so its pivot search starts at row `j0`. `piv[jj]` receives the
+/// absolute row swapped with row `j0 + jj`; swaps stay inside `cols`.
+fn panel_lu<T: Scalar>(cols: &mut [T], ld: usize, j0: usize, piv: &mut [usize]) -> Result<()> {
+    for (jj, pj) in piv.iter_mut().enumerate() {
         let j = j0 + jj;
-        // Pivot search in column j, rows j..m.
+        // Pivot search in column j, rows j..ld.
         let (p, pmax) = {
-            let col = &a.col(j)[j..m];
+            let col = &cols[jj * ld + j..(jj + 1) * ld];
             let mut p = 0usize;
             let mut pmax = col[0].abs();
             for (i, &v) in col.iter().enumerate().skip(1) {
@@ -135,29 +148,29 @@ pub fn getrf_panel<T: Scalar>(
             }
             (j + p, pmax)
         };
-        piv[j] = p;
+        *pj = p;
         if pmax.to_f64() == 0.0 {
             return Err(Error::Singular { pivot: j });
         }
-        a.swap_rows_in_cols(j, p, j0, j0 + ncols);
-        {
-            let col = &mut a.col_mut(j)[j..m];
-            let inv = T::one() / col[0];
-            for v in col[1..].iter_mut() {
-                *v *= inv;
+        if p != j {
+            for col in cols.chunks_mut(ld) {
+                col.swap(j, p);
             }
         }
+        let (left, right) = cols.split_at_mut((jj + 1) * ld);
+        let lcol = &mut left[jj * ld + j..];
+        let inv = T::one() / lcol[0];
+        for v in lcol[1..].iter_mut() {
+            *v *= inv;
+        }
         // Rank-1 update restricted to the panel columns (stride-1 axpys).
-        for c in jj + 1..ncols {
-            let jc = j0 + c;
-            let (lcol, ccol) = a.two_cols_mut(j, jc);
+        let l = &lcol[1..];
+        for ccol in right.chunks_mut(ld) {
             let s = ccol[j];
             if s == T::zero() {
                 continue;
             }
-            let l = &lcol[j + 1..m];
-            let x = &mut ccol[j + 1..m];
-            for (xi, &li) in x.iter_mut().zip(l.iter()) {
+            for (xi, &li) in ccol[j + 1..].iter_mut().zip(l) {
                 *xi = (-s).mul_add(li, *xi);
             }
         }
@@ -219,8 +232,10 @@ pub fn getrf_nopiv<T: Scalar>(a: &mut Matrix<T>) -> Result<()> {
 }
 
 /// Blocked right-looking LU with partial pivoting: the blocked step loop
-/// (see [`par_getrf`]) run on the calling thread. Returns the same bits
-/// and pivots as [`par_getrf`].
+/// (see [`par_getrf`]) run on the calling thread, the look-ahead panel
+/// first at each step and then the rest of the trailing update. Returns
+/// the same bits and pivots as [`par_getrf`], or the same error. After an
+/// `Err` the contents of `a` are unspecified.
 pub fn getrf_blocked<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> {
     assert!(a.is_square(), "getrf requires a square matrix");
     assert!(nb > 0, "block size must be positive");
@@ -229,19 +244,25 @@ pub fn getrf_blocked<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usiz
 
 /// Thread-parallel blocked right-looking LU with partial pivoting — the
 /// factorization HPL times. It runs the same step loop as
-/// [`getrf_blocked`] and returns the same bits and pivots.
+/// [`getrf_blocked`] and returns the same bits and pivots, or the same
+/// error, at every thread count. After an `Err` the contents of `a` are
+/// unspecified.
 ///
-/// Each step factors an `nb`-wide panel (swapping rows only inside it),
-/// applies the panel's row interchanges to the columns on its left in a
-/// parallel pass, and then deals the trailing columns out in macro-tiles
-/// (at most `NC` wide, a whole number per worker) as
-/// [`crate::gemm::par_gemm`] does. Each worker swaps the
-/// rows of its own columns, solves `U12 = L11⁻¹ A12` on them by forward
-/// substitution (the operation order of [`trsv`]), and updates
-/// `A22 -= L21 · U12` by packing `L21` and `U12` straight out of `a` into
-/// the packed GEMM loop nest — or the column sweep, by the rule
-/// [`crate::gemm::gemm`] applies to the whole update. No operand is copied
-/// outside the packing buffers.
+/// The first `nb`-wide panel is factored up front (row swaps stay inside
+/// the panel). Each step `k` then runs as one [`rayon::broadcast`] with
+/// one-step look-ahead: thread 0 updates panel `k+1`'s columns and factors
+/// that panel at once, while the other threads update the rest of the
+/// trailing matrix, taking column tiles (about four per thread, at most
+/// `NC` wide) from a shared queue; thread 0 joins them when its panel is
+/// done. Updating a column swaps its rows by panel `k`'s pivots, solves
+/// `U12 = L11⁻¹ A12` on it by forward substitution (the operation order
+/// of [`trsv`]), and updates `A22 -= L21 · U12` by packing `L21` and
+/// `U12` straight out of `a` into the packed GEMM loop nest — or the
+/// column sweep, by the rule [`crate::gemm::gemm`] applies to the whole
+/// update. The row swaps of the columns left of each panel, which no
+/// later step reads, are applied in one parallel pass after the last
+/// step. Every element sees the same operations in the same order
+/// whatever the tiling, so the bits do not depend on the thread count.
 pub fn par_getrf<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> {
     assert!(a.is_square(), "par_getrf requires a square matrix");
     assert!(nb > 0, "block size must be positive");
@@ -256,14 +277,50 @@ pub fn par_getrf<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> 
     getrf_steps(a, nb, true)
 }
 
-/// Runs `f` on each `chunk`-long piece of `data`, on the rayon pool when
-/// `par` is set and in order on the calling thread otherwise.
-fn for_each_chunk<T: Scalar>(data: &mut [T], chunk: usize, par: bool, f: impl Fn(&mut [T]) + Sync) {
-    if par {
-        data.par_chunks_mut(chunk).for_each(f);
-    } else {
-        data.chunks_mut(chunk).for_each(f);
+/// Trailing-update column tiles per pool thread in the parallel step loop:
+/// enough that the threads even out around the look-ahead panel.
+const TILES_PER_THREAD: usize = 4;
+
+/// Runs `lead` and then `work` on every item of `tiles`, and returns what
+/// `lead` returned. Without `par`, all of it runs in order on the calling
+/// thread. With `par`, it runs as one [`rayon::broadcast`]: thread 0 runs
+/// `lead` first, and every thread takes the next item from the shared
+/// iterator whenever it is free, until none is left.
+fn lead_then_deal<I, R>(
+    par: bool,
+    lead: impl FnOnce() -> R + Send,
+    tiles: I,
+    work: impl Fn(I::Item) + Sync,
+) -> R
+where
+    I: Iterator + Send,
+    I::Item: Send,
+    R: Send,
+{
+    if !par {
+        let out = lead();
+        tiles.for_each(work);
+        return out;
     }
+    let lead = Mutex::new(Some(lead));
+    let tiles = Mutex::new(tiles);
+    let mut outs = rayon::broadcast(|ctx| {
+        let out = if ctx.index() == 0 {
+            lead.lock().take().map(|f| f())
+        } else {
+            None
+        };
+        loop {
+            // The guard drops at the end of this statement: no tile runs
+            // under the lock.
+            let tile = tiles.lock().next();
+            let Some(tile) = tile else { break };
+            work(tile);
+        }
+        out
+    });
+    outs.swap_remove(0)
+        .expect("thread 0 of a broadcast runs the lead")
 }
 
 /// Applies the interchanges `swaps` (`swaps[i]`: the row swapped with row
@@ -291,57 +348,117 @@ fn solve_unit_lower<T: Scalar>(l: &[&[T]], x: &mut [T]) {
     }
 }
 
+/// One step of the loop: its factored panel, which starts at row and
+/// column `k` and whose `n`-long columns hold `L11` then `L21`, and how
+/// the step's trailing update runs.
+struct Step<'a, T> {
+    k: usize,
+    n: usize,
+    swaps: &'a [usize],
+    l11: Vec<&'a [T]>,
+    l21: Vec<&'a [T]>,
+    /// [`gemm::is_small`] of the step's whole trailing update.
+    small: bool,
+    params: GemmParams,
+    kernel: MicroKernel,
+}
+
+impl<T: Scalar> Step<'_, T> {
+    /// Applies the step to the trailing columns `cols`: swap their rows,
+    /// `U12 <- L11⁻¹ A12` column by column, then `A22 <- A22 - L21 * U12`.
+    fn update(&self, cols: &mut [T]) {
+        let top = self.k + self.l11.len();
+        let (u12, mut a22): (Vec<&[T]>, Vec<&mut [T]>) = cols
+            .chunks_mut(self.n)
+            .map(|col| {
+                swap_rows_in_col(col, self.k, self.swaps);
+                let (head, a22) = col.split_at_mut(top);
+                let u12 = &mut head[self.k..];
+                solve_unit_lower(&self.l11, u12);
+                (&*u12, a22)
+            })
+            .unzip();
+        gemm::gemm_nn(
+            self.small,
+            -T::one(),
+            &self.l21,
+            &u12,
+            T::one(),
+            &mut a22,
+            self.params,
+            self.kernel,
+        );
+    }
+}
+
 /// The right-looking step loop behind [`getrf_blocked`] (`par == false`)
 /// and [`par_getrf`] (`par == true`); see [`par_getrf`]. Whether it runs
-/// in parallel changes only the macro-tile width, never an operation.
+/// in parallel changes only who updates which tile and how wide the tiles
+/// are, never an operation.
 fn getrf_steps<T: Scalar>(a: &mut Matrix<T>, nb: usize, par: bool) -> Result<Vec<usize>> {
     let n = a.rows();
     let mut piv = vec![0usize; n];
+    if n == 0 {
+        return Ok(piv);
+    }
     let params = gemm::global_params();
     let kernel = microkernel::global_microkernel();
-    let workers = if par { rayon::current_num_threads() } else { 1 };
+    let tiles_wanted = if par {
+        TILES_PER_THREAD * rayon::current_num_threads()
+    } else {
+        1
+    };
+    let data = a.as_mut_slice();
+    let kb = nb.min(n);
+    panel_lu(&mut data[..kb * n], n, 0, &mut piv[..kb])?;
+    // Panel k is factored at the top of each step; the step updates the
+    // trailing columns and factors panel k + nb.
     let mut k = 0;
-    while k < n {
-        let kb = nb.min(n - k);
-        getrf_panel(a, k, kb, &mut piv)?;
-        let swaps = &piv[k..k + kb];
-        let (left, right) = a.as_mut_slice().split_at_mut((k + kb) * n);
-        let (done, panel) = left.split_at_mut(k * n);
-        for_each_chunk(done, n, par, |col| swap_rows_in_col(col, k, swaps));
-        let n2 = n - k - kb;
-        if n2 > 0 {
-            // Column c of the panel: rows k..k+kb hold L11, the rest L21.
-            let (l11, l21): (Vec<&[T]>, Vec<&[T]>) =
-                panel.chunks(n).map(|col| col[k..].split_at(kb)).unzip();
-            let small = gemm::is_small(n2, n2, kb);
-            let bw = gemm::tile_width(n2, params.normalized().nc, workers);
-            for_each_chunk(right, bw * n, par, |tile| {
-                // Swap, then U12 <- L11^{-1} A12, column by column.
-                let (u12, mut a22): (Vec<&[T]>, Vec<&mut [T]>) = tile
-                    .chunks_mut(n)
-                    .map(|col| {
-                        swap_rows_in_col(col, k, swaps);
-                        let (top, a22) = col.split_at_mut(k + kb);
-                        let u12 = &mut top[k..];
-                        solve_unit_lower(&l11, u12);
-                        (&*u12, a22)
-                    })
-                    .unzip();
-                // A22 <- A22 - L21 * U12.
-                gemm::gemm_nn(
-                    small,
-                    -T::one(),
-                    &l21,
-                    &u12,
-                    T::one(),
-                    &mut a22,
-                    params,
-                    kernel,
-                );
-            });
-        }
-        k += kb;
+    while k + nb < n {
+        let next_w = nb.min(n - k - nb);
+        let (left, right) = data.split_at_mut((k + nb) * n);
+        let (next, rest) = right.split_at_mut(next_w * n);
+        let (swaps, next_piv) = piv[k..k + nb + next_w].split_at_mut(nb);
+        let n2 = n - k - nb;
+        let (l11, l21) = left[k * n..]
+            .chunks(n)
+            .map(|col| col[k..].split_at(nb))
+            .unzip();
+        let step = Step {
+            k,
+            n,
+            swaps,
+            l11,
+            l21,
+            small: gemm::is_small(n2, n2, nb),
+            params,
+            kernel,
+        };
+        let bw = gemm::tile_width(n2 - next_w, params.normalized().nc, tiles_wanted);
+        lead_then_deal(
+            par && !rest.is_empty(),
+            || {
+                step.update(next);
+                panel_lu(next, n, k + nb, next_piv)
+            },
+            rest.chunks_mut(bw * n),
+            |tile| step.update(tile),
+        )?;
+        k += nb;
     }
+    // Deferred left swaps: the columns of panel p take every later panel's
+    // interchanges, in order. No step read them after their own.
+    lead_then_deal(
+        par && k > 0,
+        || (),
+        data[..k * n].chunks_mut(nb * n).enumerate(),
+        |(p, cols)| {
+            let k0 = (p + 1) * nb;
+            for col in cols.chunks_mut(n) {
+                swap_rows_in_col(col, k0, &piv[k0..]);
+            }
+        },
+    );
     Ok(piv)
 }
 

@@ -242,10 +242,11 @@ pub(crate) fn is_small(m: usize, n: usize, k: usize) -> bool {
     n < NR || m.saturating_mul(n).saturating_mul(k) <= SMALL_GEMM_FLOPS
 }
 
-/// Width of the column macro-tiles [`par_gemm`] and the parallel LU
-/// update deal out over `workers`: at most `nc`, a multiple of [`NR`], and
-/// a whole number of tiles per worker, so the static stripes of the pool
-/// carry equal work.
+/// Width of the column macro-tiles [`par_gemm`] deals out over `workers`:
+/// at most `nc`, a multiple of [`NR`], and a whole number of tiles per
+/// worker, so the static stripes of the pool carry equal work. The LU step
+/// loop asks for several tiles per thread, which its threads take one at
+/// a time.
 pub(crate) fn tile_width(n: usize, nc: usize, workers: usize) -> usize {
     let workers = workers.max(1);
     let tiles = n.div_ceil(nc.max(1) * workers).max(1) * workers;

@@ -193,17 +193,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Swaps rows `ra` and `rb` only within columns `[j0, j1)`.
-    pub fn swap_rows_in_cols(&mut self, ra: usize, rb: usize, j0: usize, j1: usize) {
-        if ra == rb {
-            return;
-        }
-        assert!(ra < self.rows && rb < self.rows && j1 <= self.cols && j0 <= j1);
-        for j in j0..j1 {
-            self.data.swap(ra + j * self.rows, rb + j * self.rows);
-        }
-    }
-
     /// Adds `alpha * other` element-wise into `self`.
     ///
     /// # Panics
@@ -363,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_rows_full_and_partial() {
+    fn swap_rows_swaps_every_column() {
         let mut m = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
         let orig = m.clone();
         m.swap_rows(0, 2);
@@ -371,10 +360,6 @@ mod tests {
             assert_eq!(m.get(0, j), orig.get(2, j));
             assert_eq!(m.get(2, j), orig.get(0, j));
         }
-        let mut m = orig.clone();
-        m.swap_rows_in_cols(0, 2, 1, 3);
-        assert_eq!(m.get(0, 0), orig.get(0, 0)); // column 0 untouched
-        assert_eq!(m.get(0, 1), orig.get(2, 1));
     }
 
     #[test]

@@ -5,21 +5,26 @@
 //!   interleaved rounds each (a same-process ratio, not absolute seconds);
 //! * the packed blocked kernel must beat the pre-blocking column sweep on a
 //!   512x512x512 f64 multiply;
-//! * `par_gemm` must beat the sequential kernel.
+//! * `par_gemm` must beat the sequential kernel;
+//! * `par_getrf` at n = 2048, nb = 128 must reach 60% of the `par_gemm`
+//!   rate on HPL's first trailing-update shape (`1920 x 1920 x 128`),
+//!   best of 5 interleaved rounds each (a same-process ratio).
 //!
-//! All three are `#[ignore]`d in `cargo test`. The test profile builds at
+//! All four are `#[ignore]`d in `cargo test`. The test profile builds at
 //! `opt-level = 2` with overflow checks, where the first two gates fail:
 //! on a 2-vCPU Xeon the packed GEMM ran at 0.56–0.61× the column sweep's
 //! rate at 512³, and the micro-kernel at 0.72–0.73 of the roof. In release
 //! on that Xeon, the micro-kernel reads 0.91–1.06 of the roof; the kernel
 //! that shuffled every `B` entry into both SSE2 lanes read 0.71–0.76. CI
-//! runs the first two gates in release:
-//! `cargo test --release -p xsc-core --test gemm_perf -- --ignored scalar_microkernel_reaches_85_percent_of_roof`
-//! and `... -- --ignored blocked_gemm_beats_colsweep_at_512`.
+//! runs the first two gates and the LU one in release:
+//! `cargo test --release -p xsc-core --test gemm_perf -- --ignored scalar_microkernel_reaches_85_percent_of_roof`,
+//! `... -- --ignored blocked_gemm_beats_colsweep_at_512` and
+//! `... -- --ignored par_getrf_reaches_60_percent_of_par_gemm`.
 
+use xsc_core::factor::par_getrf;
 use xsc_core::gemm::{colsweep_gemm, gemm, par_gemm, Transpose};
 use xsc_core::microkernel::{mulacc_roof_gflops, tile_gflops};
-use xsc_core::{gen, Matrix, MicroKernel};
+use xsc_core::{flops, gen, Matrix, MicroKernel};
 use xsc_metrics::Stopwatch;
 
 fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -102,5 +107,46 @@ fn scalar_microkernel_reaches_85_percent_of_roof() {
     assert!(
         tile >= 0.85 * roof,
         "scalar micro-kernel ({tile:.2} Gflop/s) must reach 85% of the mul-add roof ({roof:.2})"
+    );
+}
+
+#[test]
+#[ignore = "wall-clock perf gate; run with --ignored in release"]
+fn par_getrf_reaches_60_percent_of_par_gemm() {
+    let (n, nb) = (2048, 128);
+    let a = gen::random_matrix::<f64>(n, n, 1);
+    // HPL's first trailing update: A22 (n-nb square) -= L21 * U12.
+    let m = n - nb;
+    let l21 = gen::random_matrix::<f64>(m, nb, 2);
+    let u12 = gen::random_matrix::<f64>(nb, m, 3);
+    let mut a22 = gen::random_matrix::<f64>(m, m, 4);
+    // Interleaved rounds, best of each arm: both see the same host load.
+    let (mut t_lu, mut t_gemm) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let mut lu = a.clone();
+        let t = Stopwatch::start();
+        par_getrf(&mut lu, nb).expect("random matrix is nonsingular");
+        t_lu = t_lu.min(t.seconds());
+        let t = Stopwatch::start();
+        par_gemm(
+            Transpose::No,
+            Transpose::No,
+            -1.0,
+            &l21,
+            &u12,
+            1.0,
+            &mut a22,
+        );
+        t_gemm = t_gemm.min(t.seconds());
+    }
+    let lu_rate = flops::gflops(flops::lu(n), t_lu);
+    let gemm_rate = flops::gflops(flops::gemm(m, m, nb), t_gemm);
+    eprintln!(
+        "par_getrf n={n} nb={nb}: {lu_rate:.2} Gflop/s  par_gemm {m}x{m}x{nb}: {gemm_rate:.2} Gflop/s  ratio {:.2}",
+        lu_rate / gemm_rate
+    );
+    assert!(
+        lu_rate >= 0.6 * gemm_rate,
+        "par_getrf ({lu_rate:.2} Gflop/s) must reach 60% of par_gemm ({gemm_rate:.2}) at n={n}"
     );
 }

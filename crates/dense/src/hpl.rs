@@ -9,6 +9,7 @@
 //! update on the packed GEMM that [`measure_peak_gflops`] times, so HPL's
 //! rate follows from its kernels'.
 
+use rayon::prelude::*;
 pub use xsc_core::factor::par_getrf;
 use xsc_core::{factor, flops, gen, norms};
 use xsc_core::{Matrix, Result, Transpose};
@@ -39,7 +40,7 @@ pub fn run_hpl(n: usize, nb: usize, seed: u64) -> Result<HplResult> {
     let a = gen::random_matrix::<f64>(n, n, seed);
     let b = gen::random_vector::<f64>(n, seed.wrapping_add(1));
     let start = Stopwatch::start();
-    let mut lu = a.clone();
+    let mut lu = par_copy(&a);
     let piv = par_getrf(&mut lu, nb)?;
     let mut x = b.clone();
     factor::getrf_solve(&lu, &piv, &mut x);
@@ -53,6 +54,25 @@ pub fn run_hpl(n: usize, nb: usize, seed: u64) -> Result<HplResult> {
         scaled_residual,
         passed: scaled_residual < 16.0,
     })
+}
+
+/// A copy of `a` written by every pool thread, one block of whole columns
+/// each, so the first-touch page faults of the new buffer (72 MiB at
+/// n = 3072) are split between the cores instead of all taken by the
+/// calling thread, as `a.clone()` would.
+fn par_copy(a: &Matrix<f64>) -> Matrix<f64> {
+    let (m, n) = (a.rows(), a.cols());
+    let mut out = Matrix::<f64>::zeros(m, n);
+    if m == 0 || n == 0 {
+        return out;
+    }
+    let block = n.div_ceil(rayon::current_num_threads()) * m;
+    let src = a.as_slice();
+    out.as_mut_slice()
+        .par_chunks_mut(block)
+        .enumerate()
+        .for_each(|(i, dst)| dst.copy_from_slice(&src[i * block..][..dst.len()]));
+    out
 }
 
 /// Measures the machine's effective peak as the best parallel `dgemm` rate
@@ -78,54 +98,124 @@ pub fn measure_peak_gflops(s: usize, reps: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsc_core::Scalar;
 
-    /// Factors `a` with both drivers and asserts the same result, bit for
-    /// bit: the same factors and pivots, or the same error.
-    fn assert_drivers_agree(a: &Matrix<f64>, nb: usize) {
+    /// Factors `a` with `getrf_blocked`, and with `par_getrf` on 1 to 4
+    /// threads, and asserts the same result every time, bit for bit: the
+    /// same factors and pivots, or the same error.
+    fn assert_drivers_agree<T: Scalar>(a: &Matrix<T>, nb: usize) -> Result<Vec<usize>> {
         let n = a.rows();
+        let bits = |f: &Matrix<T>| {
+            f.as_slice()
+                .iter()
+                .map(|x| x.to_f64().to_bits())
+                .collect::<Vec<_>>()
+        };
         let mut f_seq = a.clone();
         let r_seq = factor::getrf_blocked(&mut f_seq, nb);
-        let mut f_par = a.clone();
-        let r_par = par_getrf(&mut f_par, nb);
-        assert_eq!(r_seq, r_par, "pivots or errors differ n={n} nb={nb}");
-        if r_seq.is_ok() {
-            let bits =
-                |f: &Matrix<f64>| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert!(bits(&f_seq) == bits(&f_par), "factors differ n={n} nb={nb}");
+        for threads in 1..=4 {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut f_par = a.clone();
+            let r_par = pool.install(|| par_getrf(&mut f_par, nb));
+            assert_eq!(
+                r_seq, r_par,
+                "pivots or errors differ n={n} nb={nb} threads={threads}"
+            );
+            if r_seq.is_ok() {
+                assert!(
+                    bits(&f_seq) == bits(&f_par),
+                    "factors differ n={n} nb={nb} threads={threads}"
+                );
+            }
+        }
+        r_seq
+    }
+
+    /// `(n, nb)` shapes for the driver comparisons: n < nb, n == nb + 1,
+    /// n % nb != 0, n a multiple of nb, a first look-ahead panel that is
+    /// the whole trailing matrix (nb < n <= 2 nb), and trailing updates
+    /// that take the column sweep, the packed path, and several tiles per
+    /// thread.
+    const SHAPES: [(usize, usize); 12] = [
+        (7, 16),
+        (50, 64),
+        (17, 16),
+        (65, 64),
+        (37, 8),
+        (64, 16),
+        (32, 16),
+        (29, 16),
+        (130, 32),
+        (129, 128),
+        (300, 64),
+        (700, 96),
+    ];
+
+    #[test]
+    fn par_getrf_matches_sequential() {
+        for (n, nb) in SHAPES {
+            assert_drivers_agree(&gen::random_matrix::<f64>(n, n, 1), nb).unwrap();
         }
     }
 
     #[test]
-    fn par_getrf_matches_sequential() {
-        // n % nb != 0, n == nb multiples, n < nb, and shapes whose trailing
-        // updates take the column sweep, the packed path, and several
-        // macro-tiles per worker.
-        for (n, nb) in [
-            (37, 8),
-            (64, 16),
-            (50, 64),
-            (7, 16),
-            (130, 32),
-            (300, 64),
-            (700, 96),
-        ] {
-            assert_drivers_agree(&gen::random_matrix::<f64>(n, n, 1), nb);
+    fn par_getrf_matches_sequential_in_f32() {
+        for (n, nb) in SHAPES {
+            assert_drivers_agree(&gen::random_matrix::<f32>(n, n, 1), nb).unwrap();
         }
+    }
+
+    /// The order-`n` random matrix seeded with `seed`, with column `zero`
+    /// set to zero: its first zero pivot is at column `zero`.
+    fn singular_at<T: Scalar>(n: usize, zero: usize, seed: u64) -> Matrix<T> {
+        let mut a = gen::random_matrix::<T>(n, n, seed);
+        for i in 0..n {
+            a.set(i, zero, T::zero());
+        }
+        a
     }
 
     #[test]
     fn par_getrf_matches_sequential_when_singular_in_a_later_panel() {
         // Column 45 is zero, so the matrix turns singular only in the
         // third panel; both drivers must stop at the same pivot.
-        let n = 64;
-        let mut a = gen::random_matrix::<f64>(n, n, 3);
-        for i in 0..n {
-            a.set(i, 45, 0.0);
-        }
-        let mut f = a.clone();
-        let err = factor::getrf_blocked(&mut f, 16).unwrap_err();
+        let err = assert_drivers_agree(&singular_at::<f64>(64, 45, 3), 16).unwrap_err();
         assert_eq!(err, xsc_core::Error::Singular { pivot: 45 });
-        assert_drivers_agree(&a, 16);
+    }
+
+    #[test]
+    fn par_getrf_matches_sequential_when_singular_in_the_look_ahead_or_last_panel() {
+        // Panel 1 is the first one factored while the trailing update runs;
+        // the last panel is the last one factored that way. Both drivers
+        // must stop at the same pivot on every thread count, in f64 and f32.
+        for (n, zero) in [(64, 20), (64, 61), (60, 16), (60, 59)] {
+            let want = xsc_core::Error::Singular { pivot: zero };
+            let err = assert_drivers_agree(&singular_at::<f64>(n, zero, 3), 16).unwrap_err();
+            assert_eq!(err, want, "f64 n={n}");
+            let err = assert_drivers_agree(&singular_at::<f32>(n, zero, 3), 16).unwrap_err();
+            assert_eq!(err, want, "f32 n={n}");
+        }
+    }
+
+    #[test]
+    fn par_copy_copies_every_bit() {
+        for (m, n, threads) in [(0, 0, 2), (5, 3, 1), (37, 11, 2), (8, 9, 4)] {
+            let a = gen::random_matrix::<f64>(m, n, 9);
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let b = pool.install(|| par_copy(&a));
+            assert_eq!((b.rows(), b.cols()), (m, n));
+            assert!(a
+                .as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
     }
 
     #[test]
