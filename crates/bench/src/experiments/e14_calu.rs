@@ -3,8 +3,8 @@
 
 use crate::table::{sci, secs, Table};
 use crate::{best_of, Scale};
+use xsc_core::calu::calu;
 use xsc_core::{factor, gen, norms};
-use xsc_dense::calu::calu;
 
 /// Runs the experiment and prints its table.
 pub fn run(scale: Scale) {

@@ -107,7 +107,9 @@ pub fn potrf_solve<T: Scalar>(l: &Matrix<T>, b: &mut [T]) {
 /// and recorded in `piv` as absolute row indices (`piv[j]` for column
 /// `j`); the caller applies them to the other columns. A full-width panel
 /// (`j0 == 0`, `ncols == a.cols()`), as the unblocked drivers pass, leaves
-/// no other columns.
+/// no other columns. A zero pivot column is left unscaled and the loop goes
+/// on, as LAPACK's `getf2` does; the first one is returned as
+/// [`Error::Singular`].
 ///
 /// A thin wrapper over the one panel loop, which the blocked step loop
 /// behind [`getrf_blocked`] and [`par_getrf`] runs on the panel's columns
@@ -124,34 +126,74 @@ pub fn getrf_panel<T: Scalar>(
         m,
         j0,
         &mut piv[j0..j0 + ncols],
+        Pivoting::Partial,
     )
 }
 
-/// The panel loop: LU with partial pivoting of the `piv.len()` columns
-/// `cols` (each `ld` long), the first of which is column `j0` of the whole
-/// matrix, so its pivot search starts at row `j0`. `piv[jj]` receives the
-/// absolute row swapped with row `j0 + jj`; swaps stay inside `cols`.
-fn panel_lu<T: Scalar>(cols: &mut [T], ld: usize, j0: usize, piv: &mut [usize]) -> Result<()> {
+/// How the panel loop picks each column's pivot row.
+#[derive(Clone, Copy)]
+pub(crate) enum Pivoting {
+    /// Partial pivoting (GEPP): the largest entry on or below the diagonal.
+    Partial,
+    /// Tournament pivoting (CALU): the panel's pivot rows are elected up
+    /// front from leaves of `block_rows` rows ([`crate::calu`]), then taken
+    /// in order without a search.
+    Tournament { block_rows: usize },
+    /// No pivoting: the diagonal entry.
+    None,
+}
+
+/// The panel loop: LU of the `piv.len()` columns `cols` (each `ld` long),
+/// the first of which is column `j0` of the whole matrix, with pivot rows
+/// picked from rows `j0..ld` by `pivoting`. `piv[jj]` receives the
+/// absolute row swapped with row `j0 + jj`; swaps stay inside `cols`. A
+/// zero pivot leaves its column unscaled and the loop goes on; the first
+/// one is returned as [`Error::Singular`].
+pub(crate) fn panel_lu<T: Scalar>(
+    cols: &mut [T],
+    ld: usize,
+    j0: usize,
+    piv: &mut [usize],
+    pivoting: Pivoting,
+) -> Result<()> {
+    let mut winners = match pivoting {
+        Pivoting::Tournament { block_rows } => {
+            crate::calu::tournament(cols, ld, j0, piv.len(), block_rows)
+        }
+        _ => Vec::new(),
+    };
+    let mut singular = None;
     for (jj, pj) in piv.iter_mut().enumerate() {
         let j = j0 + jj;
-        // Pivot search in column j, rows j..ld.
-        let (p, pmax) = {
-            let col = &cols[jj * ld + j..(jj + 1) * ld];
-            let mut p = 0usize;
-            let mut pmax = col[0].abs();
-            for (i, &v) in col.iter().enumerate().skip(1) {
-                let av = v.abs();
-                if av > pmax {
-                    pmax = av;
-                    p = i;
+        let p = match pivoting {
+            // Pivot search in column j, rows j..ld.
+            Pivoting::Partial => {
+                let col = &cols[jj * ld + j..(jj + 1) * ld];
+                let mut p = 0usize;
+                let mut pmax = col[0].abs();
+                for (i, &v) in col.iter().enumerate().skip(1) {
+                    let av = v.abs();
+                    if av > pmax {
+                        pmax = av;
+                        p = i;
+                    }
                 }
+                j + p
             }
-            (j + p, pmax)
+            // The next winner; a later one on the row it displaces
+            // follows that row.
+            Pivoting::Tournament { .. } => {
+                let w = winners[jj];
+                for later in &mut winners[jj + 1..] {
+                    if *later == j {
+                        *later = w;
+                    }
+                }
+                w
+            }
+            Pivoting::None => j,
         };
         *pj = p;
-        if pmax.to_f64() == 0.0 {
-            return Err(Error::Singular { pivot: j });
-        }
         if p != j {
             for col in cols.chunks_mut(ld) {
                 col.swap(j, p);
@@ -159,6 +201,10 @@ fn panel_lu<T: Scalar>(cols: &mut [T], ld: usize, j0: usize, piv: &mut [usize]) 
         }
         let (left, right) = cols.split_at_mut((jj + 1) * ld);
         let lcol = &mut left[jj * ld + j..];
+        if lcol[0].abs().to_f64() == 0.0 {
+            singular.get_or_insert(j);
+            continue;
+        }
         let inv = T::one() / lcol[0];
         for v in lcol[1..].iter_mut() {
             *v *= inv;
@@ -175,26 +221,15 @@ fn panel_lu<T: Scalar>(cols: &mut [T], ld: usize, j0: usize, piv: &mut [usize]) 
             }
         }
     }
-    Ok(())
+    singular.map_or(Ok(()), |pivot| Err(Error::Singular { pivot }))
 }
 
-/// Unblocked LU with partial pivoting of a *rectangular* `m × b` panel
-/// (`m >= b`): overwrites `a` with the factors of its first `b` columns and
-/// returns the pivot swap sequence. Used by tournament pivoting (CALU) to
-/// elect candidate rows.
-pub fn getrf_unblocked_rect<T: Scalar>(a: &mut Matrix<T>) -> Result<Vec<usize>> {
-    let b = a.cols();
-    assert!(a.rows() >= b, "panel must be at least as tall as wide");
-    let mut piv = vec![0usize; b];
-    getrf_panel(a, 0, b, &mut piv)?;
-    Ok(piv)
-}
-
-/// Unblocked LU with partial pivoting: overwrites `a` with `L` (unit lower)
-/// and `U`; returns the pivot vector (`piv[k]` = row swapped with row `k`).
+/// Unblocked LU with partial pivoting of an `m × n` matrix, `m >= n`:
+/// overwrites `a` with `L` (unit lower trapezoid) and `U`; returns the
+/// pivot vector (`piv[k]` = row swapped with row `k`).
 pub fn getrf_unblocked<T: Scalar>(a: &mut Matrix<T>) -> Result<Vec<usize>> {
-    assert!(a.is_square(), "getrf requires a square matrix");
-    let n = a.rows();
+    let n = a.cols();
+    assert!(a.rows() >= n, "getrf_unblocked requires rows >= cols");
     let mut piv = vec![0usize; n];
     getrf_panel(a, 0, n, &mut piv)?;
     Ok(piv)
@@ -202,33 +237,12 @@ pub fn getrf_unblocked<T: Scalar>(a: &mut Matrix<T>) -> Result<Vec<usize>> {
 
 /// LU without pivoting (numerically safe only for special matrices such as
 /// diagonally dominant or randomized/butterfly-preconditioned ones — the
-/// keynote's motivation for randomization).
+/// keynote's motivation for randomization): the panel loop over the whole
+/// matrix as one panel.
 pub fn getrf_nopiv<T: Scalar>(a: &mut Matrix<T>) -> Result<()> {
     assert!(a.is_square(), "getrf requires a square matrix");
     let n = a.rows();
-    for j in 0..n {
-        let pivval = a.get(j, j);
-        if pivval.abs().to_f64() == 0.0 {
-            return Err(Error::Singular { pivot: j });
-        }
-        let inv = T::one() / pivval;
-        for i in j + 1..n {
-            let v = a.get(i, j) * inv;
-            a.set(i, j, v);
-        }
-        for c in j + 1..n {
-            let s = a.get(j, c);
-            if s == T::zero() {
-                continue;
-            }
-            for i in j + 1..n {
-                let lv = a.get(i, j);
-                let v = a.get(i, c);
-                a.set(i, c, (-s).mul_add(lv, v));
-            }
-        }
-    }
-    Ok(())
+    panel_lu(a.as_mut_slice(), n, 0, &mut vec![0; n], Pivoting::None)
 }
 
 /// Blocked right-looking LU with partial pivoting: the blocked step loop
@@ -239,7 +253,7 @@ pub fn getrf_nopiv<T: Scalar>(a: &mut Matrix<T>) -> Result<()> {
 pub fn getrf_blocked<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> {
     assert!(a.is_square(), "getrf requires a square matrix");
     assert!(nb > 0, "block size must be positive");
-    getrf_steps(a, nb, false)
+    getrf_steps(a, nb, false, Pivoting::Partial)
 }
 
 /// Thread-parallel blocked right-looking LU with partial pivoting — the
@@ -274,7 +288,7 @@ pub fn par_getrf<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> 
         "hpl_lu",
         xsc_metrics::traffic::lu_blocked(n, nb, std::mem::size_of::<T>() as u64),
     );
-    getrf_steps(a, nb, true)
+    getrf_steps(a, nb, true, Pivoting::Partial)
 }
 
 /// Trailing-update column tiles per pool thread in the parallel step loop:
@@ -391,11 +405,17 @@ impl<T: Scalar> Step<'_, T> {
     }
 }
 
-/// The right-looking step loop behind [`getrf_blocked`] (`par == false`)
-/// and [`par_getrf`] (`par == true`); see [`par_getrf`]. Whether it runs
-/// in parallel changes only who updates which tile and how wide the tiles
-/// are, never an operation.
-fn getrf_steps<T: Scalar>(a: &mut Matrix<T>, nb: usize, par: bool) -> Result<Vec<usize>> {
+/// The right-looking step loop behind [`getrf_blocked`] (`par == false`),
+/// [`par_getrf`] (`par == true`) and [`crate::calu::calu`]; see
+/// [`par_getrf`]. Whether it runs in parallel changes only who updates
+/// which tile and how wide the tiles are, never an operation; `pivoting`
+/// changes only how each panel picks its pivot rows.
+pub(crate) fn getrf_steps<T: Scalar>(
+    a: &mut Matrix<T>,
+    nb: usize,
+    par: bool,
+    pivoting: Pivoting,
+) -> Result<Vec<usize>> {
     let n = a.rows();
     let mut piv = vec![0usize; n];
     if n == 0 {
@@ -410,7 +430,7 @@ fn getrf_steps<T: Scalar>(a: &mut Matrix<T>, nb: usize, par: bool) -> Result<Vec
     };
     let data = a.as_mut_slice();
     let kb = nb.min(n);
-    panel_lu(&mut data[..kb * n], n, 0, &mut piv[..kb])?;
+    panel_lu(&mut data[..kb * n], n, 0, &mut piv[..kb], pivoting)?;
     // Panel k is factored at the top of each step; the step updates the
     // trailing columns and factors panel k + nb.
     let mut k = 0;
@@ -439,7 +459,7 @@ fn getrf_steps<T: Scalar>(a: &mut Matrix<T>, nb: usize, par: bool) -> Result<Vec
             par && !rest.is_empty(),
             || {
                 step.update(next);
-                panel_lu(next, n, k + nb, next_piv)
+                panel_lu(next, n, k + nb, next_piv, pivoting)
             },
             rest.chunks_mut(bw * n),
             |tile| step.update(tile),

@@ -16,6 +16,9 @@
 //! * Sequential blocked kernels ([`gemm`], [`trsm`], [`syrk`], [`factor`],
 //!   [`householder`]) — the node-level BLAS/LAPACK substrate the paper
 //!   assumes, built from scratch.
+//! * [`calu`] — **communication-avoiding LU**: tournament pivoting (TSLU)
+//!   replaces the panel's O(n) pivot reductions with O(log P) tournament
+//!   rounds, in the same step loop as the partially pivoted LU.
 //! * [`gen`] — reproducible random matrix generators (general, SPD,
 //!   ill-conditioned, orthogonal) used by the test and benchmark suites.
 //! * [`flops`] — the flop-count formulas used for Gflop/s accounting in
@@ -45,6 +48,7 @@
 #![allow(clippy::needless_range_loop)] // index-coupled updates across multiple slices are the clearest form for these kernels
 
 pub mod blas1;
+pub mod calu;
 pub mod cast;
 pub mod cond;
 pub mod error;

@@ -14,9 +14,6 @@
 //!   flat algorithm moves `O(m·n)`.
 //! * [`rbt`] — **random butterfly transforms**: randomization in place of
 //!   pivoting, removing the pivot search's synchronization point.
-//! * [`calu`] — **communication-avoiding LU**: tournament pivoting (TSLU)
-//!   replaces the panel's O(n) pivot reductions with O(log P) tournament
-//!   rounds.
 //! * [`hpl`] — the HPL-like benchmark driver (thread-parallel blocked LU
 //!   with partial pivoting, HPL flop accounting and the HPL acceptance
 //!   residual), one half of the headline HPL-vs-HPCG experiment.
@@ -29,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index-coupled updates across multiple slices are the clearest form for these kernels
 
-pub mod calu;
 pub mod cholesky;
 pub mod hpl;
 pub mod lu;
