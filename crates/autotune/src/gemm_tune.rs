@@ -1,22 +1,21 @@
 //! GEMM blocking-parameter and micro-kernel search.
 //!
 //! The blocked GEMM in `xsc-core` is governed by three cache-blocking
-//! parameters ([`GemmParams`]: `MC`, `KC`, `NC`). Like tile sizes, the best
-//! values are machine-dependent and non-monotone, so E08 *searches* for them
-//! with the same strategies it uses for tile sizes. [`tune_gemm_blocking`]
-//! runs that search and returns the winner, which callers install globally
-//! via [`xsc_core::gemm::set_global_params`].
-//!
-//! The `MR x NR` micro-kernel variant ([`MicroKernel`]) is a second tuning
-//! axis: every variant is bit-identical, so which one is fastest is purely
-//! an empirical question this crate is allowed to answer. [`tune_gemm_config`]
-//! sweeps the cross product of blocking candidates and the variants runnable
-//! on this CPU, and [`install`] makes the winning [`GemmConfig`] the
-//! process-wide default for both axes at once.
+//! parameters ([`GemmParams`]: `MC`, `KC`, `NC`) and by the `MR x NR`
+//! micro-kernel variant ([`MicroKernel`]) that runs the register tile. Like
+//! tile sizes, the best blocking is machine-dependent and non-monotone, and
+//! every variant is bit-identical, so which one is fastest is purely an
+//! empirical question. [`tune_gemm_config`] sweeps the cross product of
+//! blocking candidates and the variants runnable on this CPU (a
+//! blocking-only sweep is the same call with one kernel in every
+//! candidate) and returns every sample with the winner. It installs
+//! nothing: `gemm`/`par_gemm` always run [`GemmParams::DEFAULT`] with
+//! `microkernel::global_microkernel()`, and a caller that wants the winner
+//! passes it to `gemm_with_opts`.
 
 use crate::{exhaustive, median_of, SweepResult};
 use xsc_core::gemm::{gemm_with_opts, Transpose};
-use xsc_core::{gen, microkernel, GemmParams, Matrix, MicroKernel};
+use xsc_core::{gen, GemmParams, Matrix, MicroKernel};
 use xsc_metrics::Stopwatch;
 
 /// One point in the joint GEMM tuning space: cache-blocking parameters plus
@@ -53,54 +52,6 @@ pub fn default_candidates() -> Vec<GemmParams> {
         }
     }
     out
-}
-
-/// Times one sequential blocked `s x s x s` f64 GEMM with blocking `p`,
-/// returning seconds (the cost exhaustive search minimizes).
-pub fn measure_gemm_seconds(
-    p: GemmParams,
-    a: &Matrix<f64>,
-    b: &Matrix<f64>,
-    c: &mut Matrix<f64>,
-) -> f64 {
-    let t = Stopwatch::start();
-    gemm_with_opts(
-        Transpose::No,
-        Transpose::No,
-        1.0,
-        a,
-        b,
-        0.0,
-        c,
-        p,
-        microkernel::global_microkernel(),
-    );
-    t.seconds()
-}
-
-/// Sweeps `candidates` (the [`default_candidates`] grid if empty) at problem
-/// size `s`, timing each with median-of-`reps` repetition, and returns the
-/// full sweep result over [`GemmParams`].
-///
-/// The caller decides what to do with the winner — typically
-/// `xsc_core::gemm::set_global_params(result.best)` so that every downstream
-/// `gemm`/`par_gemm` call picks it up.
-pub fn tune_gemm_blocking(
-    s: usize,
-    reps: usize,
-    candidates: &[GemmParams],
-) -> SweepResult<GemmParams> {
-    let grid = if candidates.is_empty() {
-        default_candidates()
-    } else {
-        candidates.to_vec()
-    };
-    let a = gen::random_matrix::<f64>(s, s, 1);
-    let b = gen::random_matrix::<f64>(s, s, 2);
-    let mut c = Matrix::<f64>::zeros(s, s);
-    exhaustive(&grid, |p| {
-        median_of(reps.max(1), || measure_gemm_seconds(p, &a, &b, &mut c))
-    })
 }
 
 /// The default joint grid: [`default_candidates`] crossed with every
@@ -143,9 +94,9 @@ pub fn measure_gemm_config_seconds(
 
 /// Sweeps the joint blocking x micro-kernel space (the
 /// [`default_config_candidates`] grid if `candidates` is empty) at problem
-/// size `s` with median-of-`reps` timing. Install the winner with
-/// [`install`] — or inspect `samples` to compare variants at fixed
-/// blocking, which is what E08/E18 report.
+/// size `s` with median-of-`reps` timing. `samples` compares variants at
+/// fixed blocking and blockings at a fixed variant, which is what E08
+/// reports.
 pub fn tune_gemm_config(
     s: usize,
     reps: usize,
@@ -166,18 +117,11 @@ pub fn tune_gemm_config(
     })
 }
 
-/// Makes `cfg` the process-wide default for both tuning axes: every
-/// subsequent `gemm`/`par_gemm` call uses its blocking parameters *and*
-/// its micro-kernel variant. Bit-identity across variants means this only
-/// changes speed, never results.
-pub fn install(cfg: GemmConfig) {
-    xsc_core::gemm::set_global_params(cfg.params);
-    microkernel::set_global_microkernel(cfg.kernel);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsc_core::gemm::gemm;
+    use xsc_core::microkernel::global_microkernel;
 
     #[test]
     fn default_grid_is_nonempty_and_normal() {
@@ -190,8 +134,10 @@ mod tests {
 
     #[test]
     fn tune_returns_a_candidate_from_the_grid() {
+        // A blocking-only sweep, with the kernel `gemm` runs held fixed.
         // Tiny problem + 1 rep: this is a smoke test of the plumbing, not a
         // performance claim.
+        let kernel = global_microkernel();
         let grid = [
             GemmParams {
                 mc: 32,
@@ -203,8 +149,9 @@ mod tests {
                 kc: 64,
                 nc: 64,
             },
-        ];
-        let res = tune_gemm_blocking(48, 1, &grid);
+        ]
+        .map(|params| GemmConfig { params, kernel });
+        let res = tune_gemm_config(48, 1, &grid);
         assert!(grid.contains(&res.best));
         assert_eq!(res.evaluations, grid.len());
         assert!(res.best_cost.is_finite() && res.best_cost >= 0.0);
@@ -212,8 +159,8 @@ mod tests {
 
     #[test]
     fn empty_candidates_fall_back_to_default_grid() {
-        let res = tune_gemm_blocking(32, 1, &[]);
-        assert_eq!(res.evaluations, default_candidates().len());
+        let res = tune_gemm_config(32, 1, &[]);
+        assert_eq!(res.evaluations, default_config_candidates().len());
     }
 
     #[test]
@@ -228,23 +175,24 @@ mod tests {
 
     #[test]
     fn config_tune_returns_a_candidate_and_installs() {
-        let p = GemmParams {
-            mc: 32,
-            kc: 32,
-            nc: 32,
-        };
+        // Every kernel at the default blocking. A caller installs the
+        // winner per call through `gemm_with_opts`; that gives `gemm`'s
+        // bits, because every variant is bit-identical.
+        let s = 48;
+        let p = GemmParams::DEFAULT;
         let grid: Vec<GemmConfig> = MicroKernel::available()
             .into_iter()
             .map(|kernel| GemmConfig { params: p, kernel })
             .collect();
-        let res = tune_gemm_config(48, 1, &grid);
+        let res = tune_gemm_config(s, 1, &grid);
         assert!(grid.contains(&res.best));
         assert_eq!(res.evaluations, grid.len());
-        install(res.best);
-        assert_eq!(xsc_core::gemm::global_params(), p);
-        assert_eq!(microkernel::global_microkernel(), res.best.kernel);
-        // Leave the process defaults as other tests expect them.
-        xsc_core::gemm::clear_global_params();
-        microkernel::clear_global_microkernel();
+        let a = gen::random_matrix::<f64>(s, s, 1);
+        let b = gen::random_matrix::<f64>(s, s, 2);
+        let (mut tuned, mut want) = (Matrix::zeros(s, s), Matrix::zeros(s, s));
+        measure_gemm_config_seconds(res.best, &a, &b, &mut tuned);
+        gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 0.0, &mut want);
+        let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tuned), bits(&want));
     }
 }

@@ -15,8 +15,8 @@
 //! with median-of-`k` repetition.
 //!
 //! [`gemm_tune`] applies these strategies to the blocked GEMM's cache
-//! parameters (`MC`/`KC`/`NC`), the search E08 runs alongside its tile-size
-//! sweep.
+//! parameters (`MC`/`KC`/`NC`) and micro-kernel variant, the search E08
+//! runs alongside its tile-size sweep.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

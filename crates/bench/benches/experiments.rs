@@ -1,5 +1,5 @@
 //! `cargo bench -p xsc-bench --bench experiments` — regenerates every
-//! table/figure of the reproduction in one pass (E01–E12). Sizes come from
+//! table/figure of the reproduction in one pass (E01–E21). Sizes come from
 //! `XSC_SCALE` (`quick` default, `full` for the paper-shaped runs).
 
 fn main() {

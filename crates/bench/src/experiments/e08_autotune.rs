@@ -1,12 +1,13 @@
 //! E08 — autotuning: kernel performance is a non-monotone function of
 //! blocking parameters, so the tiled-Cholesky tile size and the blocked
 //! GEMM's configuration — cache parameters (`MC`/`KC`/`NC`) *and*
-//! micro-kernel variant — are *searched for*, and the GEMM winner is
-//! installed globally for the rest of the process.
+//! micro-kernel variant — are *searched for*. The GEMM winner is printed,
+//! not installed: every other experiment's `gemm`/`par_gemm` runs the
+//! default configuration whether or not E08 ran first.
 
 use crate::table::{f2, secs, Table};
 use crate::Scale;
-use xsc_autotune::gemm_tune::{self, tune_gemm_config};
+use xsc_autotune::gemm_tune::tune_gemm_config;
 use xsc_autotune::{exhaustive, hill_climb, median_of};
 use xsc_core::{flops, gen, GemmParams, MicroKernel, TileMatrix};
 use xsc_dense::cholesky;
@@ -58,8 +59,7 @@ pub fn run(scale: Scale) {
 
     // Part 2: joint GEMM configuration sweep — cache blocking crossed with
     // every micro-kernel variant runnable on this CPU. All variants are
-    // bit-identical, so the winner (installed process-wide for every
-    // downstream gemm/par_gemm call) changes only speed, never results.
+    // bit-identical, so the winner would change only speed, never results.
     let s = scale.pick(256, 512);
     let sweep = tune_gemm_config(s, scale.pick(1, 3), &[]);
     let gemm_flops = flops::gemm(s, s, s);
@@ -87,9 +87,8 @@ pub fn run(scale: Scale) {
         .iter()
         .find(|(cfg, _)| cfg.params == GemmParams::DEFAULT && cfg.kernel == MicroKernel::Scalar)
         .map(|&(_, c)| c);
-    gemm_tune::install(sweep.best);
     println!(
-        "  installed {} globally ({:.2} Gflop/s{})",
+        "  best {} ({:.2} Gflop/s{}); gemm/par_gemm keep the defaults",
         sweep.best,
         flops::gflops(gemm_flops, sweep.best_cost),
         default_cost

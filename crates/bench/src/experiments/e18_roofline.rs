@@ -195,7 +195,7 @@ pub fn run_opts(scale: Scale, json: bool) {
     // Micro-kernel showdown: the same sequential blocked dgemm, same
     // blocking, every variant this binary + CPU can run — one roofline
     // point per variant, bit-identity asserted between arms.
-    let params = xsc_core::gemm::global_params();
+    let params = GemmParams::DEFAULT;
     let selected = microkernel::global_microkernel();
     let arms = measure_variant_arms(s, 3, params, &a, &b);
     let mut t = Table::new(&["microkernel", "time", "Gflop/s", "% of peak", "checksum"]);

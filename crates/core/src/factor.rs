@@ -373,7 +373,6 @@ struct Step<'a, T> {
     l21: Vec<&'a [T]>,
     /// [`gemm::is_small`] of the step's whole trailing update.
     small: bool,
-    params: GemmParams,
     kernel: MicroKernel,
 }
 
@@ -399,7 +398,7 @@ impl<T: Scalar> Step<'_, T> {
             &u12,
             T::one(),
             &mut a22,
-            self.params,
+            GemmParams::DEFAULT,
             self.kernel,
         );
     }
@@ -421,7 +420,6 @@ pub(crate) fn getrf_steps<T: Scalar>(
     if n == 0 {
         return Ok(piv);
     }
-    let params = gemm::global_params();
     let kernel = microkernel::global_microkernel();
     let tiles_wanted = if par {
         TILES_PER_THREAD * rayon::current_num_threads()
@@ -451,10 +449,9 @@ pub(crate) fn getrf_steps<T: Scalar>(
             l11,
             l21,
             small: gemm::is_small(n2, n2, nb),
-            params,
             kernel,
         };
-        let bw = gemm::tile_width(n2 - next_w, params.normalized().nc, tiles_wanted);
+        let bw = gemm::tile_width(n2 - next_w, GemmParams::DEFAULT.nc, tiles_wanted);
         lead_then_deal(
             par && !rest.is_empty(),
             || {

@@ -24,14 +24,11 @@
 //! (each worker re-packing and reusing its own `A` panel across the whole
 //! tile) instead of over single columns.
 //!
-//! Blocking parameters default to [`GemmParams::DEFAULT`] and can be
-//! overridden per call ([`gemm_with_opts`]) or globally
-//! ([`set_global_params`]) — `xsc-autotune` sweeps `MC/KC/NC` empirically
-//! and installs the winner. The `MR x NR` micro-kernel itself is also a
-//! tuning axis: [`crate::microkernel`] provides bit-identical scalar and
-//! explicit-SIMD implementations, selected per call
-//! ([`gemm_with_opts`]) or globally
-//! ([`crate::microkernel::set_global_microkernel`]). The pre-blocking
+//! [`gemm`] and [`par_gemm`] run with [`GemmParams::DEFAULT`] and
+//! [`crate::microkernel::global_microkernel`], the widest bit-identical
+//! micro-kernel this binary and CPU support. [`gemm_with_opts`] is the one
+//! per-call override of both: `xsc-autotune` sweeps `MC/KC/NC` and the
+//! micro-kernel through it and reports the winner. The pre-blocking
 //! column-sweep kernel survives as [`colsweep_gemm`], both as the
 //! small-problem fast path (packing does not pay below
 //! [`SMALL_GEMM_FLOPS`]) and as the measured baseline the benchmark suite
@@ -42,7 +39,6 @@ use crate::microkernel::{self, MicroKernel, Resolved};
 use crate::scalar::Scalar;
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Whether an operand enters the product transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +78,9 @@ pub struct GemmParams {
 
 impl GemmParams {
     /// Hand-picked defaults: `A` panel 128x256 f64 = 256 KiB (~L2),
-    /// `B` panel 256x512 f64 = 1 MiB (~L3 slice). Autotuning (E08)
-    /// overrides these per machine via [`set_global_params`].
+    /// `B` panel 256x512 f64 = 1 MiB (~L3 slice). Every [`gemm`],
+    /// [`par_gemm`] and LU trailing update uses them; E08 measures other
+    /// values through [`gemm_with_opts`].
     pub const DEFAULT: GemmParams = GemmParams {
         mc: 128,
         kc: 256,
@@ -99,44 +96,6 @@ impl GemmParams {
             kc: self.kc.max(1),
             nc: self.nc.max(1).div_ceil(NR) * NR,
         }
-    }
-}
-
-// Global blocking override (0 = unset, use DEFAULT). Reads are not a single
-// atomic snapshot; any interleaving of valid stores is itself a valid
-// parameter set after normalization, so a torn read is harmless.
-static GLOBAL_MC: AtomicUsize = AtomicUsize::new(0);
-static GLOBAL_KC: AtomicUsize = AtomicUsize::new(0);
-static GLOBAL_NC: AtomicUsize = AtomicUsize::new(0);
-
-/// Installs `p` as the process-wide default blocking parameters used by
-/// [`gemm`] and [`par_gemm`]. Typically called with an autotuned winner
-/// (see `xsc-autotune`).
-pub fn set_global_params(p: GemmParams) {
-    let p = p.normalized();
-    GLOBAL_MC.store(p.mc, Ordering::Relaxed);
-    GLOBAL_KC.store(p.kc, Ordering::Relaxed);
-    GLOBAL_NC.store(p.nc, Ordering::Relaxed);
-}
-
-/// Clears any installed global override, restoring [`GemmParams::DEFAULT`].
-pub fn clear_global_params() {
-    GLOBAL_MC.store(0, Ordering::Relaxed);
-    GLOBAL_KC.store(0, Ordering::Relaxed);
-    GLOBAL_NC.store(0, Ordering::Relaxed);
-}
-
-/// The blocking parameters [`gemm`]/[`par_gemm`] currently use: the global
-/// override if one was installed, [`GemmParams::DEFAULT`] otherwise.
-pub fn global_params() -> GemmParams {
-    let mc = GLOBAL_MC.load(Ordering::Relaxed);
-    if mc == 0 {
-        return GemmParams::DEFAULT;
-    }
-    GemmParams {
-        mc,
-        kc: GLOBAL_KC.load(Ordering::Relaxed).max(1),
-        nc: GLOBAL_NC.load(Ordering::Relaxed).max(1),
     }
 }
 
@@ -255,8 +214,8 @@ pub(crate) fn tile_width(n: usize, nc: usize, workers: usize) -> usize {
 
 /// Sequential optimized multiply: `C <- alpha * op(A) * op(B) + beta * C`.
 ///
-/// Dispatches to the blocked packed kernel (see the module docs) with the
-/// current [`global_params`]; small problems take the column-sweep path.
+/// Dispatches to the blocked packed kernel (see the module docs) with
+/// [`GemmParams::DEFAULT`]; small problems take the column-sweep path.
 /// Degenerate shapes are handled: `m == 0` or `n == 0` is a no-op, and
 /// `k == 0` (or `alpha == 0`) reduces to the pure `beta`-scale of `C`.
 pub fn gemm<T: Scalar>(
@@ -276,7 +235,7 @@ pub fn gemm<T: Scalar>(
         b,
         beta,
         c,
-        global_params(),
+        GemmParams::DEFAULT,
         microkernel::global_microkernel(),
     );
 }
@@ -596,15 +555,15 @@ pub fn par_gemm<T: Scalar>(
         b,
         beta,
         c,
-        global_params(),
+        GemmParams::DEFAULT,
         microkernel::global_microkernel(),
     );
 }
 
 /// [`par_gemm`] with explicit blocking parameters and micro-kernel variant
-/// (see [`gemm_with_opts`]).
+/// (see [`gemm_with_opts`]); this file's tests drive it off the defaults.
 #[allow(clippy::too_many_arguments)] // the BLAS gemm signature plus both tuning knobs
-pub fn par_gemm_with_opts<T: Scalar>(
+fn par_gemm_with_opts<T: Scalar>(
     transa: Transpose,
     transb: Transpose,
     alpha: T,
@@ -718,7 +677,7 @@ mod tests {
         alpha: f64,
         beta: f64,
     ) {
-        check_against_naive_with(m, k, n, ta, tb, alpha, beta, global_params());
+        check_against_naive_with(m, k, n, ta, tb, alpha, beta, GemmParams::DEFAULT);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -925,23 +884,6 @@ mod tests {
         assert_eq!(p.nc % NR, 0);
         assert!(p.mc >= MR && p.kc >= 1 && p.nc >= NR);
         assert_eq!(p.nc, 16);
-    }
-
-    #[test]
-    fn global_params_install_and_clear() {
-        clear_global_params();
-        assert_eq!(global_params(), GemmParams::DEFAULT);
-        let tuned = GemmParams {
-            mc: 64,
-            kc: 128,
-            nc: 256,
-        };
-        set_global_params(tuned);
-        assert_eq!(global_params(), tuned);
-        // The kernel still matches the reference under the override.
-        check_against_naive(40, 40, 40, Transpose::No, Transpose::No, 1.0, 0.5);
-        clear_global_params();
-        assert_eq!(global_params(), GemmParams::DEFAULT);
     }
 
     #[test]

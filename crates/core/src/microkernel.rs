@@ -33,11 +33,11 @@
 //! variants — the determinism suites assert this, and it is what lets the
 //! autotuner swap kernels without renegotiating any numerical contract.
 //!
-//! Selection mirrors [`crate::gemm::GemmParams`]: a process-wide default
-//! ([`set_global_microkernel`], typically installed by `xsc-autotune`) and
-//! an explicit per-call override (`gemm_with_opts`). The default is
-//! [`MicroKernel::best_available`] — the widest variant this binary *and*
-//! this CPU support, falling back to scalar everywhere else.
+//! [`crate::gemm::gemm`], [`crate::gemm::par_gemm`] and the LU trailing
+//! update run [`global_microkernel`]: the widest variant this binary *and*
+//! this CPU support, falling back to scalar everywhere else. The one
+//! per-call override is [`crate::gemm::gemm_with_opts`], which the
+//! autotuner and E18's per-variant arms measure through.
 //!
 //! [`tile_gflops`] and [`mulacc_roof_gflops`] time one tile from L1 and the
 //! build's own multiply-add roof: the bottom two rungs of E01's dense
@@ -47,7 +47,6 @@ use crate::cast::count_f64;
 use crate::gemm::{MR, NR};
 use crate::scalar::Scalar;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU8, Ordering};
 use xsc_metrics::Stopwatch;
 
 /// Identifies one micro-kernel implementation.
@@ -92,17 +91,6 @@ impl MicroKernel {
             .filter(|k| k.is_available())
             .collect()
     }
-
-    /// The widest available variant (the default when nothing is
-    /// installed; bit-identity makes this swap safe). Falls back to the
-    /// scalar kernel structurally — no panic path — since this is called
-    /// from the GEMM dispatch hot path.
-    pub fn best_available() -> MicroKernel {
-        Self::available()
-            .last()
-            .copied()
-            .unwrap_or(MicroKernel::Scalar)
-    }
 }
 
 impl std::fmt::Display for MicroKernel {
@@ -111,40 +99,15 @@ impl std::fmt::Display for MicroKernel {
     }
 }
 
-// Global selection (0 = unset -> best_available). Mirrors the GemmParams
-// global: any interleaving of valid stores is itself a valid selection.
-static GLOBAL_MICROKERNEL: AtomicU8 = AtomicU8::new(0);
-
-fn encode(mk: MicroKernel) -> u8 {
-    match mk {
-        MicroKernel::Scalar => 1,
-        MicroKernel::Avx2 => 2,
-        MicroKernel::Avx512 => 3,
-    }
-}
-
-/// Installs `mk` as the process-wide default micro-kernel used by
-/// [`crate::gemm::gemm`] / [`crate::gemm::par_gemm`]. Typically called
-/// with an autotuned winner (see `xsc-autotune`). An unavailable variant
-/// silently resolves to the scalar kernel at dispatch time.
-pub fn set_global_microkernel(mk: MicroKernel) {
-    GLOBAL_MICROKERNEL.store(encode(mk), Ordering::Relaxed);
-}
-
-/// Clears any installed override, restoring [`MicroKernel::best_available`].
-pub fn clear_global_microkernel() {
-    GLOBAL_MICROKERNEL.store(0, Ordering::Relaxed);
-}
-
-/// The micro-kernel `gemm`/`par_gemm` currently dispatch to: the installed
-/// override if set, [`MicroKernel::best_available`] otherwise.
+/// The micro-kernel `gemm`/`par_gemm` dispatch to: the widest available
+/// variant (bit-identity makes every choice safe). Falls back to the
+/// scalar kernel structurally — no panic path — since this is called from
+/// the GEMM dispatch hot path.
 pub fn global_microkernel() -> MicroKernel {
-    match GLOBAL_MICROKERNEL.load(Ordering::Relaxed) {
-        1 => MicroKernel::Scalar,
-        2 => MicroKernel::Avx2,
-        3 => MicroKernel::Avx512,
-        _ => MicroKernel::best_available(),
-    }
+    MicroKernel::available()
+        .last()
+        .copied()
+        .unwrap_or(MicroKernel::Scalar)
 }
 
 /// A micro-kernel entry point: accumulates `acc[MR x NR] += Ap * Bp` over
@@ -550,7 +513,7 @@ mod tests {
     fn scalar_is_always_available() {
         assert!(MicroKernel::Scalar.is_available());
         assert_eq!(MicroKernel::available()[0], MicroKernel::Scalar);
-        assert!(MicroKernel::available().contains(&MicroKernel::best_available()));
+        assert!(MicroKernel::available().contains(&global_microkernel()));
     }
 
     #[test]
@@ -559,18 +522,6 @@ mod tests {
         assert_eq!(MicroKernel::Avx2.name(), "avx2");
         assert_eq!(MicroKernel::Avx512.name(), "avx512");
         assert_eq!(MicroKernel::Avx2.to_string(), "avx2");
-    }
-
-    #[test]
-    fn global_selection_install_and_clear() {
-        clear_global_microkernel();
-        assert_eq!(global_microkernel(), MicroKernel::best_available());
-        set_global_microkernel(MicroKernel::Scalar);
-        assert_eq!(global_microkernel(), MicroKernel::Scalar);
-        set_global_microkernel(MicroKernel::Avx2);
-        assert_eq!(global_microkernel(), MicroKernel::Avx2);
-        clear_global_microkernel();
-        assert_eq!(global_microkernel(), MicroKernel::best_available());
     }
 
     /// The contract every variant meets, element by element: unfused
@@ -707,7 +658,7 @@ mod tests {
 
     #[test]
     fn unavailable_variants_resolve_to_scalar() {
-        // Installing a variant that this binary/CPU cannot run must not
+        // Requesting a variant that this binary/CPU cannot run must not
         // change results — dispatch degrades to scalar, with its layout.
         let kcb = 4;
         let apan = vec![1.5f64; kcb * MR];

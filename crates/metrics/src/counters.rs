@@ -12,7 +12,6 @@
 
 use crate::stopwatch::Stopwatch;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Accumulated counters for one named kernel.
@@ -175,17 +174,6 @@ impl Registry {
             .collect()
     }
 
-    /// Field-wise sum over all entries. Entries from nested scopes overlap
-    /// (see the module docs), so this is an upper bound on distinct
-    /// traffic, not a disjoint sum.
-    pub fn total(&self) -> KernelCounters {
-        let mut t = KernelCounters::default();
-        for (_, c) in self.snapshot() {
-            t.merge(&c);
-        }
-        t
-    }
-
     /// Clears every entry.
     pub fn reset(&self) {
         self.cells
@@ -198,20 +186,6 @@ impl Registry {
 static GLOBAL: Registry = Registry {
     cells: Mutex::new(BTreeMap::new()),
 };
-
-/// Whether the global recorders are active (cheap atomic check; recording
-/// is on by default).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables or disables recording. While disabled, [`record`]
-/// returns an inert guard that skips the clock reads and registry update.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 thread_local! {
     /// Per-thread running (flops, bytes) totals, sampled by the runtime
@@ -239,8 +213,7 @@ fn bump_thread_totals(traffic: &Traffic) {
 pub struct ScopedRecorder {
     kernel: &'static str,
     traffic: Traffic,
-    /// `None` when recording was disabled at construction time.
-    start: Option<Stopwatch>,
+    start: Stopwatch,
 }
 
 impl ScopedRecorder {
@@ -253,11 +226,8 @@ impl ScopedRecorder {
 
 impl Drop for ScopedRecorder {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let ns = start.nanos();
-            GLOBAL.add(self.kernel, self.traffic, ns);
-            bump_thread_totals(&self.traffic);
-        }
+        GLOBAL.add(self.kernel, self.traffic, self.start.nanos());
+        bump_thread_totals(&self.traffic);
     }
 }
 
@@ -276,33 +246,20 @@ pub fn record(kernel: &'static str, traffic: Traffic) -> ScopedRecorder {
     ScopedRecorder {
         kernel,
         traffic,
-        start: enabled().then(Stopwatch::start),
+        start: Stopwatch::start(),
     }
 }
 
 /// Records `traffic` against `kernel` immediately, with zero elapsed time
 /// (for analytic or replayed work that has no wall-clock span).
 pub fn record_untimed(kernel: &'static str, traffic: Traffic) {
-    if enabled() {
-        GLOBAL.add(kernel, traffic, 0);
-        bump_thread_totals(&traffic);
-    }
-}
-
-/// Counters for one kernel from the global registry.
-pub fn get(kernel: &str) -> Option<KernelCounters> {
-    GLOBAL.get(kernel)
+    GLOBAL.add(kernel, traffic, 0);
+    bump_thread_totals(&traffic);
 }
 
 /// All global entries, sorted by kernel name.
 pub fn snapshot() -> Vec<(&'static str, KernelCounters)> {
     GLOBAL.snapshot()
-}
-
-/// Field-wise sum over all global entries (see [`Registry::total`] for the
-/// overlap caveat).
-pub fn total() -> KernelCounters {
-    GLOBAL.total()
 }
 
 /// Clears the global registry.
@@ -338,6 +295,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The global registry is shared by every test in this module; each
+    /// test that records into it or resets it holds this lock, so one
+    /// test's `reset` cannot land inside another's `measure`.
+    static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock_global() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn counters_accumulate_and_merge() {
         let r = Registry::new();
@@ -369,6 +335,7 @@ mod tests {
 
     #[test]
     fn scoped_recorder_commits_on_drop() {
+        let _guard = lock_global();
         reset();
         {
             let _s = record(
@@ -379,40 +346,19 @@ mod tests {
                     bytes_written: 2,
                 },
             );
-            assert!(get("scoped_test_kernel").is_none(), "commits only on drop");
+            assert!(
+                GLOBAL.get("scoped_test_kernel").is_none(),
+                "commits only on drop"
+            );
         }
-        let c = get("scoped_test_kernel").unwrap();
+        let c = GLOBAL.get("scoped_test_kernel").unwrap();
         assert_eq!(c.flops, 7);
         assert_eq!(c.invocations, 1);
     }
 
     #[test]
-    fn disabled_recording_is_inert() {
-        reset();
-        set_enabled(false);
-        {
-            let _s = record(
-                "disabled_kernel",
-                Traffic {
-                    flops: 1,
-                    bytes_read: 1,
-                    bytes_written: 1,
-                },
-            );
-        }
-        record_untimed(
-            "disabled_kernel",
-            Traffic {
-                flops: 1,
-                ..Default::default()
-            },
-        );
-        set_enabled(true);
-        assert!(get("disabled_kernel").is_none());
-    }
-
-    #[test]
     fn measure_reports_deltas_only() {
+        let _guard = lock_global();
         reset();
         record_untimed(
             "measure_base",
@@ -448,6 +394,7 @@ mod tests {
 
     #[test]
     fn thread_totals_monotone() {
+        let _guard = lock_global();
         let (f0, b0) = thread_totals();
         record_untimed(
             "thread_total_probe",

@@ -25,21 +25,20 @@
 //! ## Quickstart
 //!
 //! ```
-//! use xsc_metrics::{record, roofline, traffic, MachineEnvelope};
+//! use xsc_metrics::{measure, record, roofline, traffic, MachineEnvelope};
 //!
-//! xsc_metrics::reset();
-//! {
+//! let ((), delta) = measure(|| {
 //!     // Scoped RAII recorder: counters land in the registry on drop.
 //!     let _scope = record("my_kernel", traffic::gemm_colsweep(64, 64, 64, 8));
 //!     // ... run the kernel ...
-//! }
-//! let c = xsc_metrics::get("my_kernel").expect("recorded");
+//! });
+//! let (_, c) = delta.iter().find(|(k, _)| *k == "my_kernel").expect("recorded");
 //! assert_eq!(c.invocations, 1);
 //! assert_eq!(c.flops, 2 * 64 * 64 * 64);
 //!
 //! // Roofline verdict against a machine envelope (peak Gflop/s, GB/s).
 //! let env = MachineEnvelope::new("laptop", 50.0, 20.0);
-//! let point = roofline::analyze("my_kernel", &c, &env);
+//! let point = roofline::analyze("my_kernel", c, &env);
 //! assert!(point.intensity > 0.0);
 //! ```
 
@@ -54,8 +53,8 @@ pub mod stopwatch;
 pub mod traffic;
 
 pub use counters::{
-    get, measure, record, record_untimed, reset, set_enabled, snapshot, thread_totals, total,
-    KernelCounters, Registry, ScopedRecorder, Traffic,
+    measure, record, record_untimed, reset, snapshot, thread_totals, KernelCounters, Registry,
+    ScopedRecorder, Traffic,
 };
 pub use json::escape_json_into;
 pub use quantiles::{percentile, LatencySummary};

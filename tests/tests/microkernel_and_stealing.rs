@@ -155,27 +155,3 @@ fn stolen_lu_is_bitwise_identical_across_worker_counts() {
         }
     }
 }
-
-/// The global micro-kernel override changes speed, never results: routing
-/// the whole Cholesky DAG through each variant produces identical bits.
-#[test]
-fn global_microkernel_override_preserves_dag_results() {
-    let n = 64;
-    let a = gen::random_spd::<f64>(n, 5);
-    let mut checksums = Vec::new();
-    for kernel in MicroKernel::available() {
-        xsc_core::microkernel::set_global_microkernel(kernel);
-        let tiles = TileMatrix::from_matrix(&a, 16);
-        let exec = Executor::new(4, SchedPolicy::CriticalPath);
-        cholesky::cholesky_dag(&tiles, &exec).unwrap();
-        checksums.push((
-            kernel,
-            bitwise_checksum(&cholesky::lower_from_tiles(&tiles)),
-        ));
-    }
-    xsc_core::microkernel::clear_global_microkernel();
-    let (_, first) = checksums[0];
-    for &(kernel, sum) in &checksums {
-        assert_eq!(sum, first, "variant {kernel} changed DAG Cholesky bits");
-    }
-}
