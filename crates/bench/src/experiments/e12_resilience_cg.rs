@@ -5,7 +5,8 @@ use crate::json::{write_report, Json};
 use crate::table::{sci, Table};
 use crate::Scale;
 use xsc_ft::checkpoint::{resilient_cg, Recovery};
-use xsc_ft::inject::{FaultInjector, FaultKind};
+use xsc_ft::inject::FaultKind;
+use xsc_ft::plan::FaultPlan;
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
 
 /// Runs the experiment and prints its table.
@@ -25,7 +26,7 @@ pub fn run_opts(scale: Scale, json: bool) {
 }
 
 /// Runs every (fault rate, strategy) cell and builds the rendered table
-/// plus the machine-readable report. The injector is seeded, so the same
+/// plus the machine-readable report. The fault plan is seeded, so the same
 /// scale always gives the same bytes.
 pub fn report(scale: Scale) -> (String, Json) {
     let g = scale.pick(8, 16);
@@ -53,8 +54,8 @@ pub fn report(scale: Scale) -> (String, Json) {
             ("checkpoint/10", Recovery::Checkpoint { interval: 10 }),
             ("restart", Recovery::Restart),
         ] {
-            let mut inj = FaultInjector::new(rate, FaultKind::BitFlip, 1234);
-            let rep = resilient_cg(&a, &b, 5000, 1e-9, &mut inj, strategy, 5, 1e-6);
+            let plan = FaultPlan::new(1234, rate, FaultKind::BitFlip);
+            let rep = resilient_cg(&a, &b, 5000, 1e-9, &plan, strategy, 5, 1e-6);
             t.row(vec![
                 format!("{rate:.2}"),
                 name.into(),

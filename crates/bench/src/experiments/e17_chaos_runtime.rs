@@ -142,7 +142,7 @@ pub fn campaign_report(scale: Scale) -> (String, Json) {
                 // Derive a distinct, reproducible seed per campaign cell.
                 let seed =
                     CAMPAIGN_SEED ^ ((rate * 1000.0) as u64) << 16 ^ (kname.len() as u64) << 8;
-                Arc::new(FaultPlan::new(seed, rate, k).stall_duration(Duration::from_micros(100)))
+                Arc::new(FaultPlan::new(seed, rate, k))
             });
             let run = cholesky_resilient_abft(&tiles, &exec, pol, plan.clone())
                 .expect("campaign matrix is SPD; math errors impossible");

@@ -2,7 +2,7 @@
 //! CG (the HPCG solve) under escalating memory-fault rates.
 //!
 //! Every trial runs the same HPCG-style solve twice against the same
-//! seeded [`MemFaultPlan`]: once through [`protected_pcg`] (ABFT
+//! seeded [`FaultPlan`]: once through [`protected_pcg`] (ABFT
 //! checksummed SpMV, curvature/norm-jump audits, residual-drift checks,
 //! self-checking V-cycle, bounded-rollback checkpoints) and once through
 //! [`unprotected_pcg`] (same loop, no detectors). The campaign sweeps
@@ -39,8 +39,9 @@ use crate::table::{pct, Table};
 use crate::Scale;
 use std::time::Duration;
 use xsc_ft::inject::FaultKind;
+use xsc_ft::plan::FaultPlan;
 use xsc_ft::sdc::{
-    protected_pcg, unprotected_pcg, MemFaultPlan, ProtectConfig, SdcReport, SolverBuffer, DRIFT_TOL,
+    protected_pcg, unprotected_pcg, ProtectConfig, SdcReport, SolverBuffer, DRIFT_TOL,
 };
 use xsc_runtime::RecoveryPolicy;
 use xsc_sparse::mg::{MgPreconditioner, Smoother};
@@ -112,9 +113,9 @@ fn campaign_policy() -> RecoveryPolicy {
     )
 }
 
-fn plan_for(rate: f64, trial: usize) -> MemFaultPlan {
+fn plan_for(rate: f64, trial: usize) -> FaultPlan<FaultKind> {
     let seed = CAMPAIGN_SEED ^ (((rate * 1000.0) as u64) << 24) ^ ((trial as u64) << 8);
-    MemFaultPlan::new(seed, rate, FaultKind::BitFlip)
+    FaultPlan::new(seed, rate, FaultKind::BitFlip)
 }
 
 /// An injection only *must* be detected when it is material (big enough to

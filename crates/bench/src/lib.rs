@@ -17,6 +17,8 @@ pub mod json;
 pub mod measured;
 pub mod table;
 
+pub use xsc_runtime::fnv1a;
+
 /// Problem-size preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -42,15 +44,6 @@ impl Scale {
             Scale::Full => full,
         }
     }
-}
-
-/// FNV-1a-style order-sensitive fold of 64-bit words (the FNV-1a 64-bit
-/// offset basis and prime, one multiply-then-add per word). The one hash
-/// behind E18b's bitwise GEMM checksums and the golden report pins.
-pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    words.into_iter().fold(0xcbf29ce484222325u64, |h, w| {
-        h.wrapping_mul(0x100000001b3).wrapping_add(w)
-    })
 }
 
 /// Times a closure in seconds.

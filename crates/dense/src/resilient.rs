@@ -46,7 +46,7 @@ use xsc_core::{factor, Error};
 use xsc_core::{Matrix, Result, TileMatrix};
 use xsc_ft::abft::checksum_tolerance;
 use xsc_ft::inject::FaultKind;
-use xsc_ft::plan::{FaultPlan, Injection};
+use xsc_ft::plan::{ChaosKind, FaultPlan, STALL};
 use xsc_runtime::{trace::Trace, Attempt, Executor, RecoveryPolicy, TaskFault, TaskGraph};
 
 /// Outcome of a resilient ABFT-guarded factorization.
@@ -123,8 +123,8 @@ fn guard(
     }
     let plan = ctx.plan.as_deref();
     let injection = plan.and_then(|p| p.decide(at.task, at.attempt));
-    if let Some(Injection::Stall(d)) = injection {
-        std::thread::sleep(d);
+    if let Some(ChaosKind::Stall) = injection {
+        std::thread::sleep(STALL);
     }
     op.with_tiles(|ins, out| {
         let before = snapshot.get_or_init(|| out.clone());
@@ -135,10 +135,10 @@ fn guard(
             ctx.poison.set(e);
             return Ok(());
         }
-        if let Some(Injection::Panic) = injection {
+        if let Some(ChaosKind::Panic) = injection {
             panic!("chaos: injected panic in {}({at:?})", op.kind.label());
         }
-        if let (Some(p), Some(Injection::Corrupt(kind))) = (plan, injection) {
+        if let (Some(p), Some(ChaosKind::SilentCorrupt(kind))) = (plan, injection) {
             match op.kind {
                 Kind::Potrf | Kind::Syrk => corrupt_lower(p, kind, out, at.task, at.attempt),
                 Kind::Trsm | Kind::Gemm => {
@@ -353,7 +353,6 @@ mod tests {
     use super::*;
     use crate::cholesky::lower_from_tiles;
     use xsc_core::gen;
-    use xsc_ft::plan::ChaosKind;
     use xsc_runtime::{Backoff, ExhaustedAction, SchedPolicy};
 
     fn reference_lower(a: &Matrix<f64>, nb: usize) -> Matrix<f64> {

@@ -1,13 +1,9 @@
-//! Deterministic fault injection.
+//! Fault kinds: how an injected fault perturbs its victim value.
 //!
 //! Real extreme-scale faults (DRAM upsets, failed nodes) cannot be
-//! scheduled on a laptop, so experiments inject them: a seeded RNG decides
-//! *when* a fault fires and *which* element it corrupts, making every
-//! resilience experiment reproducible.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use xsc_core::{Matrix, Scalar};
+//! scheduled on a laptop, so experiments inject them. *When* a fault fires
+//! and *which* element it hits is a seeded [`FaultPlan`](crate::plan::FaultPlan)'s
+//! decision; this module only says what the fault does to the value.
 
 /// How an injected fault perturbs the victim value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,8 +20,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Applies this corruption to one value — the single implementation
-    /// shared by [`FaultInjector`] and the chaos-plan adapter
-    /// ([`crate::plan::FaultPlan`]).
+    /// behind every injected corruption.
     pub fn apply(self, v: f64) -> f64 {
         match self {
             FaultKind::BitFlip => {
@@ -39,147 +34,76 @@ impl FaultKind {
     }
 }
 
-/// A seeded fault injector with a per-opportunity firing probability.
-pub struct FaultInjector {
-    rng: SmallRng,
-    /// Probability that a given opportunity fires. Kept private so it can
-    /// only be set through the validated constructor/setter — a rate
-    /// outside `[0, 1]` would silently skew every resilience experiment.
-    rate: f64,
-    kind: FaultKind,
-    fired: usize,
-}
-
-impl FaultInjector {
-    /// Creates an injector firing with probability `rate` per opportunity.
-    pub fn new(rate: f64, kind: FaultKind, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        FaultInjector {
-            rng: SmallRng::seed_from_u64(seed),
-            rate,
-            kind,
-            fired: 0,
-        }
-    }
-
-    /// The per-opportunity firing probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Changes the firing probability.
-    ///
-    /// # Panics
-    /// If `rate` is not in `[0, 1]` (NaN included).
-    pub fn set_rate(&mut self, rate: f64) {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        self.rate = rate;
-    }
-
-    /// Number of faults injected so far.
-    pub fn faults_fired(&self) -> usize {
-        self.fired
-    }
-
-    /// Rolls the dice for one opportunity.
-    pub fn should_fire(&mut self) -> bool {
-        self.rng.gen_bool(self.rate)
-    }
-
-    /// Corrupts one value according to the configured [`FaultKind`].
-    pub fn corrupt_value<T: Scalar>(&mut self, v: T) -> T {
-        self.fired += 1;
-        T::from_f64(self.kind.apply(v.to_f64()))
-    }
-
-    /// Unconditionally corrupts a uniformly chosen element of `m`,
-    /// returning its position.
-    pub fn corrupt_matrix<T: Scalar>(&mut self, m: &mut Matrix<T>) -> (usize, usize) {
-        let i = self.rng.gen_range(0..m.rows());
-        let j = self.rng.gen_range(0..m.cols());
-        let v = m.get(i, j);
-        let c = self.corrupt_value(v);
-        m.set(i, j, c);
-        (i, j)
-    }
-
-    /// Unconditionally corrupts a uniformly chosen element of a vector,
-    /// returning its index.
-    pub fn corrupt_vector<T: Scalar>(&mut self, v: &mut [T]) -> usize {
-        let i = self.rng.gen_range(0..v.len());
-        v[i] = self.corrupt_value(v[i]);
-        i
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::FaultPlan;
 
     #[test]
     fn injection_is_reproducible() {
-        let mut a = Matrix::<f64>::zeros(8, 8);
-        let mut b = Matrix::<f64>::zeros(8, 8);
-        let p1 = FaultInjector::new(1.0, FaultKind::BitFlip, 7).corrupt_matrix(&mut a);
-        let p2 = FaultInjector::new(1.0, FaultKind::BitFlip, 7).corrupt_matrix(&mut b);
-        assert_eq!(p1, p2);
-        assert!(a.approx_eq(&b, 0.0));
+        let corrupt = |seed| {
+            let plan = FaultPlan::new(seed, 1.0, FaultKind::BitFlip);
+            let mut v: Vec<f64> = (0..64).map(f64::from).collect();
+            let kind = plan.decide(3, 0).unwrap();
+            let i = plan.element_index(v.len(), 3, 0).unwrap();
+            v[i] = kind.apply(v[i]);
+            v
+        };
+        assert_eq!(corrupt(7), corrupt(7));
     }
 
     #[test]
     fn bit_flip_changes_value_substantially() {
-        let mut inj = FaultInjector::new(1.0, FaultKind::BitFlip, 1);
-        let v = inj.corrupt_value(1.0f64);
+        let v = FaultKind::BitFlip.apply(1.0);
         assert_ne!(v, 1.0);
         // Flipping exponent bit 61 either explodes the value (~1e154) or
         // collapses it (~1e-154); both are a large *relative* change.
         assert!((v - 1.0).abs() >= 0.5, "bit 61 flip must be large: {v}");
-        assert_eq!(inj.faults_fired(), 1);
+        assert_eq!(FaultKind::BitFlip.apply(v), 1.0, "a flip is an involution");
     }
 
     #[test]
     fn stuck_and_scale_kinds() {
-        let mut inj = FaultInjector::new(1.0, FaultKind::Stuck(42.0), 2);
-        assert_eq!(inj.corrupt_value(7.0f64), 42.0);
-        let mut inj = FaultInjector::new(1.0, FaultKind::Scale(2.0), 3);
-        assert_eq!(inj.corrupt_value(7.0f64), 14.0);
+        assert_eq!(FaultKind::Stuck(42.0).apply(7.0), 42.0);
+        assert_eq!(FaultKind::Scale(2.0).apply(7.0), 14.0);
     }
 
     #[test]
     fn zero_kind_kills_value() {
-        let mut inj = FaultInjector::new(1.0, FaultKind::Zero, 11);
-        assert_eq!(inj.corrupt_value(3.5f64), 0.0);
+        assert_eq!(FaultKind::Zero.apply(3.5), 0.0);
         assert_eq!(FaultKind::Zero.apply(-7.0), 0.0);
     }
 
     #[test]
     fn rate_is_validated_and_readable() {
-        let mut inj = FaultInjector::new(0.25, FaultKind::BitFlip, 12);
-        assert_eq!(inj.rate(), 0.25);
-        inj.set_rate(0.5);
-        assert_eq!(inj.rate(), 0.5);
-        assert!(std::panic::catch_unwind(move || inj.set_rate(1.5)).is_err());
-        assert!(std::panic::catch_unwind(|| FaultInjector::new(-0.1, FaultKind::Zero, 0)).is_err());
+        let plan = FaultPlan::new(12, 0.25, FaultKind::BitFlip);
+        assert_eq!(plan.rate(), 0.25);
+        assert!(std::panic::catch_unwind(|| FaultPlan::new(0, 1.5, FaultKind::Zero)).is_err());
+        assert!(std::panic::catch_unwind(|| FaultPlan::new(0, -0.1, FaultKind::Zero)).is_err());
+        assert!(std::panic::catch_unwind(|| FaultPlan::new(0, f64::NAN, FaultKind::Zero)).is_err());
     }
 
     #[test]
     fn rate_zero_never_fires() {
-        let mut inj = FaultInjector::new(0.0, FaultKind::BitFlip, 4);
-        assert!((0..1000).all(|_| !inj.should_fire()));
+        let plan = FaultPlan::new(4, 0.0, FaultKind::BitFlip);
+        assert!((0..1000).all(|it| plan.decide(it, 0).is_none()));
+        assert_eq!(plan.total_fired(), 0);
     }
 
     #[test]
     fn rate_one_always_fires() {
-        let mut inj = FaultInjector::new(1.0, FaultKind::BitFlip, 5);
-        assert!((0..100).all(|_| inj.should_fire()));
+        let plan = FaultPlan::new(5, 1.0, FaultKind::Stuck(9.0));
+        assert!((0..100).all(|it| plan.decide(it, 0) == Some(FaultKind::Stuck(9.0))));
+        assert_eq!(plan.total_fired(), 100);
     }
 
     #[test]
     fn vector_corruption_in_bounds() {
-        let mut inj = FaultInjector::new(1.0, FaultKind::BitFlip, 6);
-        let mut v = vec![1.0f64; 17];
-        let i = inj.corrupt_vector(&mut v);
-        assert!(i < 17);
-        assert_ne!(v[i], 1.0);
+        let plan = FaultPlan::new(6, 1.0, FaultKind::BitFlip);
+        for it in 0..100 {
+            let i = plan.element_index(17, it, 0).unwrap();
+            assert!(i < 17);
+        }
+        assert_eq!(plan.element_index(0, 0, 0), None);
     }
 }

@@ -1,31 +1,52 @@
-//! Chaos plans: schedule-independent fault injection for task DAGs.
+//! Seeded fault plans: the one fault decider behind every resilience
+//! experiment (E12, E17, E20).
 //!
-//! [`FaultInjector`](crate::inject::FaultInjector) draws from a *stateful*
-//! RNG stream, which is right for a single-threaded solver loop but wrong
-//! for a multithreaded DAG: the stream order would depend on thread
-//! interleaving, and two runs of the same campaign would corrupt different
-//! tasks. A [`FaultPlan`] instead decides **statelessly** — the verdict
-//! for a `(task, attempt)` pair is a pure hash of `(seed, task, attempt)`
-//! — so it is `Sync`, can be shared by every worker without locks, and
-//! yields byte-identical fault schedules across runs and thread counts.
-//! Retries are first-class: attempt 2 of a task rolls independently of
-//! attempt 1, so a retried task is *not* doomed to refail (and campaigns
-//! at the same rate hit the same first attempts regardless of retry
-//! policy).
+//! A [`FaultPlan`] decides **statelessly**: every verdict is a pure hash of
+//! `(seed, site, step, attempt)`, so a plan is `Sync`, can be shared by
+//! every worker without locks, and yields byte-identical fault schedules
+//! across runs and thread counts. A *step* is a DAG task or a solver
+//! iteration; an *attempt* is a task retry or a rollback replay. Attempts
+//! roll independently, so a retried task or a replayed iteration is *not*
+//! doomed to refail (and campaigns at the same rate hit the same first
+//! attempts regardless of retry policy).
 //!
-//! A plan injects three fault species, mirroring what the keynote lists as
-//! the dominant failure modes at scale:
+//! One step draws at three *sites*, each salted so its draws are
+//! independent of the others:
+//!
+//! * whether the step fires ([`FaultPlan::fires_at`], [`FaultPlan::decide`]);
+//! * the victim ([`FaultPlan::victim_index`]): the element of a task's
+//!   output, or the [`SolverBuffer`](crate::sdc::SolverBuffer) a solver
+//!   fault hits;
+//! * the victim element inside that solver buffer
+//!   ([`FaultPlan::element_index`]).
+//!
+//! The plan's kind `K` is what a fired step does. DAG plans use
+//! [`ChaosKind`], the three fault species the keynote lists as dominant at
+//! scale:
 //!
 //! * [`ChaosKind::Panic`] — the task dies mid-flight (process/node crash);
 //! * [`ChaosKind::SilentCorrupt`] — the task completes but its output is
 //!   wrong (undetected DRAM/logic error) — the case ABFT exists for;
 //! * [`ChaosKind::Stall`] — the task runs far slower than its siblings
 //!   (the "straggler" problem).
+//!
+//! Solver loops take a `FaultPlan<FaultKind>`: a solver fault can only
+//! corrupt, and the type says so.
 
 use crate::inject::FaultKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-use xsc_runtime::{mix, unit_f64, Attempt, TaskFault, TaskId};
+use xsc_runtime::{mix, unit_f64};
+
+/// How long a [`ChaosKind::Stall`] injection sleeps.
+pub const STALL: Duration = Duration::from_micros(100);
+
+/// Salt of the fire-or-not site.
+const FIRE: u64 = 0;
+/// Salt of the victim site: a task's output element, or a solver buffer.
+const VICTIM: u64 = 0x9e3779b97f4a7c15;
+/// Salt of the solver's victim-element site.
+const ELEMENT: u64 = 0xd1b54a32d192ed03;
 
 /// What an injected chaos event does to the victim task.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,58 +56,35 @@ pub enum ChaosKind {
     /// The attempt completes with corrupted output (silent data error),
     /// perturbing one element with the given [`FaultKind`].
     SilentCorrupt(FaultKind),
-    /// The attempt stalls for the plan's stall duration before running.
+    /// The attempt stalls for [`STALL`] before running.
     Stall,
 }
 
-/// The verdict [`FaultPlan::decide`] returns for one task attempt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Injection {
-    /// Panic now (the plan has already counted it).
-    Panic,
-    /// Complete normally, then corrupt the output via
-    /// [`FaultPlan::corrupt_slice`].
-    Corrupt(FaultKind),
-    /// Sleep for [`FaultPlan::stall_duration`] before (or while) running.
-    Stall(Duration),
-}
-
-/// A seeded, schedule-independent fault plan for one DAG execution (or an
-/// entire campaign — the decision function has no mutable state; the only
-/// interior mutability is the fired counters).
+/// A seeded, schedule-independent fault plan firing faults of kind `K`
+/// (for one DAG execution, a solve, or an entire campaign — the decision
+/// function has no mutable state; the only interior mutability is the
+/// fired counter).
 #[derive(Debug)]
-pub struct FaultPlan {
+pub struct FaultPlan<K = ChaosKind> {
     seed: u64,
     rate: f64,
-    kind: ChaosKind,
-    stall: Duration,
-    fired_panics: AtomicUsize,
-    fired_corruptions: AtomicUsize,
-    fired_stalls: AtomicUsize,
+    kind: K,
+    fired: AtomicUsize,
 }
 
-impl FaultPlan {
-    /// Creates a plan firing with probability `rate` per task attempt.
+impl<K: Copy> FaultPlan<K> {
+    /// Creates a plan firing with probability `rate` per step attempt.
     ///
     /// # Panics
     /// If `rate` is not in `[0, 1]` (NaN included).
-    pub fn new(seed: u64, rate: f64, kind: ChaosKind) -> Self {
+    pub fn new(seed: u64, rate: f64, kind: K) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
         FaultPlan {
             seed,
             rate,
             kind,
-            stall: Duration::from_micros(200),
-            fired_panics: AtomicUsize::new(0),
-            fired_corruptions: AtomicUsize::new(0),
-            fired_stalls: AtomicUsize::new(0),
+            fired: AtomicUsize::new(0),
         }
-    }
-
-    /// Sets how long a [`ChaosKind::Stall`] injection sleeps.
-    pub fn stall_duration(mut self, d: Duration) -> Self {
-        self.stall = d;
-        self
     }
 
     /// The per-attempt firing probability.
@@ -94,119 +92,76 @@ impl FaultPlan {
         self.rate
     }
 
-    /// The plan seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    fn roll(&self, site: u64, step: usize, attempt: u32) -> u64 {
+        mix(self.seed ^ site ^ mix(((step as u64) << 32) | u64::from(attempt)))
     }
 
-    /// Pure decision: does this `(task, attempt)` pair draw a fault?
+    /// Pure decision: does this `(step, attempt)` pair draw a fault?
     /// Identical across runs, thread counts, and schedules. Does not
     /// count anything — see [`FaultPlan::decide`].
-    pub fn fires_at(&self, task: TaskId, attempt: u32) -> bool {
-        let h = mix(self.seed ^ mix((task as u64) << 32 | u64::from(attempt)));
-        unit_f64(h) < self.rate
+    pub fn fires_at(&self, step: usize, attempt: u32) -> bool {
+        unit_f64(self.roll(FIRE, step, attempt)) < self.rate
     }
 
     /// Rolls for one attempt and, when it fires, counts the event and
-    /// returns what the kernel must do. Call exactly once per attempt.
-    pub fn decide(&self, task: TaskId, attempt: u32) -> Option<Injection> {
-        if !self.fires_at(task, attempt) {
+    /// returns the plan's kind. Call exactly once per attempt.
+    pub fn decide(&self, step: usize, attempt: u32) -> Option<K> {
+        if !self.fires_at(step, attempt) {
             return None;
         }
-        Some(match self.kind {
-            ChaosKind::Panic => {
-                self.fired_panics.fetch_add(1, Ordering::Relaxed);
-                Injection::Panic
-            }
-            ChaosKind::SilentCorrupt(k) => {
-                self.fired_corruptions.fetch_add(1, Ordering::Relaxed);
-                Injection::Corrupt(k)
-            }
-            ChaosKind::Stall => {
-                self.fired_stalls.fetch_add(1, Ordering::Relaxed);
-                Injection::Stall(self.stall)
-            }
-        })
+        self.fired.fetch_add(1, Ordering::Relaxed);
+        Some(self.kind)
+    }
+
+    fn pick(&self, site: u64, len: usize, step: usize, attempt: u32) -> Option<usize> {
+        (len > 0).then(|| (self.roll(site, step, attempt) % len as u64) as usize)
     }
 
     /// Deterministic victim choice among `len` candidates for this
-    /// `(task, attempt)` — lets callers corrupt within a custom index set
-    /// (e.g. only the live triangle of a symmetric tile). Returns `None`
-    /// when `len == 0`.
-    pub fn victim_index(&self, len: usize, task: TaskId, attempt: u32) -> Option<usize> {
-        if len == 0 {
-            return None;
-        }
-        let h = mix(self.seed ^ 0x9e3779b97f4a7c15 ^ mix((task as u64) << 32 | u64::from(attempt)));
-        Some((h % len as u64) as usize)
+    /// `(step, attempt)` — a task's output element (callers may corrupt
+    /// within a custom index set, e.g. only the live triangle of a
+    /// symmetric tile), or a solver buffer. Returns `None` when `len == 0`.
+    pub fn victim_index(&self, len: usize, step: usize, attempt: u32) -> Option<usize> {
+        self.pick(VICTIM, len, step, attempt)
+    }
+
+    /// Deterministic victim element among `len` entries of the solver
+    /// buffer [`FaultPlan::victim_index`] chose. Returns `None` when
+    /// `len == 0`.
+    pub fn element_index(&self, len: usize, step: usize, attempt: u32) -> Option<usize> {
+        self.pick(ELEMENT, len, step, attempt)
     }
 
     /// Corrupts a deterministically chosen element of `data` with `kind`
     /// (the element index is a hash of the plan seed and the attempt, so
     /// same-seed runs corrupt the same element of the same task).
-    pub fn corrupt_slice(&self, data: &mut [f64], kind: FaultKind, task: TaskId, attempt: u32) {
-        if let Some(i) = self.victim_index(data.len(), task, attempt) {
+    pub fn corrupt_slice(&self, data: &mut [f64], kind: FaultKind, step: usize, attempt: u32) {
+        if let Some(i) = self.victim_index(data.len(), step, attempt) {
             data[i] = kind.apply(data[i]);
         }
     }
 
-    /// Total injections so far, by species: `(panics, corruptions, stalls)`.
-    pub fn fired(&self) -> (usize, usize, usize) {
-        (
-            self.fired_panics.load(Ordering::Relaxed),
-            self.fired_corruptions.load(Ordering::Relaxed),
-            self.fired_stalls.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Total injections so far, all species.
+    /// Total injections so far.
     pub fn total_fired(&self) -> usize {
-        let (p, c, s) = self.fired();
-        p + c + s
+        self.fired.load(Ordering::Relaxed)
     }
 }
 
-/// Wraps a fallible kernel with this plan: panics and stalls are injected
-/// generically; silent corruption is delegated to `corrupt`, which knows
-/// where the task's output lives (called *after* the kernel succeeds, so
-/// the corruption lands on computed data exactly as a silent hardware
-/// error would).
-///
-/// The wrapped kernel is `Fn + Send + Sync`, ready for
-/// [`TaskGraph::add_fallible_task`](xsc_runtime::TaskGraph::add_fallible_task).
-pub fn chaos_kernel<K, C>(
-    plan: std::sync::Arc<FaultPlan>,
-    kernel: K,
-    corrupt: C,
-) -> impl Fn(Attempt) -> Result<(), TaskFault> + Send + Sync
-where
-    K: Fn(Attempt) -> Result<(), TaskFault> + Send + Sync,
-    C: Fn(&FaultPlan, FaultKind, Attempt) + Send + Sync,
-{
-    move |a: Attempt| match plan.decide(a.task, a.attempt) {
-        Some(Injection::Panic) => {
-            panic!(
-                "chaos: injected panic in task {} attempt {}",
-                a.task, a.attempt
-            )
+impl FaultPlan<ChaosKind> {
+    /// Total injections so far, by species: `(panics, corruptions, stalls)`.
+    pub fn fired(&self) -> (usize, usize, usize) {
+        let n = self.total_fired();
+        match self.kind {
+            ChaosKind::Panic => (n, 0, 0),
+            ChaosKind::SilentCorrupt(_) => (0, n, 0),
+            ChaosKind::Stall => (0, 0, n),
         }
-        Some(Injection::Stall(d)) => {
-            std::thread::sleep(d);
-            kernel(a)
-        }
-        Some(Injection::Corrupt(k)) => {
-            kernel(a)?;
-            corrupt(&plan, k, a);
-            Ok(())
-        }
-        None => kernel(a),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn decisions_are_deterministic_and_schedule_free() {
@@ -255,13 +210,16 @@ mod tests {
     #[test]
     fn decide_counts_by_species() {
         let p = FaultPlan::new(5, 1.0, ChaosKind::SilentCorrupt(FaultKind::BitFlip));
-        assert!(matches!(
+        assert_eq!(
             p.decide(0, 1),
-            Some(Injection::Corrupt(FaultKind::BitFlip))
-        ));
-        assert!(matches!(p.decide(1, 1), Some(Injection::Corrupt(_))));
+            Some(ChaosKind::SilentCorrupt(FaultKind::BitFlip))
+        );
+        assert!(matches!(p.decide(1, 1), Some(ChaosKind::SilentCorrupt(_))));
         assert_eq!(p.fired(), (0, 2, 0));
         assert_eq!(p.total_fired(), 2);
+        let stalls = FaultPlan::new(5, 1.0, ChaosKind::Stall);
+        assert_eq!(stalls.decide(0, 1), Some(ChaosKind::Stall));
+        assert_eq!(stalls.fired(), (0, 0, 1));
     }
 
     #[test]
@@ -284,55 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn chaos_kernel_injects_panic_and_corruption() {
-        use std::sync::Mutex;
-        // Panic species: wrapped kernel panics when the plan fires.
-        let plan = Arc::new(FaultPlan::new(3, 1.0, ChaosKind::Panic));
-        let k = chaos_kernel(Arc::clone(&plan), |_| Ok(()), |_, _, _| {});
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            k(Attempt {
-                task: 0,
-                attempt: 1,
-            })
-        }));
-        assert!(r.is_err());
-        assert_eq!(plan.fired().0, 1);
-
-        // Corruption species: kernel output corrupted after success.
-        let data = Arc::new(Mutex::new(vec![1.0f64; 8]));
-        let plan = Arc::new(FaultPlan::new(
-            3,
-            1.0,
-            ChaosKind::SilentCorrupt(FaultKind::Zero),
-        ));
-        let d = Arc::clone(&data);
-        let k = chaos_kernel(
-            Arc::clone(&plan),
-            |_| Ok(()),
-            move |p, kind, a| p.corrupt_slice(&mut d.lock().unwrap(), kind, a.task, a.attempt),
-        );
-        k(Attempt {
-            task: 0,
-            attempt: 1,
-        })
-        .unwrap();
-        assert_eq!(
-            data.lock().unwrap().iter().filter(|&&v| v == 0.0).count(),
-            1
-        );
-    }
-
-    #[test]
-    fn chaos_kernel_rate_zero_is_passthrough() {
-        let plan = Arc::new(FaultPlan::new(3, 0.0, ChaosKind::Panic));
-        let k = chaos_kernel(Arc::clone(&plan), |_| Ok(()), |_, _, _| {});
-        for t in 0..100 {
-            assert!(k(Attempt {
-                task: t,
-                attempt: 1
-            })
-            .is_ok());
-        }
-        assert_eq!(plan.total_fired(), 0);
+    fn victim_and_element_sites_are_independent() {
+        let p = FaultPlan::new(3, 1.0, FaultKind::BitFlip);
+        assert_eq!(p.element_index(0, 1, 0), None);
+        let differ = (0..64)
+            .filter(|&t| p.victim_index(1 << 20, t, 0) != p.element_index(1 << 20, t, 0))
+            .count();
+        assert_eq!(differ, 64, "the two sites must draw different words");
     }
 }

@@ -1,18 +1,15 @@
-//! Memory-fault injection and the SDC-protected Krylov loop.
+//! The SDC-protected Krylov loop.
 //!
-//! [`FaultInjector`](crate::inject::FaultInjector) corrupts wherever its
-//! stateful RNG stream happens to point, and
-//! [`FaultPlan`](crate::plan::FaultPlan) targets DAG task attempts.
-//! Neither can express the failure mode the keynote worries about most in
-//! iterative solvers: a DRAM upset in one of the solver's *long-lived
-//! buffers* — the matrix values, the iterate, the residual, the search
-//! direction — at an arbitrary point of a run that may replay iterations
-//! after rollback. [`MemFaultPlan`] closes that gap: a pure hash of
-//! `(seed, iteration, sweep)` decides whether a fault fires, which
-//! [`SolverBuffer`] it hits, and which element it corrupts, so campaigns
-//! are byte-reproducible across runs and thread counts, and a replayed
-//! iteration (`sweep + 1`) rolls independently of the original — a
-//! rolled-back solve is not doomed to re-fault.
+//! The failure mode the keynote worries about most in iterative solvers is
+//! a DRAM upset in one of the solver's *long-lived buffers* — the matrix
+//! values, the iterate, the residual, the search direction — at an
+//! arbitrary point of a run that may replay iterations after rollback. A
+//! solver's [`FaultPlan`] keys its decisions on `(iteration, sweep)`:
+//! `iteration` is the 1-based logical iteration, `sweep` counts rollback
+//! replays, so a replayed iteration rolls independently of the original —
+//! a rolled-back solve is not doomed to re-fault. The plan's victim site
+//! picks the [`SolverBuffer`] and its element site the entry, so campaigns
+//! are byte-reproducible across runs and thread counts.
 //!
 //! [`protected_pcg`] is the consumer: preconditioned CG wrapped in the
 //! `xsc-sparse` ABFT detector layer (checksummed SpMV, curvature and
@@ -26,10 +23,11 @@
 //! detectors — the control arm of the E20 chaos campaign.
 
 use crate::inject::FaultKind;
+use crate::plan::FaultPlan;
 use std::ops::DerefMut;
 use std::time::Duration;
 use xsc_core::blas1;
-use xsc_runtime::{mix, unit_f64, RecoveryPolicy};
+use xsc_runtime::RecoveryPolicy;
 use xsc_sparse::abft::{residual_drift, CheckedApply, SdcDetected, SpmvGuard};
 use xsc_sparse::cg::{CgHooks, CgResult, CgState, Flow, Preconditioner};
 use xsc_sparse::ops::SparseOps;
@@ -58,6 +56,15 @@ impl SolverBuffer {
         ]
     }
 
+    /// The buffer a fault of `plan` at `(iteration, sweep)` hits: the
+    /// plan's victim site over [`SolverBuffer::all`].
+    pub fn hit_by(plan: &FaultPlan<FaultKind>, iteration: usize, sweep: u32) -> SolverBuffer {
+        let all = SolverBuffer::all();
+        all[plan
+            .victim_index(all.len(), iteration, sweep)
+            .unwrap_or_default()]
+    }
+
     /// Stable short name (used in reports and JSON keys).
     pub fn name(self) -> &'static str {
         match self {
@@ -66,71 +73,6 @@ impl SolverBuffer {
             SolverBuffer::Residual => "residual",
             SolverBuffer::SearchDirection => "search_direction",
         }
-    }
-}
-
-/// A seeded, schedule-independent memory-fault plan for iterative solves.
-///
-/// Decisions are keyed on `(iteration, sweep)`: `iteration` is the solver's
-/// 1-based logical iteration number, `sweep` counts rollback replays (the
-/// protected loop bumps it on every rollback), so the same logical
-/// iteration rolls fresh faults when replayed — mirroring how
-/// [`FaultPlan`](crate::plan::FaultPlan) keys on `(task, attempt)`.
-#[derive(Debug, Clone)]
-pub struct MemFaultPlan {
-    seed: u64,
-    rate: f64,
-    kind: FaultKind,
-}
-
-impl MemFaultPlan {
-    /// Creates a plan firing with probability `rate` per iteration.
-    ///
-    /// # Panics
-    /// If `rate` is not in `[0, 1]` (NaN included).
-    pub fn new(seed: u64, rate: f64, kind: FaultKind) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        MemFaultPlan { seed, rate, kind }
-    }
-
-    /// The per-iteration firing probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// The plan seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn roll(&self, salt: u64, iteration: usize, sweep: u32) -> u64 {
-        mix(self.seed ^ salt ^ mix(((iteration as u64) << 32) | u64::from(sweep)))
-    }
-
-    /// Pure decision: does `(iteration, sweep)` draw a fault? Identical
-    /// across runs and schedules.
-    pub fn fires_at(&self, iteration: usize, sweep: u32) -> bool {
-        unit_f64(self.roll(0, iteration, sweep)) < self.rate
-    }
-
-    /// Draws the fault for `(iteration, sweep)`, if one fires: which
-    /// buffer it hits and how the victim value is perturbed.
-    pub fn draw(&self, iteration: usize, sweep: u32) -> Option<(SolverBuffer, FaultKind)> {
-        if !self.fires_at(iteration, sweep) {
-            return None;
-        }
-        let buffers = SolverBuffer::all();
-        let h = self.roll(0x9e3779b97f4a7c15, iteration, sweep);
-        Some((buffers[(h % buffers.len() as u64) as usize], self.kind))
-    }
-
-    /// Deterministic victim choice among `len` candidate elements for
-    /// `(iteration, sweep)`. Returns `None` when `len == 0`.
-    pub fn victim_index(&self, len: usize, iteration: usize, sweep: u32) -> Option<usize> {
-        if len == 0 {
-            return None;
-        }
-        Some((self.roll(0xd1b54a32d192ed03, iteration, sweep) % len as u64) as usize)
     }
 }
 
@@ -365,7 +307,7 @@ pub struct SdcReport {
 /// at the start of every pass it draws from the plan and corrupts the
 /// chosen buffer. On its own it is the hook set of [`unprotected_pcg`].
 struct Injector<'p> {
-    plan: &'p MemFaultPlan,
+    plan: &'p FaultPlan<FaultKind>,
     /// Rollback replays so far; the protected loop bumps it.
     sweep: u32,
     bnorm: f64,
@@ -373,7 +315,7 @@ struct Injector<'p> {
 }
 
 impl<'p> Injector<'p> {
-    fn new(plan: &'p MemFaultPlan, bnorm: f64) -> Self {
+    fn new(plan: &'p FaultPlan<FaultKind>, bnorm: f64) -> Self {
         Injector {
             plan,
             sweep: 0,
@@ -386,16 +328,17 @@ impl<'p> Injector<'p> {
     fn inject<R: DerefMut<Target: SparseOps>>(&mut self, s: &mut CgState<'_, R>) {
         self.report.executed_iterations += 1;
         let (iteration, sweep) = (s.iteration, self.sweep);
-        let Some((buffer, kind)) = self.plan.draw(iteration, sweep) else {
+        let Some(kind) = self.plan.decide(iteration, sweep) else {
             return;
         };
+        let buffer = SolverBuffer::hit_by(self.plan, iteration, sweep);
         let target: &mut [f64] = match buffer {
             SolverBuffer::MatrixValues => s.a.values_mut(),
             SolverBuffer::Iterate => s.x,
             SolverBuffer::Residual => &mut s.r,
             SolverBuffer::SearchDirection => &mut s.p,
         };
-        let Some(index) = self.plan.victim_index(target.len(), iteration, sweep) else {
+        let Some(index) = self.plan.element_index(target.len(), iteration, sweep) else {
             return;
         };
         let old = target[index];
@@ -676,7 +619,7 @@ pub fn protected_pcg<A: SparseOps + ?Sized, P: CheckedApply>(
     max_iters: usize,
     tol: f64,
     m: &P,
-    plan: &MemFaultPlan,
+    plan: &FaultPlan<FaultKind>,
     cfg: &ProtectConfig,
     policy: &RecoveryPolicy,
 ) -> SdcReport {
@@ -716,7 +659,7 @@ pub fn unprotected_pcg<A: SparseOps + ?Sized, P: Preconditioner>(
     max_iters: usize,
     tol: f64,
     m: &P,
-    plan: &MemFaultPlan,
+    plan: &FaultPlan<FaultKind>,
 ) -> SdcReport {
     let state = CgState::new(&mut *a, b, &mut *x, m).unwrap_or_else(|e| panic!("{e}"));
     let mut faults = Injector::new(plan, state.bnorm);
@@ -737,19 +680,24 @@ mod tests {
         (FormatMatrix::convert(a, fmt).unwrap(), b)
     }
 
-    fn quiet_plan() -> MemFaultPlan {
-        MemFaultPlan::new(1, 0.0, FaultKind::BitFlip)
+    fn quiet_plan() -> FaultPlan<FaultKind> {
+        FaultPlan::new(1, 0.0, FaultKind::BitFlip)
     }
 
     #[test]
     fn plan_decisions_are_deterministic_and_sweep_independent() {
-        let p1 = MemFaultPlan::new(42, 0.3, FaultKind::BitFlip);
-        let p2 = MemFaultPlan::new(42, 0.3, FaultKind::BitFlip);
-        let a: Vec<_> = (1..200).map(|i| p1.draw(i, 0)).collect();
-        let b: Vec<_> = (1..200).map(|i| p2.draw(i, 0)).collect();
+        let p1 = FaultPlan::new(42, 0.3, FaultKind::BitFlip);
+        let p2 = FaultPlan::new(42, 0.3, FaultKind::BitFlip);
+        let draw = |p: &FaultPlan<FaultKind>, i| {
+            let kind = p.decide(i, 0)?;
+            Some((SolverBuffer::hit_by(p, i, 0), kind))
+        };
+        let a: Vec<_> = (1..200).map(|i| draw(&p1, i)).collect();
+        let b: Vec<_> = (1..200).map(|i| draw(&p2, i)).collect();
         assert_eq!(a, b);
         assert!(a.iter().any(|d| d.is_some()));
         assert!(a.iter().any(|d| d.is_none()));
+        assert_eq!(p1.total_fired(), p2.total_fired());
         // A replayed iteration rolls independently: somewhere the verdicts
         // of sweep 0 and sweep 1 differ.
         assert!((1..200).any(|i| p1.fires_at(i, 0) != p1.fires_at(i, 1)));
@@ -757,12 +705,10 @@ mod tests {
 
     #[test]
     fn plan_hits_every_buffer_eventually() {
-        let p = MemFaultPlan::new(7, 1.0, FaultKind::BitFlip);
+        let p = FaultPlan::new(7, 1.0, FaultKind::BitFlip);
         let mut seen = std::collections::BTreeSet::new();
         for i in 1..100 {
-            if let Some((buf, _)) = p.draw(i, 0) {
-                seen.insert(buf.name());
-            }
+            seen.insert(SolverBuffer::hit_by(&p, i, 0).name());
         }
         assert_eq!(seen.len(), SolverBuffer::all().len());
     }
@@ -817,7 +763,7 @@ mod tests {
         let (mut a, b) = problem(SparseFormat::CsrUsize);
         // One guaranteed catastrophic fault per sweep-0 iteration window:
         // high rate, huge stuck value.
-        let plan = MemFaultPlan::new(33, 0.25, FaultKind::Stuck(1e30));
+        let plan = FaultPlan::new(33, 0.25, FaultKind::Stuck(1e30));
         let mut x = vec![0.0; b.len()];
         let report = protected_pcg(
             &mut a,
@@ -854,7 +800,7 @@ mod tests {
     #[test]
     fn unprotected_run_is_silently_wrong_under_the_same_faults() {
         let (mut a, b) = problem(SparseFormat::CsrUsize);
-        let plan = MemFaultPlan::new(33, 0.25, FaultKind::Stuck(1e30));
+        let plan = FaultPlan::new(33, 0.25, FaultKind::Stuck(1e30));
         let mut x = vec![0.0; b.len()];
         let report = unprotected_pcg(&mut a, &b, &mut x, 200, 1e-8, &Identity, &plan);
         assert!(!report.injections.is_empty());
@@ -871,7 +817,7 @@ mod tests {
     fn rollback_budget_exhaustion_aborts() {
         let (mut a, b) = problem(SparseFormat::CsrUsize);
         // Every iteration faults catastrophically; one retry allowed.
-        let plan = MemFaultPlan::new(5, 1.0, FaultKind::Stuck(f64::NAN));
+        let plan = FaultPlan::new(5, 1.0, FaultKind::Stuck(f64::NAN));
         let mut x = vec![0.0; b.len()];
         let report = protected_pcg(
             &mut a,
@@ -902,7 +848,7 @@ mod tests {
     fn protected_runs_are_byte_reproducible() {
         let run = || {
             let (mut a, b) = problem(SparseFormat::Csr32);
-            let plan = MemFaultPlan::new(99, 0.15, FaultKind::BitFlip);
+            let plan = FaultPlan::new(99, 0.15, FaultKind::BitFlip);
             let mut x = vec![0.0; b.len()];
             let rep = protected_pcg(
                 &mut a,
@@ -930,7 +876,7 @@ mod tests {
     fn matrix_corruption_is_restored_from_pristine_snapshot() {
         let (mut a, b) = problem(SparseFormat::SellCSigma);
         let pristine = a.values().to_vec();
-        let plan = MemFaultPlan::new(12, 0.3, FaultKind::Stuck(1e25));
+        let plan = FaultPlan::new(12, 0.3, FaultKind::Stuck(1e25));
         let mut x = vec![0.0; b.len()];
         let report = protected_pcg(
             &mut a,

@@ -855,11 +855,7 @@ mod tests {
         let out = Arc::clone(out);
         let accesses: Vec<Access> = (0..chains).map(Access::Read).collect();
         g.add_task("combine", accesses, move || {
-            let v = s.lock();
-            let mut h = 0xcbf29ce484222325u64;
-            for &x in v.iter() {
-                h = h.wrapping_mul(0x100000001b3).wrapping_add(x as u64);
-            }
+            let h = crate::fnv1a(s.lock().iter().map(|&x| x as u64));
             out.store(h, Ordering::Relaxed);
         });
         g

@@ -56,6 +56,6 @@ pub mod trace;
 pub use executor::{Executor, SchedPolicy};
 pub use graph::{Access, Body, DataId, TaskGraph, TaskId, NO_AFFINITY};
 pub use resilience::{
-    mix, unit_f64, Attempt, Backoff, ExhaustedAction, RecoveryPolicy, ResilienceStats, TaskFault,
-    TaskOutcome,
+    fnv1a, mix, unit_f64, Attempt, Backoff, ExhaustedAction, RecoveryPolicy, ResilienceStats,
+    TaskFault, TaskOutcome,
 };

@@ -131,6 +131,16 @@ pub fn unit_f64(word: u64) -> f64 {
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// FNV-1a-style order-sensitive fold of 64-bit words (the FNV-1a 64-bit
+/// offset basis and prime, one multiply-then-add per word). The one
+/// checksum behind the bitwise-identity tests, E18b's GEMM checksums and
+/// the golden report pins.
+pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf29ce484222325u64, |h, w| {
+        h.wrapping_mul(0x100000001b3).wrapping_add(w)
+    })
+}
+
 impl Backoff {
     /// Delay to simulate after attempt number `failed_attempt` of `task`
     /// fails (before attempt `failed_attempt + 1` runs).

@@ -11,7 +11,8 @@ use xsc_core::{gen, Matrix};
 use xsc_examples::banner;
 use xsc_ft::abft::{abft_gemm, verified_cholesky};
 use xsc_ft::checkpoint::{resilient_cg, Recovery};
-use xsc_ft::inject::{FaultInjector, FaultKind};
+use xsc_ft::inject::FaultKind;
+use xsc_ft::plan::FaultPlan;
 use xsc_ft::AbftOutcome;
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
 
@@ -20,11 +21,9 @@ fn main() {
     let n = 256;
     let a = gen::random_matrix::<f64>(n, n, 1);
     let b = gen::random_matrix::<f64>(n, n, 2);
-    let mut inj = FaultInjector::new(1.0, FaultKind::BitFlip, 3);
     let (repaired, outcome) = abft_gemm(&a, &b, |c| {
         let (i, j) = (n / 4, n / 2);
-        let v = c.get(i, j);
-        c.set(i, j, inj.corrupt_value(v));
+        c.set(i, j, FaultKind::BitFlip.apply(c.get(i, j)));
         println!("  injected a bit flip at ({i},{j}) during the multiply");
     });
     match outcome {
@@ -68,13 +67,13 @@ fn main() {
     for (i, v) in rhs.iter_mut().enumerate() {
         *v += ((i * 2654435761) % 1000) as f64 / 1000.0 - 0.5;
     }
-    let mut inj = FaultInjector::new(0.1, FaultKind::BitFlip, 11);
+    let plan = FaultPlan::new(11, 0.1, FaultKind::BitFlip);
     let rep = resilient_cg(
         &sp,
         &rhs,
         2000,
         1e-9,
-        &mut inj,
+        &plan,
         Recovery::Checkpoint { interval: 10 },
         5,
         1e-6,

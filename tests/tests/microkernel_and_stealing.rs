@@ -16,14 +16,12 @@ use proptest::prelude::*;
 use xsc_core::gemm::{gemm_with_opts, Transpose, MR, NR};
 use xsc_core::{factor, gen, GemmParams, Matrix, MicroKernel, TileMatrix};
 use xsc_dense::{cholesky, lu};
-use xsc_runtime::{Executor, SchedPolicy};
+use xsc_runtime::{fnv1a, Executor, SchedPolicy};
 
 /// FNV-1a fold over the raw bit patterns of a matrix: collisions aside,
 /// equal checksums mean bitwise-equal results.
 fn bitwise_checksum(m: &Matrix<f64>) -> u64 {
-    m.as_slice().iter().fold(0xcbf29ce484222325u64, |h, x| {
-        h.wrapping_mul(0x100000001b3).wrapping_add(x.to_bits())
-    })
+    fnv1a(m.as_slice().iter().map(|x| x.to_bits()))
 }
 
 /// Runs one GEMM under (`params`, `kernel`) and returns every output bit.

@@ -4,7 +4,8 @@
 use xsc_core::{gen, norms};
 use xsc_ft::abft::abft_gemm;
 use xsc_ft::checkpoint::{resilient_cg, Recovery};
-use xsc_ft::inject::{FaultInjector, FaultKind};
+use xsc_ft::inject::FaultKind;
+use xsc_ft::plan::FaultPlan;
 use xsc_ft::AbftOutcome;
 use xsc_precision::ir::lu_ir_solve;
 use xsc_precision::Half;
@@ -19,10 +20,8 @@ fn abft_protected_matmul_inside_solver_pipeline() {
     let n = 24;
     let a = gen::random_matrix::<f64>(m, n, 1);
     let at = a.transpose();
-    let mut inj = FaultInjector::new(1.0, FaultKind::BitFlip, 2);
     let (gram, outcome) = abft_gemm(&at, &a, |c| {
-        let v = c.get(3, 7);
-        c.set(3, 7, inj.corrupt_value(v));
+        c.set(3, 7, FaultKind::BitFlip.apply(c.get(3, 7)));
     });
     assert!(matches!(outcome, AbftOutcome::Corrected { .. }));
     // Gram matrix must still be SPD after repair.
@@ -62,8 +61,8 @@ fn resilient_cg_matches_plain_pcg_when_fault_free() {
     let mut x_plain = vec![0.0; a.nrows()];
     let plain = pcg(&a, &b, &mut x_plain, 500, 1e-9, &Identity);
 
-    let mut inj = FaultInjector::new(0.0, FaultKind::BitFlip, 5);
-    let resilient = resilient_cg(&a, &b, 500, 1e-9, &mut inj, Recovery::Restart, 10, 1e-6);
+    let plan = FaultPlan::new(5, 0.0, FaultKind::BitFlip);
+    let resilient = resilient_cg(&a, &b, 500, 1e-9, &plan, Recovery::Restart, 10, 1e-6);
 
     assert!(plain.converged && resilient.converged);
     // Same algorithm, same deterministic reductions: iteration counts are
@@ -84,13 +83,18 @@ fn faulty_cg_still_reaches_true_solution() {
     for (i, v) in b.iter_mut().enumerate() {
         *v += ((i * 40503) % 997) as f64 / 997.0 - 0.5;
     }
-    let mut inj = FaultInjector::new(0.1, FaultKind::BitFlip, 6);
+    // The first seed in 0..64 whose plan fires within iterations 1..=5, so
+    // faults land while CG is still far from converged.
+    let plan = (0..64)
+        .map(|seed| FaultPlan::new(seed, 0.1, FaultKind::BitFlip))
+        .find(|plan| (1..=5).any(|it| plan.fires_at(it, 0)))
+        .expect("some seed in 0..64 fires within iterations 1..=5");
     let rep = resilient_cg(
         &a,
         &b,
         5000,
         1e-9,
-        &mut inj,
+        &plan,
         Recovery::Checkpoint { interval: 8 },
         4,
         1e-6,

@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 use xsc_ft::inject::FaultKind;
+use xsc_ft::plan::FaultPlan;
 use xsc_ft::sdc::{
-    protected_pcg, MemFaultPlan, ProtectConfig, RecoveryOutcome, SdcReport, SolverBuffer,
-    SolverCheckpoint,
+    protected_pcg, ProtectConfig, RecoveryOutcome, SdcReport, SolverBuffer, SolverCheckpoint,
 };
 use xsc_runtime::RecoveryPolicy;
 use xsc_sparse::cg::{pcg, Identity};
@@ -115,7 +115,7 @@ proptest! {
             checkpoint_interval: ckpt,
             drift_check_interval: drift,
         };
-        let plan = MemFaultPlan::new(seed, 0.0, FaultKind::BitFlip);
+        let plan = FaultPlan::new(seed, 0.0, FaultKind::BitFlip);
         let mut x = vec![0.0; b.len()];
         let report = protected_pcg(
             &mut a, &b, &mut x, 80, 1e-9, &Identity, &plan, &cfg, &RecoveryPolicy::default(),
@@ -139,7 +139,7 @@ proptest! {
         let fmt = format_from_index(fmt_idx);
         let a_csr = build_matrix(Geometry::new(6, 6, 6));
         let (b, _) = build_rhs(&a_csr);
-        let plan = MemFaultPlan::new(seed, 0.2, FaultKind::Stuck(1e28));
+        let plan = FaultPlan::new(seed, 0.2, FaultKind::Stuck(1e28));
         let cfg = ProtectConfig {
             checkpoint_interval: 2,
             drift_check_interval: 1,
