@@ -200,7 +200,7 @@ pub fn cholesky_dag<T: Scalar>(a: &TileMatrix<T>, executor: &Executor) -> Result
     );
     let poison = Poison::new();
     let g = build_graph(a, &poison);
-    let trace = executor.execute_traced(g);
+    let trace = executor.execute(g);
     poison.into_result()?;
     Ok(trace)
 }

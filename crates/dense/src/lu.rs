@@ -147,7 +147,7 @@ pub fn build_graph<T: Scalar>(a: &TileMatrix<T>, poison: &Poison) -> TaskGraph {
 pub fn lu_nopiv_dag<T: Scalar>(a: &TileMatrix<T>, executor: &Executor) -> Result<Trace> {
     let poison = Poison::new();
     let g = build_graph(a, &poison);
-    let trace = executor.execute_traced(g);
+    let trace = executor.execute(g);
     poison.into_result()?;
     Ok(trace)
 }

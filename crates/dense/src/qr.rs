@@ -170,7 +170,7 @@ pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, 
 pub fn qr_dag<T: Scalar>(a: TileMatrix<T>, executor: &Executor) -> Result<(TiledQr<T>, Trace)> {
     let poison = Poison::new();
     let (g, fact) = build_graph(a, &poison);
-    let trace = executor.execute_traced(g);
+    let trace = executor.execute(g);
     poison.into_result()?;
     Ok((fact, trace))
 }

@@ -76,7 +76,7 @@ struct Ctx {
 /// Returns the math errors of the underlying factorization
 /// ([`Error::NotPositiveDefinite`]) as `Err`; *fault* handling is
 /// reported through the trace's [`ResilienceStats`] instead — check
-/// `trace.resilience().unwrap().completed()` before trusting the factor.
+/// `trace.resilience().completed()` before trusting the factor.
 ///
 /// [`Error::NotPositiveDefinite`]: xsc_core::Error::NotPositiveDefinite
 /// [`ResilienceStats`]: xsc_runtime::ResilienceStats
@@ -101,7 +101,7 @@ pub fn cholesky_resilient_abft(
             guard(&op, &ctx, &snapshot, at)
         });
     }
-    let trace = executor.execute_resilient_traced(g, policy);
+    let trace = executor.execute_resilient(g, policy);
     ctx.poison.clone().into_result()?;
     Ok(ResilientCholesky {
         trace,
@@ -374,7 +374,7 @@ mod tests {
             let tiles = TileMatrix::from_matrix(&a, nb);
             let exec = Executor::new(4, SchedPolicy::CriticalPath);
             let run = cholesky_resilient_abft(&tiles, &exec, policy(), None).unwrap();
-            let stats = run.trace.resilience().unwrap();
+            let stats = run.trace.resilience();
             assert!(stats.completed(), "{}", stats.summary());
             assert_eq!(stats.retries, 0, "no faults -> no retries");
             assert_eq!(run.detections, 0, "guards must not false-positive");
@@ -402,7 +402,7 @@ mod tests {
         ));
         let run =
             cholesky_resilient_abft(&tiles, &exec, policy(), Some(Arc::clone(&plan))).unwrap();
-        let stats = run.trace.resilience().unwrap();
+        let stats = run.trace.resilience();
         assert!(stats.completed(), "{}", stats.summary());
         assert!(plan.fired().1 > 0, "rate 0.15 must fire on this DAG");
         assert!(run.detections > 0, "corruptions must be detected");
@@ -431,7 +431,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(11, 0.3, ChaosKind::Panic));
         let run =
             cholesky_resilient_abft(&tiles, &exec, policy(), Some(Arc::clone(&plan))).unwrap();
-        let stats = run.trace.resilience().unwrap();
+        let stats = run.trace.resilience();
         assert!(stats.completed(), "{}", stats.summary());
         assert!(plan.fired().0 > 0);
         assert!(stats.recoveries > 0);
@@ -460,7 +460,7 @@ mod tests {
         ));
         let run =
             cholesky_resilient_abft(&tiles, &exec, policy(), Some(Arc::clone(&plan))).unwrap();
-        let stats = run.trace.resilience().unwrap();
+        let stats = run.trace.resilience();
         assert!(stats.completed(), "{}", stats.summary());
         assert!(run.detections > 0);
         let got = lower_from_tiles(&tiles);
@@ -484,7 +484,7 @@ mod tests {
         ));
         let pol = RecoveryPolicy::with_max_attempts(2).on_exhausted(ExhaustedAction::SkipSubtree);
         let run = cholesky_resilient_abft(&tiles, &exec, pol, Some(plan)).unwrap();
-        let stats = run.trace.resilience().unwrap();
+        let stats = run.trace.resilience();
         assert!(!stats.completed());
         assert!(
             !stats.aborted,
@@ -528,7 +528,7 @@ mod tests {
             let plan = Arc::new(FaultPlan::new(seed, 0.05, kind));
             let run =
                 cholesky_resilient_abft(&tiles, &exec, policy(), Some(Arc::clone(&plan))).unwrap();
-            let stats = run.trace.resilience().unwrap();
+            let stats = run.trace.resilience();
             assert!(stats.completed(), "kind {kind:?}: {}", stats.summary());
             total_retries += stats.retries;
             let mut x = b.clone();

@@ -229,11 +229,9 @@ const C02_FILES: &[&str] = &[
 /// graph executions and the serve-side solve entry points.
 const C02_CALLEES: &[&str] = &[
     "run",
-    "run_resilient",
+    "run_attempts",
     "execute",
-    "execute_traced",
     "execute_resilient",
-    "execute_resilient_traced",
     "execute_launch",
     "execute_coalesced",
     "execute_single",
@@ -268,7 +266,7 @@ const HOT_PATHS: &[HotPath] = &[
     },
     HotPath {
         file: "crates/runtime/src/executor.rs",
-        fns: &["run", "run_resilient", "try_steal", "wake_all", "finished"],
+        fns: &["run", "run_attempts", "try_steal", "wake_all", "finished"],
         indexing: false,
     },
     HotPath {

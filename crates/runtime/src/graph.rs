@@ -130,9 +130,10 @@ impl TaskGraph {
     /// failed. Under [`Executor::execute_resilient`] the task is then
     /// retried up to the policy's budget; a kernel that mutates its output
     /// in place should snapshot it on attempt 1 and restore it when
-    /// [`Attempt::is_retry`] is set. Under the plain [`Executor::execute`]
-    /// a returned fault aborts the run (fail-stop), preserving the
-    /// pre-resilience semantics.
+    /// [`Attempt::is_retry`] is set. [`Executor::execute`] gives every
+    /// task one attempt, so a returned fault aborts the run and reaches
+    /// the caller as the panic payload `"task {id} failed: {fault}"`
+    /// (fail-stop).
     ///
     /// [`Executor::execute`]: crate::Executor::execute
     /// [`Executor::execute_resilient`]: crate::Executor::execute_resilient

@@ -258,7 +258,7 @@ impl RecoveryPolicy {
     }
 }
 
-/// Final disposition of one task in a resilient execution.
+/// Final disposition of one task in an execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskOutcome {
     /// Never reached (the execution aborted first).

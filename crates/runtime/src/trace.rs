@@ -1,14 +1,15 @@
-//! Execution traces: per-task start/end times per worker, with the derived
-//! utilization statistics experiment E02 reports, plus the resilience
-//! telemetry (retries/recoveries/skips) recorded by resilient executions.
+//! Execution traces: per-attempt start/end times per worker, with the
+//! derived utilization statistics experiment E02 reports, plus the
+//! resilience telemetry (retries/recoveries/skips) of every run.
 
 use crate::resilience::ResilienceStats;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One executed task *attempt*. In fail-stop executions every task has at
-/// most one attempt; resilient executions record one event per attempt, so
-/// retried tasks appear multiple times with increasing `attempt`.
+/// One executed task *attempt*. Every run records one event per attempt:
+/// under [`Executor::execute`](crate::Executor::execute) a task has one,
+/// and under [`Executor::execute_resilient`](crate::Executor::execute_resilient)
+/// a retried task appears once per attempt with increasing `attempt`.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Task id within the executed graph.
@@ -19,7 +20,7 @@ pub struct TraceEvent {
     pub start: Duration,
     /// End time relative to the execution epoch.
     pub end: Duration,
-    /// 1-based attempt number (always 1 for fail-stop executions).
+    /// 1-based attempt number (always 1 under `Executor::execute`).
     pub attempt: u32,
     /// Flops recorded (via `xsc-metrics`) on the worker thread while this
     /// attempt ran. Zero when the kernel is uninstrumented, or when an
@@ -44,7 +45,7 @@ pub struct Trace {
     wall: Duration,
     events: Vec<TraceEvent>,
     names: Arc<Vec<String>>,
-    resilience: Option<ResilienceStats>,
+    resilience: ResilienceStats,
     steals: u64,
 }
 
@@ -65,7 +66,7 @@ impl Trace {
             wall: Duration::ZERO,
             events: Vec::new(),
             names: Arc::new(Vec::new()),
-            resilience: None,
+            resilience: ResilienceStats::default(),
             steals: 0,
         }
     }
@@ -75,6 +76,7 @@ impl Trace {
         wall: Duration,
         mut events: Vec<TraceEvent>,
         names: Arc<Vec<String>>,
+        resilience: ResilienceStats,
     ) -> Self {
         events.sort_by_key(|e| e.start);
         Trace {
@@ -82,14 +84,9 @@ impl Trace {
             wall,
             events,
             names,
-            resilience: None,
+            resilience,
             steals: 0,
         }
-    }
-
-    pub(crate) fn with_resilience(mut self, stats: ResilienceStats) -> Self {
-        self.resilience = Some(stats);
-        self
     }
 
     pub(crate) fn with_steals(mut self, steals: u64) -> Self {
@@ -104,10 +101,12 @@ impl Trace {
         self.steals
     }
 
-    /// Resilience telemetry, present when the trace came from
-    /// [`Executor::execute_resilient`](crate::Executor::execute_resilient).
-    pub fn resilience(&self) -> Option<&ResilienceStats> {
-        self.resilience.as_ref()
+    /// Resilience telemetry of the run: per-task outcomes, retries,
+    /// recoveries and skips. A run of
+    /// [`Executor::execute`](crate::Executor::execute) that returned has
+    /// every task `Succeeded` on its one attempt.
+    pub fn resilience(&self) -> &ResilienceStats {
+        &self.resilience
     }
 
     /// Number of worker threads used.
@@ -115,9 +114,9 @@ impl Trace {
         self.threads
     }
 
-    /// Number of task events recorded (0 unless `execute_traced` was used,
-    /// except that the count of *run* tasks is always available via the
-    /// wall-clock path).
+    /// Number of attempt events recorded: one per task under
+    /// [`Executor::execute`](crate::Executor::execute), one per attempt
+    /// under [`Executor::execute_resilient`](crate::Executor::execute_resilient).
     pub fn tasks_run(&self) -> usize {
         self.events.len()
     }
@@ -362,6 +361,7 @@ mod tests {
                 },
             ],
             names,
+            ResilienceStats::default(),
         )
     }
 
@@ -466,6 +466,7 @@ mod tests {
                 },
             ],
             names,
+            ResilienceStats::default(),
         );
         let g = t.ascii_gantt(40);
         assert_eq!(g.lines().count(), 2, "one row per real worker:\n{g}");
@@ -491,6 +492,7 @@ mod tests {
                 bytes: 0,
             }],
             names,
+            ResilienceStats::default(),
         );
         let j = t.to_chrome_json();
         assert_valid_json(&j);

@@ -76,8 +76,8 @@ proptest! {
         let exec2 = Executor::new(t2, SchedPolicy::Fifo);
         let r2 = cholesky_resilient_abft(&tiles2, &exec2, skip_policy(), Some(plan())).unwrap();
 
-        let s1 = r1.trace.resilience().unwrap();
-        let s2 = r2.trace.resilience().unwrap();
+        let s1 = r1.trace.resilience();
+        let s2 = r2.trace.resilience();
         prop_assert_eq!(counts(s1), counts(s2),
             "stats diverged: [{}] vs [{}]", s1.summary(), s2.summary());
         prop_assert_eq!(r1.detections, r2.detections);
@@ -108,7 +108,7 @@ proptest! {
         let chaos = TileMatrix::from_matrix(&a, 16);
         let plan = Arc::new(FaultPlan::new(seed, 0.05, kind_for(kidx)));
         let run = cholesky_resilient_abft(&chaos, &exec, policy, Some(plan)).unwrap();
-        let stats = run.trace.resilience().unwrap();
+        let stats = run.trace.resilience();
         prop_assert!(stats.completed(), "{}", stats.summary());
 
         let lf = lower_from_tiles(&clean);
@@ -137,7 +137,7 @@ proptest! {
             let run = cholesky_resilient_abft(&tiles, &exec, skip_policy(), Some(Arc::clone(&plan)))
                 .unwrap();
             (plan.fired(), run.detections,
-             counts(run.trace.resilience().unwrap()))
+             counts(run.trace.resilience()))
         };
         prop_assert_eq!(run_once(), run_once());
     }
