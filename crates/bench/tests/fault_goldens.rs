@@ -23,7 +23,7 @@ use xsc_ft::sdc::SolverBuffer;
 use xsc_ft::AbftOutcome;
 
 /// Hash of the rendered quick-scale `BENCH_e12.json` report.
-const E12_REPORT: u64 = 0xa2c9_34cb_1bc0_0d9a;
+const E12_REPORT: u64 = 0xc1db_1702_9b64_c45d;
 
 /// Hash of the rendered quick-scale `BENCH_e17.json` report.
 const E17_REPORT: u64 = 0xe579_1f0c_537b_a10f;
