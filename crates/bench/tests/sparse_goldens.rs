@@ -2,7 +2,9 @@
 //! SpMV, parallel SpMV, fused residual, diagonal and column sums; the
 //! iterates of natural and multicolour symmetric Gauss–Seidel; an MG-PCG
 //! residual history; and the modeled SpMV/SymGS traffic of every level of
-//! a three-level hierarchy. The cross-format tests in
+//! a three-level hierarchy. The HPCG set-up is pinned too: the operator,
+//! its Gauss–Seidel schedule and the right-hand side on a grid big enough
+//! to split across threads, and the 96³ schedule's shape. The cross-format tests in
 //! `tests/tests/sparse_formats.rs` only compare formats with each other, so
 //! they cannot see a fold-order change that hits every format at once; a
 //! change that moves a single bit or byte shows up here as a hash mismatch.
@@ -11,6 +13,7 @@ use xsc_bench::fnv1a;
 use xsc_metrics::Traffic;
 use xsc_sparse::coloring::{color_classes, greedy_coloring};
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
+use xsc_sparse::symgs::GsSchedule;
 use xsc_sparse::{run_hpcg_fmt, CsrMatrix, FormatMatrix, SparseFormat, SparseOps};
 
 /// Per-format hashes, in [`SparseFormat::all`] order.
@@ -206,4 +209,77 @@ fn hpcg_residual_history_matches_golden_hash() {
 #[test]
 fn modeled_traffic_matches_golden_hash() {
     check("modeled traffic", traffic_hash, |p| p.traffic);
+}
+
+/// A non-cubic grid whose operator (~0.9M stored entries) is big enough
+/// for the set-up to split it across threads.
+const SETUP_GRID: Geometry = Geometry {
+    nx: 40,
+    ny: 24,
+    nz: 36,
+};
+
+/// `build_matrix(SETUP_GRID)`: row pointers, columns and value bits.
+const SETUP_MATRIX: u64 = 0xa2af_e910_1a08_b955;
+/// Its Gauss–Seidel schedule: block rows, then each level's blocks.
+const SETUP_SCHEDULE: u64 = 0x9514_dd9c_81c5_aeff;
+/// `build_rhs`'s `b` on it, the same in every format.
+const SETUP_RHS: u64 = 0x1c75_e8fe_207f_2f25;
+/// Blocks, levels and widest level of the 96³ operator's schedule.
+const SCHEDULE_96: (usize, usize, usize) = (9216, 286, 48);
+
+fn matrix_hash(a: &CsrMatrix<f64>) -> u64 {
+    let mut words = vec![a.nrows() as u64, a.ncols() as u64];
+    let mut end = 0;
+    for i in 0..a.nrows() {
+        let (cols, vals) = a.row(i);
+        end += cols.len();
+        words.push(end as u64);
+        words.extend(cols.iter().map(|&c| c as u64));
+        words.extend(bits(vals));
+    }
+    fnv1a(words)
+}
+
+fn schedule_hash(s: &GsSchedule) -> u64 {
+    let mut words = vec![s.num_blocks() as u64];
+    for p in 0..s.num_blocks() {
+        let r = s.rows(p);
+        words.extend([r.start as u64, r.end as u64]);
+    }
+    words.push(s.num_levels() as u64);
+    for l in 0..s.num_levels() {
+        words.push(s.level(l).len() as u64);
+        words.extend(s.level(l).iter().map(|&p| p as u64));
+    }
+    fnv1a(words)
+}
+
+#[test]
+fn setup_operator_and_schedule_match_golden_hash() {
+    let a = build_matrix(SETUP_GRID);
+    let got = matrix_hash(&a);
+    assert_eq!(got, SETUP_MATRIX, "operator changed: got {got:#018x}");
+    let got = schedule_hash(a.gs_schedule().unwrap());
+    assert_eq!(got, SETUP_SCHEDULE, "schedule changed: got {got:#018x}");
+}
+
+#[test]
+fn setup_rhs_matches_golden_hash() {
+    for fmt in SparseFormat::all() {
+        let m = FormatMatrix::convert(build_matrix(SETUP_GRID), fmt).unwrap();
+        let got = fnv1a(bits(&build_rhs(&m).0));
+        assert_eq!(
+            got, SETUP_RHS,
+            "{fmt} right-hand side changed: got {got:#018x}"
+        );
+    }
+}
+
+#[test]
+fn schedule_96_counts_match_golden() {
+    let a = build_matrix(Geometry::new(96, 96, 96));
+    let s = a.gs_schedule().unwrap();
+    let got = (s.num_blocks(), s.num_levels(), s.max_width());
+    assert_eq!(got, SCHEDULE_96, "96³ schedule shape changed");
 }
