@@ -80,7 +80,8 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Builds a CSR matrix from arrays already in CSR layout: `row_ptr`
     /// (length `nrows + 1`) starts at 0, never decreases and ends at the
     /// entry count; each row's columns strictly increase and are below
-    /// `ncols`. Panics if any of that fails. Builds the Gauss–Seidel
+    /// `ncols`. Panics if any of that fails; the per-row checks run over
+    /// one contiguous row range per pool thread. Builds the Gauss–Seidel
     /// schedule of a square matrix, as [`CsrMatrix::from_triplets`] does.
     pub(crate) fn from_sorted_rows(
         nrows: usize,
@@ -97,20 +98,7 @@ impl<T: Scalar> CsrMatrix<T> {
             "col_idx and vals differ in length"
         );
         assert_eq!(row_ptr[nrows], col_idx.len(), "row_ptr must end at nnz");
-        assert!(
-            row_ptr.windows(2).all(|w| w[0] <= w[1]),
-            "row_ptr must not decrease"
-        );
-        for (i, w) in row_ptr.windows(2).enumerate() {
-            let cols = &col_idx[w[0]..w[1]];
-            assert!(
-                cols.windows(2).all(|p| p[0] < p[1]),
-                "row {i}: columns must strictly increase"
-            );
-            if let Some(&last) = cols.last() {
-                assert!(last < ncols, "row {i}: column {last} out of bounds");
-            }
-        }
+        check_rows(&row_ptr, &col_idx, ncols, kernel_threads(col_idx.len()));
         let gs = (nrows == ncols).then(|| GsSchedule::build(&row_ptr, &col_idx));
         CsrMatrix {
             nrows,
@@ -121,6 +109,35 @@ impl<T: Scalar> CsrMatrix<T> {
             gs,
         }
     }
+}
+
+/// The per-row checks of [`CsrMatrix::from_sorted_rows`] over `tasks`
+/// contiguous row ranges on the pool, for a `row_ptr` that starts at 0
+/// and ends at `col_idx.len()`: it never decreases, and each row's
+/// columns strictly increase and are below `ncols`.
+pub(crate) fn check_rows(row_ptr: &[usize], col_idx: &[usize], ncols: usize, tasks: usize) {
+    let nrows = row_ptr.len() - 1;
+    (0..tasks).into_par_iter().for_each(|t| {
+        let rows = nrows * t / tasks..nrows * (t + 1) / tasks;
+        // Past the range's last pointer the whole `row_ptr` must still
+        // climb to `col_idx.len()`, so a pointer above it means a decrease
+        // later on.
+        let ptrs = &row_ptr[rows.start..=rows.end];
+        assert!(
+            ptrs.windows(2).all(|w| w[0] <= w[1]) && ptrs[ptrs.len() - 1] <= col_idx.len(),
+            "row_ptr must not decrease"
+        );
+        for (i, w) in rows.zip(ptrs.windows(2)) {
+            let cols = &col_idx[w[0]..w[1]];
+            assert!(
+                cols.windows(2).all(|p| p[0] < p[1]),
+                "row {i}: columns must strictly increase"
+            );
+            if let Some(&last) = cols.last() {
+                assert!(last < ncols, "row {i}: column {last} out of bounds");
+            }
+        }
+    });
 }
 
 impl<T: Scalar> TryFrom<&CsrMatrix<T>> for Csr32<T> {
@@ -625,6 +642,21 @@ mod tests {
     #[should_panic(expected = "must not decrease")]
     fn sorted_rows_reject_a_decreasing_row_ptr() {
         let _ = CsrMatrix::from_sorted_rows(2, 3, vec![0, 2, 1], vec![0], vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 4: columns must strictly increase")]
+    fn split_row_checks_catch_a_bad_row_in_a_later_range() {
+        let row_ptr = [0, 1, 2, 3, 4, 6, 7];
+        check_rows(&row_ptr, &[0, 1, 2, 0, 3, 3, 1], 4, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not decrease")]
+    fn split_row_checks_catch_a_pointer_that_drops_in_a_later_range() {
+        // The first range's pointers climb past the entry count; only the
+        // second range sees them drop.
+        check_rows(&[0, 3, 5, 1, 2], &[0, 1], 2, 2);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! there and symmetric positive definite overall). This synthetic PDE
 //! operator is what HPCG measures machines with.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{kernel_threads, CsrMatrix};
 use crate::ops::SparseOps;
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// Dimensions of a 3-D structured grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,17 +74,63 @@ impl Geometry {
 /// Builds the 27-point HPCG operator on `g`, writing the CSR arrays
 /// directly in row order: a row's neighbours come out in ascending column
 /// order (z, then y, then x), so no sort or merge is needed.
+///
+/// The stencil factorizes across dimensions, so every z-plane's first
+/// entry is known before any row is written: `col_idx` and `vals` are
+/// allocated once at their exact size and cut at z-plane boundaries into
+/// one contiguous slab of rows per pool thread (on the calling thread
+/// alone below the row kernels' size cutoff). Each slab writes its own
+/// rows' entries and row pointers, so the arrays are the same on any
+/// thread count.
 pub fn build_matrix(g: Geometry) -> CsrMatrix<f64> {
     let n = g.len();
-    // Per dimension of size m there are 3m - 2 in-range neighbour pairs,
-    // and the stencil factorizes across dimensions.
-    let nnz = (3 * g.nx - 2) * (3 * g.ny - 2) * (3 * g.nz - 2);
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
-    row_ptr.push(0);
-    let near = |i: usize, m: usize| i.saturating_sub(1)..(i + 2).min(m);
-    for iz in 0..g.nz {
+    let plane = g.nx * g.ny;
+    // Per dimension of size m there are 3m - 2 in-range neighbour pairs.
+    let per_plane = (3 * g.nx - 2) * (3 * g.ny - 2);
+    let nnz = per_plane * (3 * g.nz - 2);
+    let mut row_ptr = vec![0usize; n + 1];
+    let mut col_idx = vec![0usize; nnz];
+    let mut vals = vec![0.0f64; nnz];
+    let slabs = kernel_threads(nnz);
+    let mut parts = Vec::with_capacity(slabs);
+    let (mut ptr_rest, mut col_rest, mut val_rest) =
+        (&mut row_ptr[1..], &mut col_idx[..], &mut vals[..]);
+    let mut first = 0;
+    for t in 0..slabs {
+        let z = g.nz * t / slabs..g.nz * (t + 1) / slabs;
+        let entries = per_plane * z.clone().map(|iz| near(iz, g.nz).len()).sum::<usize>();
+        let (ptr, p) = std::mem::take(&mut ptr_rest).split_at_mut(plane * z.len());
+        let (cols, c) = std::mem::take(&mut col_rest).split_at_mut(entries);
+        let (vals, v) = std::mem::take(&mut val_rest).split_at_mut(entries);
+        (ptr_rest, col_rest, val_rest) = (p, c, v);
+        parts.push((z, first, ptr, cols, vals));
+        first += entries;
+    }
+    parts
+        .into_par_iter()
+        .for_each(|(z, first, ptr, cols, vals)| fill_slab(g, z, first, ptr, cols, vals));
+    CsrMatrix::from_sorted_rows(n, n, row_ptr, col_idx, vals)
+}
+
+/// In-range neighbour indices of `i` along a dimension of size `m`.
+fn near(i: usize, m: usize) -> Range<usize> {
+    i.saturating_sub(1)..(i + 2).min(m)
+}
+
+/// Writes the rows of z-planes `z` of the operator on `g`: their entries
+/// into `cols`/`vals` (which start at entry `first`) and the row pointer
+/// after each row into `ptr`.
+fn fill_slab(
+    g: Geometry,
+    z: Range<usize>,
+    first: usize,
+    ptr: &mut [usize],
+    cols: &mut [usize],
+    vals: &mut [f64],
+) {
+    let mut k = 0;
+    let mut rows = ptr.iter_mut();
+    for iz in z {
         for iy in 0..g.ny {
             for ix in 0..g.nx {
                 let row = g.index(ix, iy, iz);
@@ -90,26 +138,29 @@ pub fn build_matrix(g: Geometry) -> CsrMatrix<f64> {
                     for jy in near(iy, g.ny) {
                         for jx in near(ix, g.nx) {
                             let col = g.index(jx, jy, jz);
-                            col_idx.push(col);
-                            vals.push(if col == row { 26.0 } else { -1.0 });
+                            cols[k] = col;
+                            vals[k] = if col == row { 26.0 } else { -1.0 };
+                            k += 1;
                         }
                     }
                 }
-                row_ptr.push(col_idx.len());
+                *rows.next().expect("one pointer per row") = first + k;
             }
         }
     }
-    CsrMatrix::from_sorted_rows(n, n, row_ptr, col_idx, vals)
+    assert_eq!(k, cols.len(), "a slab must fill exactly its entries");
 }
 
 /// The HPCG right-hand side: `b = A · 1` (so the exact solution is the
-/// all-ones vector), plus that exact solution. Every format folds a row
-/// the same way, so `b` has the same bits whichever format `a` is in.
+/// all-ones vector), plus that exact solution. Computed with the
+/// row-range parallel SpMV, which folds each row as the sequential one
+/// does; every format folds a row the same way, so `b` has the same bits
+/// whichever format `a` is in and on any thread count.
 pub fn build_rhs<A: SparseOps + ?Sized>(a: &A) -> (Vec<f64>, Vec<f64>) {
     let n = a.nrows();
     let x_exact = vec![1.0f64; n];
     let mut b = vec![0.0f64; n];
-    a.spmv(&x_exact, &mut b);
+    a.spmv_par(&x_exact, &mut b);
     (b, x_exact)
 }
 
@@ -168,6 +219,33 @@ mod tests {
             let got = build_matrix(g);
             assert!(got.gs_schedule().is_some());
             assert_eq!(got, want, "{g:?}");
+        }
+    }
+
+    /// The operator (schedule included) and `b` on 1–4 threads equal the
+    /// one-thread ones. The grids split into several slabs, and the thin
+    /// one into more threads than it has z-planes.
+    #[test]
+    fn setup_is_the_same_on_any_thread_count() {
+        for g in [Geometry::new(48, 32, 40), Geometry::new(300, 200, 2)] {
+            let on = |threads| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| {
+                    let a = build_matrix(g);
+                    let b: Vec<u64> = build_rhs(&a).0.iter().map(|v| v.to_bits()).collect();
+                    (kernel_threads(a.nnz()), a, b)
+                })
+            };
+            let (_, a1, b1) = on(1);
+            for threads in 2..=4 {
+                let (slabs, a, b) = on(threads);
+                assert!(slabs > 1, "{g:?} must split on {threads} threads");
+                assert!(a == a1, "{g:?}: the operator differs on {threads} threads");
+                assert!(b == b1, "{g:?}: b differs on {threads} threads");
+            }
         }
     }
 
