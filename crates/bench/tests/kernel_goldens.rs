@@ -4,7 +4,8 @@
 //! `par_getrf` on 1 to 3 threads must hash to the `getrf_blocked`
 //! constants. The other LU variants are pinned too: CALU (E14), the
 //! no-pivot LU, RBT + no-pivot LU (E09) and the tiled DAG LU, whose tile
-//! kernel is the no-pivot LU. Every
+//! kernel is the no-pivot LU. So are the random generators all of these
+//! inputs come from, and the bits of `run_hpl`'s scaled residual. Every
 //! micro-kernel variant is bit-identical to the scalar one, so the same
 //! constants hold in the `simd` build. A change to the micro-kernel, the
 //! packed loop nest, the small-problem dispatch or the LU step loop that
@@ -14,7 +15,7 @@ use xsc_bench::fnv1a;
 use xsc_core::calu::calu;
 use xsc_core::gemm::{self, GemmParams, Transpose, MR, NR};
 use xsc_core::{factor, gen, Matrix, Scalar, TileMatrix};
-use xsc_dense::{lu, rbt};
+use xsc_dense::{hpl, lu, rbt};
 use xsc_runtime::{Executor, SchedPolicy};
 
 /// Hash of every `gemm` output over [`shapes`], in order.
@@ -61,6 +62,25 @@ const RBT_LU: u64 = 0xe473_125d_9fbf_5cc4;
 /// Hash of the factors `lu_nopiv_dag` gives on one worker with 16-wide
 /// tiles, on `gen::diag_dominant(80, 80)`.
 const LU_NOPIV_DAG: u64 = 0xd904_0a3d_3755_88ea;
+
+/// `(n, nb, seed, bits of the scaled residual)` of `run_hpl(n, nb, seed)`.
+const RUN_HPL: [(usize, usize, u64, u64); 3] = [
+    (96, 32, 42, 0x3f77_3721_d002_6c1c),
+    (300, 64, 7, 0x3f73_5669_1d5c_cf67),
+    (517, 128, 3, 0x3f70_f05e_2d3a_c5d6),
+];
+
+/// `(rows, cols, seed, hash)` of `gen::random_matrix::<f64>`.
+const RANDOM_MATRIX: [(usize, usize, u64, u64); 2] = [
+    (37, 23, 5, 0x3c83_8e81_16e8_a69f),
+    (64, 64, 6, 0xc436_69b2_a1a3_5ba1),
+];
+
+/// `(rows, cols, seed, hash)` of `gen::random_matrix::<f32>`.
+const RANDOM_MATRIX_F32: [(usize, usize, u64, u64); 1] = [(37, 23, 5, 0x9cb7_2d71_d84c_9077)];
+
+/// `(n, seed, hash)` of `gen::random_vector::<f64>`.
+const RANDOM_VECTOR: (usize, u64, u64) = (41, 8, 0x0ae9_a402_7a9b_6bbb);
 
 /// `(m, k, n)` shapes on both sides of the small-problem cutoff, and ones
 /// that straddle `MR`, `NR` and each default macro-tile edge.
@@ -218,4 +238,38 @@ fn nopiv_lu_factors_match_golden_hash() {
         .expect("diagonally dominant");
     let got = fnv1a(bits(&tiles.to_matrix()));
     assert_eq!(got, LU_NOPIV_DAG, "lu_nopiv_dag bits changed");
+}
+
+/// The generators every HPL input and most pinned inputs above come from.
+#[test]
+fn random_generators_match_golden_hash() {
+    for (m, n, seed, want) in RANDOM_MATRIX {
+        let got = fnv1a(bits(&gen::random_matrix::<f64>(m, n, seed)));
+        assert_eq!(got, want, "random_matrix bits changed at {m}x{n}");
+    }
+    for (m, n, seed, want) in RANDOM_MATRIX_F32 {
+        let got = fnv1a(bits(&gen::random_matrix::<f32>(m, n, seed)));
+        assert_eq!(got, want, "f32 random_matrix bits changed at {m}x{n}");
+    }
+    let (n, seed, want) = RANDOM_VECTOR;
+    let v = gen::random_vector::<f64>(n, seed);
+    assert_eq!(
+        fnv1a(v.iter().map(|x| x.to_bits())),
+        want,
+        "random_vector bits changed at n={n}"
+    );
+}
+
+/// HPL's scaled residual, bit for bit: it moves if the generators, the LU,
+/// the solves or the residual fold change order.
+#[test]
+fn run_hpl_scaled_residual_matches_golden_bits() {
+    for (n, nb, seed, want) in RUN_HPL {
+        let res = hpl::run_hpl(n, nb, seed).expect("random matrix is nonsingular");
+        assert_eq!(
+            res.scaled_residual.to_bits(),
+            want,
+            "run_hpl scaled residual bits changed at n={n} nb={nb} seed={seed}"
+        );
+    }
 }
