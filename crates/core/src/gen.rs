@@ -9,18 +9,46 @@ use crate::scalar::Scalar;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// The seeded stream of uniform draws in `[-1, 1)` that [`random_matrix`]
+/// and [`random_vector`] are filled from, read one column at a time.
+///
+/// The matrix seeded `seed` is the stream's first `rows * cols` values in
+/// column-major order, so a consumer can regenerate it column by column in
+/// one column's memory, as HPL's test driver regenerates `A` for its
+/// residual check instead of keeping a copy.
+pub struct UniformColumns(SmallRng);
+
+impl UniformColumns {
+    /// The stream seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
+        UniformColumns(SmallRng::seed_from_u64(seed))
+    }
+
+    /// Overwrites `col` with the stream's next `col.len()` values.
+    pub fn fill<T: Scalar>(&mut self, col: &mut [T]) {
+        for v in col {
+            *v = self.draw();
+        }
+    }
+
+    /// The stream's next `len` values.
+    fn take<T: Scalar>(&mut self, len: usize) -> Vec<T> {
+        (0..len).map(|_| self.draw()).collect()
+    }
+
+    fn draw<T: Scalar>(&mut self) -> T {
+        T::from_f64(self.0.gen_range(-1.0..1.0))
+    }
+}
+
 /// Uniform random matrix with entries in `[-1, 1)`.
 pub fn random_matrix<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Matrix<T> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    Matrix::from_fn(rows, cols, |_, _| T::from_f64(rng.gen_range(-1.0..1.0)))
+    Matrix::from_col_major(rows, cols, UniformColumns::new(seed).take(rows * cols))
 }
 
 /// Uniform random vector with entries in `[-1, 1)`.
 pub fn random_vector<T: Scalar>(n: usize, seed: u64) -> Vec<T> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| T::from_f64(rng.gen_range(-1.0..1.0)))
-        .collect()
+    UniformColumns::new(seed).take(n)
 }
 
 /// Random symmetric positive-definite matrix: `A = B Bᵀ / n + I`.
