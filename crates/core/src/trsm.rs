@@ -74,63 +74,79 @@ pub fn trsm<T: Scalar>(
 
 /// Triangular solve for a single vector: `op(A) x = b`, `x` overwrites `b`.
 pub fn trsv<T: Scalar>(uplo: Uplo, trans: Transpose, diag: Diag, a: &Matrix<T>, x: &mut [T]) {
-    let n = a.rows();
-    assert_eq!(x.len(), n, "trsv length mismatch");
+    assert_eq!(x.len(), a.rows(), "trsv length mismatch");
+    trsv_slice(uplo, trans, diag, a.as_slice(), a.rows(), x);
+}
+
+/// [`trsv`] on column-major storage: `op(A) x = b` for the order-`x.len()`
+/// triangle whose column `j` starts at `a[j * lda]`; `x` overwrites `b`.
+/// Entries outside the `uplo` triangle are never read, so `A` may sit in
+/// place inside a larger matrix (`lda` its column length). Allocates
+/// nothing.
+pub fn trsv_slice<T: Scalar>(
+    uplo: Uplo,
+    trans: Transpose,
+    diag: Diag,
+    a: &[T],
+    lda: usize,
+    x: &mut [T],
+) {
+    let n = x.len();
+    assert!(
+        n == 0 || (lda >= n && a.len() >= (n - 1) * lda + n),
+        "trsv: the triangle does not fit in `a`"
+    );
+    let col = |j: usize| &a[j * lda..j * lda + n];
+    let unit = diag == Diag::Unit;
     match (uplo, trans) {
         // Forward substitution, column-oriented.
         (Uplo::Lower, Transpose::No) => {
             for j in 0..n {
-                if diag == Diag::NonUnit {
-                    x[j] /= a.get(j, j);
+                let acol = col(j);
+                if !unit {
+                    x[j] /= acol[j];
                 }
-                let xj = x[j];
-                let acol = a.col(j);
-                for i in j + 1..n {
-                    x[i] = (-xj).mul_add(acol[i], x[i]);
+                let (head, below) = x.split_at_mut(j + 1);
+                let xj = head[j];
+                for (xi, &aij) in below.iter_mut().zip(&acol[j + 1..]) {
+                    *xi = (-xj).mul_add(aij, *xi);
                 }
             }
         }
         // L^T x = b: backward, dot-product form over columns of L.
         (Uplo::Lower, Transpose::Yes) => {
             for j in (0..n).rev() {
-                let acol = a.col(j);
+                let acol = col(j);
                 let mut acc = x[j];
-                for i in j + 1..n {
-                    acc = (-acol[i]).mul_add(x[i], acc);
+                for (&aij, &xi) in acol[j + 1..].iter().zip(&x[j + 1..]) {
+                    acc = (-aij).mul_add(xi, acc);
                 }
-                x[j] = if diag == Diag::NonUnit {
-                    acc / acol[j]
-                } else {
-                    acc
-                };
+                x[j] = if unit { acc } else { acc / acol[j] };
             }
         }
         // Backward substitution, column-oriented.
         (Uplo::Upper, Transpose::No) => {
             for j in (0..n).rev() {
-                if diag == Diag::NonUnit {
-                    x[j] /= a.get(j, j);
+                let acol = col(j);
+                if !unit {
+                    x[j] /= acol[j];
                 }
-                let xj = x[j];
-                let acol = a.col(j);
-                for i in 0..j {
-                    x[i] = (-xj).mul_add(acol[i], x[i]);
+                let (above, rest) = x.split_at_mut(j);
+                let xj = rest[0];
+                for (xi, &aij) in above.iter_mut().zip(acol) {
+                    *xi = (-xj).mul_add(aij, *xi);
                 }
             }
         }
         // U^T x = b: forward, dot-product form over columns of U.
         (Uplo::Upper, Transpose::Yes) => {
             for j in 0..n {
-                let acol = a.col(j);
+                let acol = col(j);
                 let mut acc = x[j];
-                for (i, &aij) in acol.iter().enumerate().take(j) {
-                    acc = (-aij).mul_add(x[i], acc);
+                for (&aij, &xi) in acol[..j].iter().zip(&x[..j]) {
+                    acc = (-aij).mul_add(xi, acc);
                 }
-                x[j] = if diag == Diag::NonUnit {
-                    acc / acol[j]
-                } else {
-                    acc
-                };
+                x[j] = if unit { acc } else { acc / acol[j] };
             }
         }
     }

@@ -44,7 +44,7 @@ use xsc_core::norms;
 #[cfg(test)]
 use xsc_core::{factor, Error};
 use xsc_core::{Matrix, Result, TileMatrix};
-use xsc_ft::abft::checksum_tolerance;
+use xsc_ft::abft::{checksum_tolerance, cholesky_checksum, lower_colsums, sym_lower_rowsums};
 use xsc_ft::inject::FaultKind;
 use xsc_ft::plan::{ChaosKind, FaultPlan, STALL};
 use xsc_runtime::{trace::Trace, Attempt, Executor, RecoveryPolicy, TaskFault, TaskGraph};
@@ -163,7 +163,7 @@ fn verify(
     let (got, expect, tol) = match kind {
         Kind::Potrf => {
             // L(Lᵀe) = Ae over the live lower triangle.
-            let got = lower_matvec(after, &lower_colsums(after));
+            let got = cholesky_checksum(after);
             let scale = norms::max_abs(before).max(norms::max_abs(after).powi(2));
             (
                 got,
@@ -296,53 +296,12 @@ fn colsums(m: &Matrix<f64>) -> Vec<f64> {
     r
 }
 
-/// `Lᵀe` restricted to the lower triangle: `w_j = Σ_{i>=j} L_ij`.
-fn lower_colsums(m: &Matrix<f64>) -> Vec<f64> {
-    let n = m.rows();
-    let mut r = vec![0.0; n];
-    for j in 0..n {
-        for i in j..n {
-            r[j] += m.get(i, j);
-        }
-    }
-    r
-}
-
-/// `Lv` for lower-triangular `L`: `(Lv)_i = Σ_{j<=i} L_ij v_j`.
-fn lower_matvec(m: &Matrix<f64>, v: &[f64]) -> Vec<f64> {
-    let n = m.rows();
-    let mut r = vec![0.0; n];
-    for j in 0..n {
-        for i in j..n {
-            r[i] += m.get(i, j) * v[j];
-        }
-    }
-    r
-}
-
 /// `Mv` — full mat-vec.
 fn matvec(m: &Matrix<f64>, v: &[f64]) -> Vec<f64> {
     let mut r = vec![0.0; m.rows()];
     for j in 0..m.cols() {
         for i in 0..m.rows() {
             r[i] += m.get(i, j) * v[j];
-        }
-    }
-    r
-}
-
-/// Row sums of the symmetrized lower triangle — the effective `Ae` for a
-/// diagonal tile whose upper triangle holds stale data.
-fn sym_lower_rowsums(m: &Matrix<f64>) -> Vec<f64> {
-    let n = m.rows();
-    let mut r = vec![0.0; n];
-    for j in 0..n {
-        for i in j..n {
-            let v = m.get(i, j);
-            r[i] += v;
-            if i != j {
-                r[j] += v;
-            }
         }
     }
     r

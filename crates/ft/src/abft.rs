@@ -193,39 +193,60 @@ pub fn verified_cholesky<T: Scalar>(
     tamper: impl FnOnce(&mut Matrix<T>),
 ) -> Result<bool> {
     let n = a.rows();
-    // Reference checksum from the input: c = A e.
-    let mut c = vec![T::zero(); n];
-    for j in 0..a.cols() {
-        for (i, ci) in c.iter_mut().enumerate() {
-            *ci += a.get(i, j);
-        }
-    }
+    let expect = sym_lower_rowsums(a);
     let scale = norms::max_abs(a);
     factor::potrf_blocked(a, nb)?;
     tamper(a);
-    // Verify: L (Lᵀ e) must equal c. Work on the lower triangle only.
-    let mut lte = vec![T::zero(); n];
-    for j in 0..n {
-        let mut s = T::zero();
-        for i in j..n {
-            s += a.get(i, j);
-        }
-        lte[j] = s; // (Lᵀ e)_j = sum_i L_ij
-    }
-    let mut recon = vec![T::zero(); n];
-    for (i, ri) in recon.iter_mut().enumerate() {
-        let mut s = T::zero();
-        for j in 0..=i {
-            s = a.get(i, j).mul_add(lte[j], s);
-        }
-        *ri = s;
-    }
     let tol = checksum_tolerance(n, n, n, scale.max(1.0));
-    let clean = recon
+    let got = cholesky_checksum(a);
+    Ok(got
         .iter()
-        .zip(c.iter())
-        .all(|(r, e)| (*r - *e).abs().to_f64() <= tol);
-    Ok(clean)
+        .zip(&expect)
+        .all(|(r, e)| (*r - *e).abs().to_f64() <= tol))
+}
+
+/// `L(Lᵀe)` over the lower triangle of `l`: the side of the Cholesky
+/// checksum identity `L(Lᵀe) = Ae` computed from the factor. The other
+/// side, taken before factoring, is [`sym_lower_rowsums`].
+pub fn cholesky_checksum<T: Scalar>(l: &Matrix<T>) -> Vec<T> {
+    let w = lower_colsums(l);
+    let n = l.rows();
+    let mut r = vec![T::zero(); n];
+    for j in 0..n {
+        for i in j..n {
+            r[i] += l.get(i, j) * w[j];
+        }
+    }
+    r
+}
+
+/// `Lᵀe` restricted to the lower triangle: `w_j = Σ_{i>=j} L_ij`.
+pub fn lower_colsums<T: Scalar>(l: &Matrix<T>) -> Vec<T> {
+    let n = l.rows();
+    let mut r = vec![T::zero(); n];
+    for j in 0..n {
+        for i in j..n {
+            r[j] += l.get(i, j);
+        }
+    }
+    r
+}
+
+/// `Ae` for a symmetric `A` of which only the lower triangle is read (the
+/// upper may hold stale data): row sums of the symmetrized lower triangle.
+pub fn sym_lower_rowsums<T: Scalar>(a: &Matrix<T>) -> Vec<T> {
+    let n = a.rows();
+    let mut r = vec![T::zero(); n];
+    for j in 0..n {
+        for i in j..n {
+            let v = a.get(i, j);
+            r[i] += v;
+            if i != j {
+                r[j] += v;
+            }
+        }
+    }
+    r
 }
 
 #[cfg(test)]
