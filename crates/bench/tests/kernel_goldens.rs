@@ -77,17 +77,29 @@ const RUN_HPL: [(usize, usize, u64, u64); 3] = [
     (517, 128, 3, 0x3f70_f05e_2d3a_c5d6),
 ];
 
-/// `(rows, cols, seed, hash)` of `gen::random_matrix::<f64>`.
-const RANDOM_MATRIX: [(usize, usize, u64, u64); 2] = [
+/// `(rows, cols, seed, hash)` of `gen::random_matrix::<f64>`. The last
+/// size is large enough for the generator to fill it on several threads.
+const RANDOM_MATRIX: [(usize, usize, u64, u64); 3] = [
     (37, 23, 5, 0x3c83_8e81_16e8_a69f),
     (64, 64, 6, 0xc436_69b2_a1a3_5ba1),
+    (1024, 1024, 11, 0x1948_1ede_2479_4075),
 ];
 
-/// `(rows, cols, seed, hash)` of `gen::random_matrix::<f32>`.
-const RANDOM_MATRIX_F32: [(usize, usize, u64, u64); 1] = [(37, 23, 5, 0x9cb7_2d71_d84c_9077)];
+/// `(rows, cols, seed, hash)` of `gen::random_matrix::<f32>`. The last
+/// size is large enough to fill on several threads and has an odd column
+/// count.
+const RANDOM_MATRIX_F32: [(usize, usize, u64, u64); 2] = [
+    (37, 23, 5, 0x9cb7_2d71_d84c_9077),
+    (700, 501, 12, 0x9d02_4e5b_c003_a215),
+];
 
-/// `(n, seed, hash)` of `gen::random_vector::<f64>`.
-const RANDOM_VECTOR: (usize, u64, u64) = (41, 8, 0x0ae9_a402_7a9b_6bbb);
+/// `(n, seed, hash)` of `gen::random_vector::<f64>`. The last length is
+/// large enough to fill on several threads and splits unevenly over 2, 3
+/// or 4 of them.
+const RANDOM_VECTOR: [(usize, u64, u64); 2] = [
+    (41, 8, 0x0ae9_a402_7a9b_6bbb),
+    (300_001, 13, 0x34b8_064d_0519_e1e7),
+];
 
 /// `(n, hash)` of `batched_potrf` on 7 SPD matrices of order `n`, element
 /// `k` seeded `100 n + k`.
@@ -298,13 +310,14 @@ fn random_generators_match_golden_hash() {
         let got = fnv1a(bits(&gen::random_matrix::<f32>(m, n, seed)));
         assert_eq!(got, want, "f32 random_matrix bits changed at {m}x{n}");
     }
-    let (n, seed, want) = RANDOM_VECTOR;
-    let v = gen::random_vector::<f64>(n, seed);
-    assert_eq!(
-        fnv1a(v.iter().map(|x| x.to_bits())),
-        want,
-        "random_vector bits changed at n={n}"
-    );
+    for (n, seed, want) in RANDOM_VECTOR {
+        let v = gen::random_vector::<f64>(n, seed);
+        assert_eq!(
+            fnv1a(v.iter().map(|x| x.to_bits())),
+            want,
+            "random_vector bits changed at n={n}"
+        );
+    }
 }
 
 /// HPL's scaled residual, bit for bit: it moves if the generators, the LU,
