@@ -7,6 +7,12 @@
 //! `gen_bool`. Streams are stable across runs and platforms, which is all
 //! the reproducible experiments require; they do not match the real
 //! `rand` crate's streams.
+//!
+//! [`rngs::SmallRng::advance`] goes beyond `rand`'s API, which offers
+//! xoshiro's fixed-distance `jump()`/`long_jump()` only. It moves the
+//! stream ahead by any number of words in O(log words) time, so parallel
+//! workers can each start at their own offset into one seeded stream and
+//! together produce the same values the serial loop would.
 
 #![forbid(unsafe_code)]
 
@@ -94,9 +100,96 @@ pub mod rngs {
 
     /// xoshiro256++ — small, fast, and statistically solid; seeded via
     /// SplitMix64 exactly as the reference implementation recommends.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct SmallRng {
         s: [u64; 4],
+    }
+
+    /// The characteristic polynomial `P(x)` of xoshiro256's state update
+    /// over GF(2), low coefficient word first; the `x^256` term is implied.
+    /// The tests re-derive it by Berlekamp–Massey.
+    pub(crate) const CHAR_POLY: [u64; 4] = [
+        0x9d11_6f2b_b0f0_f001,
+        0x0280_002b_cefd_1a5e,
+        0x04b4_edcf_2625_9f85,
+        0x0003_c03c_3f3e_cb19,
+    ];
+
+    /// A polynomial over GF(2) of degree below 256, bit `i` the
+    /// coefficient of `x^i`.
+    type Poly = [u64; 4];
+
+    /// `a · x mod P`.
+    fn times_x(a: Poly) -> Poly {
+        let carry = a[3] >> 63;
+        let mut r = [
+            a[0] << 1,
+            (a[1] << 1) | (a[0] >> 63),
+            (a[2] << 1) | (a[1] >> 63),
+            (a[3] << 1) | (a[2] >> 63),
+        ];
+        if carry == 1 {
+            for (w, p) in r.iter_mut().zip(CHAR_POLY) {
+                *w ^= p;
+            }
+        }
+        r
+    }
+
+    /// `a · b mod P`, by Horner's rule over `b`'s bits, high bit first.
+    fn mul_mod(a: Poly, b: Poly) -> Poly {
+        let mut r = [0u64; 4];
+        for i in (0..256).rev() {
+            r = times_x(r);
+            if (b[i / 64] >> (i % 64)) & 1 == 1 {
+                for (w, x) in r.iter_mut().zip(a) {
+                    *w ^= x;
+                }
+            }
+        }
+        r
+    }
+
+    /// `x^k mod P`, by square-and-multiply over `k`'s bits, high bit first.
+    fn x_pow_mod(k: u64) -> Poly {
+        let mut r: Poly = [1, 0, 0, 0];
+        for bit in (0..64 - k.leading_zeros()).rev() {
+            r = mul_mod(r, r);
+            if (k >> bit) & 1 == 1 {
+                r = times_x(r);
+            }
+        }
+        r
+    }
+
+    impl SmallRng {
+        /// Moves the stream `words` outputs ahead in O(log words) time: the
+        /// generator ends where `words` calls to `next_u64` would leave it.
+        ///
+        /// An extension of this shim; real `rand` has only xoshiro's
+        /// fixed-distance `jump()` and `long_jump()`. The state update `T`
+        /// is linear over GF(2) and `P(T) = 0`, so with
+        /// `x^words mod P = Σ c_i x^i` the new state is `Σ c_i Tⁱ(s)`:
+        /// 256 steps of a copy, XORing in the states whose `c_i` is set.
+        pub fn advance(&mut self, words: u64) {
+            let c = x_pow_mod(words);
+            let mut out = [0u64; 4];
+            for i in 0..256 {
+                if (c[i / 64] >> (i % 64)) & 1 == 1 {
+                    for (w, s) in out.iter_mut().zip(self.s) {
+                        *w ^= s;
+                    }
+                }
+                self.next_u64();
+            }
+            self.s = out;
+        }
+
+        /// The raw state words, for the tests that check [`CHAR_POLY`].
+        #[cfg(test)]
+        pub(crate) fn state(&self) -> [u64; 4] {
+            self.s
+        }
     }
 
     fn splitmix64(state: &mut u64) -> u64 {
@@ -141,8 +234,90 @@ pub mod rngs {
 
 #[cfg(test)]
 mod tests {
-    use super::rngs::SmallRng;
-    use super::{Rng, SeedableRng};
+    use super::rngs::{SmallRng, CHAR_POLY};
+    use super::{Rng, RngCore, SeedableRng};
+
+    /// `rng` after `k` calls to `next_u64`.
+    fn stepped(mut rng: SmallRng, k: u64) -> SmallRng {
+        for _ in 0..k {
+            rng.next_u64();
+        }
+        rng
+    }
+
+    #[test]
+    fn advance_equals_stepping() {
+        let start = SmallRng::seed_from_u64(17);
+        for k in [0u64, 1, 255, 256, 257, 65_537, 1_000_003] {
+            let mut jumped = start.clone();
+            jumped.advance(k);
+            assert_eq!(jumped, stepped(start.clone(), k), "advance({k})");
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        let (a, b) = ((1u64 << 40) + 7, 3 << 33);
+        let mut two = SmallRng::seed_from_u64(23);
+        let mut one = two.clone();
+        two.advance(a);
+        two.advance(b);
+        one.advance(a + b);
+        assert_eq!(two, one);
+    }
+
+    /// The shortest linear recurrence over GF(2) that generates `bits`,
+    /// as its connection polynomial `1 + c_1 x + … + c_L x^L` (index `i`
+    /// holds `c_i`; Berlekamp–Massey).
+    fn berlekamp_massey(bits: &[u8]) -> Vec<u8> {
+        let n = bits.len();
+        let (mut c, mut b) = (vec![0u8; n + 1], vec![0u8; n + 1]);
+        c[0] = 1;
+        b[0] = 1;
+        let (mut len, mut gap) = (0usize, 1usize);
+        for i in 0..n {
+            let d = (1..=len).fold(bits[i], |d, j| d ^ (c[j] & bits[i - j]));
+            if d == 0 {
+                gap += 1;
+                continue;
+            }
+            let before = c.clone();
+            for j in 0..=n - gap {
+                c[j + gap] ^= b[j];
+            }
+            if 2 * len <= i {
+                len = i + 1 - len;
+                b = before;
+                gap = 1;
+            } else {
+                gap += 1;
+            }
+        }
+        c.truncate(len + 1);
+        c
+    }
+
+    #[test]
+    fn char_poly_matches_berlekamp_massey() {
+        for (seed, word, bit) in [(1u64, 0usize, 0u32), (2, 2, 37), (3, 3, 63)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let bits: Vec<u8> = (0..512)
+                .map(|_| {
+                    let b = ((rng.state()[word] >> bit) & 1) as u8;
+                    rng.next_u64();
+                    b
+                })
+                .collect();
+            let c = berlekamp_massey(&bits);
+            assert_eq!(c.len(), 257, "state bit recurrence has degree 256");
+            // P(x) = x^256 C(1/x): the coefficient of x^j is c_{256-j}.
+            let mut p = [0u64; 4];
+            for j in 0..256 {
+                p[j / 64] |= u64::from(c[256 - j]) << (j % 64);
+            }
+            assert_eq!(p, CHAR_POLY, "seed {seed}, bit {bit} of word {word}");
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {
