@@ -13,9 +13,9 @@
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 
 /// Fewest values worth a pool thread of their own when filling an output.
 /// Smaller outputs are drawn on the calling thread: spawning a thread
@@ -49,15 +49,7 @@ impl UniformColumns {
     /// The stream's next `len` values. When each pool thread gets at least
     /// [`MIN_DRAWS_PER_THREAD`], they are drawn in one contiguous chunk per
     /// thread, each from a copy of the stream advanced to the chunk's
-    /// offset, and the stream then advances past all of them. In a pool
-    /// wider than the chunk count, the extra threads find no chunk left.
-    ///
-    /// The chunks are dealt to a [`rayon::broadcast`], which runs call 0 on
-    /// the calling thread, not to `par_chunks_mut`, which starts a new
-    /// thread per stripe. On two cores that is one new thread at a time,
-    /// as in `par_getrf`'s steps, so glibc keeps one worker malloc arena;
-    /// with two at once it kept two, and `run_hpl`'s packing buffers then
-    /// stayed resident in both (+0.5 MB peak RSS at n = 3072).
+    /// offset, and the stream then advances past all of them.
     fn take<T: Scalar>(&mut self, len: usize) -> Vec<T> {
         let threads = rayon::current_num_threads()
             .min(len / MIN_DRAWS_PER_THREAD)
@@ -67,13 +59,8 @@ impl UniformColumns {
         }
         let mut out = vec![T::zero(); len];
         let chunk = len.div_ceil(threads);
-        let chunks = Mutex::new(out.chunks_mut(chunk).enumerate());
         let start = &self.0;
-        rayon::broadcast(|_| loop {
-            // The guard drops at the end of this statement: no chunk is
-            // drawn under the lock.
-            let next = chunks.lock().next();
-            let Some((t, part)) = next else { break };
+        out.par_chunks_mut(chunk).enumerate().for_each(|(t, part)| {
             let mut stream = UniformColumns(start.clone());
             stream.0.advance((t * chunk) as u64);
             stream.fill(part);

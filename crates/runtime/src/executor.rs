@@ -29,6 +29,15 @@
 //! so execution order is *identical* to the old global-heap executor —
 //! the deterministic ready-order guarantees of the scheduling policies
 //! are preserved exactly (the PR-5 determinism suites run unchanged).
+//!
+//! ## Workers
+//!
+//! An [`Executor`] owns a `rayon::ThreadPool` of its width, and each run
+//! is one `rayon::broadcast` on it: worker 0 is the calling thread, and
+//! the broadcast starts the other `threads − 1` for the run's length.
+//! Tasks see `rayon::current_num_threads() == threads()`, as under a real
+//! rayon pool, so a kernel's own parallel loops fan out as wide as the
+//! executor.
 
 use crate::graph::{Kernel, TaskGraph, TaskId, NO_AFFINITY};
 use crate::resilience::{Attempt, ExhaustedAction, RecoveryPolicy, ResilienceStats, TaskOutcome};
@@ -60,6 +69,8 @@ pub enum SchedPolicy {
 pub struct Executor {
     threads: usize,
     policy: SchedPolicy,
+    /// Sets each run's broadcast to `threads` workers.
+    pool: rayon::ThreadPool,
 }
 
 struct ReadyTask {
@@ -239,9 +250,15 @@ impl Resilient {
 impl Executor {
     /// Creates an executor with `threads` workers (clamped to at least 1).
     pub fn new(threads: usize, policy: SchedPolicy) -> Self {
+        let threads = threads.max(1);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("the rayon shim's pool build cannot fail");
         Executor {
-            threads: threads.max(1),
+            threads,
             policy,
+            pool,
         }
     }
 
@@ -251,7 +268,8 @@ impl Executor {
         Executor::new(threads, policy)
     }
 
-    /// Number of worker threads this executor spawns.
+    /// Number of workers a run uses: the calling thread and
+    /// `threads() - 1` more.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -292,25 +310,19 @@ impl Executor {
             return (Trace::empty(self.threads), None);
         }
         let fin = graph.finalize();
-        let successors = Arc::new(fin.successors);
-        let priority = Arc::new(fin.priority);
-        let explicit = Arc::new(fin.explicit);
-        let affinity = Arc::new(fin.affinity);
         let names: Arc<Vec<String>> =
             Arc::new(graph.tasks.iter().map(|t| t.name.clone()).collect());
 
         // Kernels move into per-task slots the workers take from.
-        let kernels: Arc<Vec<KernelSlot>> = Arc::new(
-            graph
-                .tasks
-                .iter_mut()
-                .map(|t| Mutex::new(t.kernel.take()))
-                .collect(),
-        );
-        let pending: Arc<Vec<AtomicUsize>> =
-            Arc::new(fin.in_degree.iter().map(|&d| AtomicUsize::new(d)).collect());
+        let kernels: Vec<KernelSlot> = graph
+            .tasks
+            .iter_mut()
+            .map(|t| Mutex::new(t.kernel.take()))
+            .collect();
+        let pending: Vec<AtomicUsize> =
+            fin.in_degree.iter().map(|&d| AtomicUsize::new(d)).collect();
 
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             queues: (0..self.threads)
                 .map(|_| Mutex::new(BinaryHeap::new()))
                 .collect(),
@@ -320,8 +332,8 @@ impl Executor {
             abort: AtomicBool::new(false),
             panicked: Mutex::new(None),
             steals: AtomicU64::new(0),
-        });
-        let resilient = Arc::new(Resilient::new(policy, n));
+        };
+        let res = Resilient::new(policy, n);
 
         // Seed the sources round-robin across the worker queues (with one
         // worker this is exactly the old single-heap seeding).
@@ -332,9 +344,9 @@ impl Executor {
                     shared.queues[sources % self.threads]
                         .lock()
                         .push(ReadyTask {
-                            key: ready_key(self.policy, &priority, &explicit, id),
+                            key: ready_key(self.policy, &fin.priority, &fin.explicit, id),
                             id,
-                            affinity: affinity[id],
+                            affinity: fin.affinity[id],
                         });
                     sources += 1;
                 }
@@ -342,135 +354,113 @@ impl Executor {
         }
 
         let epoch = Stopwatch::start();
-        let mut handles = Vec::with_capacity(self.threads);
-        for worker in 0..self.threads {
-            let shared = Arc::clone(&shared);
-            let successors = Arc::clone(&successors);
-            let priority = Arc::clone(&priority);
-            let explicit = Arc::clone(&explicit);
-            let affinity = Arc::clone(&affinity);
-            let kernels = Arc::clone(&kernels);
-            let pending = Arc::clone(&pending);
-            let res = Arc::clone(&resilient);
-            let policy = self.policy;
-            let threads = self.threads;
-            let handle = std::thread::Builder::new()
-                .name(format!("xsc-worker-{worker}"))
-                .spawn(move || {
-                    let mut events = Vec::new();
-                    // Affinity of the last affinity-tagged task this worker
-                    // ran; steers victim selection when stealing.
-                    let mut last_affinity = NO_AFFINITY;
-                    loop {
-                        let task = loop {
-                            if shared.finished() {
-                                return events;
-                            }
-                            // Own heap first (tasks this worker released —
-                            // their inputs are warm in this core's cache)…
-                            if let Some(t) = shared.queues[worker].lock().pop() {
-                                break t;
-                            }
-                            // …then steal from a victim…
-                            if let Some(t) = shared.try_steal(worker, last_affinity) {
-                                break t;
-                            }
-                            // …and only sleep once every queue is verifiably
-                            // empty while holding the sleep lock (anyone who
-                            // pushes after our scan blocks on that lock until
-                            // `wait` releases it, so their wakeup reaches us).
-                            let mut sleep = shared.sleep.lock();
-                            if shared.finished() {
-                                return events;
-                            }
-                            if shared.queues.iter().all(|q| q.lock().is_empty()) {
-                                shared.available.wait(&mut sleep);
-                            }
-                        };
-                        let id = task.id;
-                        if task.affinity != NO_AFFINITY {
-                            last_affinity = task.affinity;
+        // Worker 0 is the calling thread; the pool's width makes the
+        // broadcast start `threads - 1` more.
+        let per_worker = self.pool.install(|| {
+            rayon::broadcast(|ctx| {
+                let worker = ctx.index();
+                let mut events = Vec::new();
+                // Affinity of the last affinity-tagged task this worker
+                // ran; steers victim selection when stealing.
+                let mut last_affinity = NO_AFFINITY;
+                loop {
+                    let task = loop {
+                        if shared.finished() {
+                            return events;
                         }
-                        let kernel = kernels[id].lock().take();
+                        // Own heap first (tasks this worker released —
+                        // their inputs are warm in this core's cache)…
+                        if let Some(t) = shared.queues[worker].lock().pop() {
+                            break t;
+                        }
+                        // …then steal from a victim…
+                        if let Some(t) = shared.try_steal(worker, last_affinity) {
+                            break t;
+                        }
+                        // …and only sleep once every queue is verifiably
+                        // empty while holding the sleep lock (anyone who
+                        // pushes after our scan blocks on that lock until
+                        // `wait` releases it, so their wakeup reaches us).
+                        let mut sleep = shared.sleep.lock();
+                        if shared.finished() {
+                            return events;
+                        }
+                        if shared.queues.iter().all(|q| q.lock().is_empty()) {
+                            shared.available.wait(&mut sleep);
+                        }
+                    };
+                    let id = task.id;
+                    if task.affinity != NO_AFFINITY {
+                        last_affinity = task.affinity;
+                    }
+                    let kernel = kernels[id].lock().take();
 
-                        // A permanent failure (or skip) taints the task's
-                        // successors so the subtree is abandoned, not run
-                        // against bad data.
-                        let taint = if res.tainted[id].load(Ordering::Acquire) {
-                            // A transitive predecessor failed: drop the
-                            // kernel without running it.
-                            res.outcome[id].store(OUT_SKIPPED, Ordering::Release);
-                            drop(kernel);
-                            true
-                        } else if let Err(payload) =
-                            run_attempts(kernel, id, worker, &res, &epoch, &mut events)
-                        {
-                            if res.policy.on_exhausted == ExhaustedAction::Abort {
-                                shared.panicked.lock().get_or_insert(payload);
-                                // Abort flag (not `remaining`) makes the
-                                // other workers exit: a worker mid-kernel
-                                // will still decrement `remaining` once,
-                                // and zeroing it here would underflow.
-                                shared.abort.store(true, Ordering::Release);
-                                shared.wake_all();
-                                return events;
-                            }
-                            true
-                        } else {
-                            false
-                        };
-                        let mut newly_ready = Vec::new();
-                        for &s in &successors[id] {
-                            if taint {
-                                res.tainted[s].store(true, Ordering::Release);
-                            }
-                            if pending[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                newly_ready.push(s);
-                            }
-                        }
-                        if !newly_ready.is_empty() {
-                            // Push to this worker's own heap: the successor's
-                            // inputs were just written on this core. Idle
-                            // workers pick them up by stealing.
-                            {
-                                let mut q = shared.queues[worker].lock();
-                                for &s in &newly_ready {
-                                    q.push(ReadyTask {
-                                        key: ready_key(policy, &priority, &explicit, s),
-                                        id: s,
-                                        affinity: affinity[s],
-                                    });
-                                }
-                            }
-                            if threads > 1 {
-                                shared.wake_all();
-                            }
-                        }
-                        if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    // A permanent failure (or skip) taints the task's
+                    // successors so the subtree is abandoned, not run
+                    // against bad data.
+                    let taint = if res.tainted[id].load(Ordering::Acquire) {
+                        // A transitive predecessor failed: drop the
+                        // kernel without running it.
+                        res.outcome[id].store(OUT_SKIPPED, Ordering::Release);
+                        drop(kernel);
+                        true
+                    } else if let Err(payload) =
+                        run_attempts(kernel, id, worker, &res, &epoch, &mut events)
+                    {
+                        if res.policy.on_exhausted == ExhaustedAction::Abort {
+                            shared.panicked.lock().get_or_insert(payload);
+                            // Abort flag (not `remaining`) makes the
+                            // other workers exit: a worker mid-kernel
+                            // will still decrement `remaining` once,
+                            // and zeroing it here would underflow.
+                            shared.abort.store(true, Ordering::Release);
                             shared.wake_all();
                             return events;
                         }
+                        true
+                    } else {
+                        false
+                    };
+                    let mut newly_ready = Vec::new();
+                    for &s in &fin.successors[id] {
+                        if taint {
+                            res.tainted[s].store(true, Ordering::Release);
+                        }
+                        if pending[s].fetch_sub(1, Ordering::AcqRel) == 1 {
+                            newly_ready.push(s);
+                        }
                     }
-                })
-                // xsc-lint: allow(P01, reason = "spawn failure happens before any task runs; failing fast at launch is the contract")
-                .expect("failed to spawn worker thread");
-            handles.push(handle);
-        }
+                    if !newly_ready.is_empty() {
+                        // Push to this worker's own heap: the successor's
+                        // inputs were just written on this core. Idle
+                        // workers pick them up by stealing.
+                        {
+                            let mut q = shared.queues[worker].lock();
+                            for &s in &newly_ready {
+                                q.push(ReadyTask {
+                                    key: ready_key(self.policy, &fin.priority, &fin.explicit, s),
+                                    id: s,
+                                    affinity: fin.affinity[s],
+                                });
+                            }
+                        }
+                        if self.threads > 1 {
+                            shared.wake_all();
+                        }
+                    }
+                    if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        shared.wake_all();
+                        return events;
+                    }
+                }
+            })
+        });
 
-        let mut all_events = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(events) => all_events.extend(events),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
         let wall = epoch.elapsed();
-        let res = Arc::try_unwrap(resilient)
-            // xsc-lint: allow(P02, reason = "all clones live in worker closures joined above; this Arc is provably sole owner")
-            .unwrap_or_else(|_| unreachable!("workers joined; sole Arc owner"));
         let mut stats = res.into_stats();
         stats.aborted = shared.abort.load(Ordering::Acquire);
-        let trace = Trace::new(self.threads, wall, all_events, names, stats)
+        let events = per_worker.into_iter().flatten().collect();
+        let trace = Trace::new(self.threads, wall, events, names, stats)
             .with_steals(shared.steals.load(Ordering::Relaxed));
         let failure = shared.panicked.lock().take();
         (trace, failure)
@@ -731,6 +721,35 @@ mod tests {
         Executor::new(1, SchedPolicy::Explicit).execute(g);
         let order = Arc::try_unwrap(log).unwrap().into_inner();
         assert_eq!(order, (0..6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_worker_runs_every_task_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ids = Arc::new(PlMutex::new(Vec::new()));
+        let mut g = TaskGraph::new();
+        for i in 0..8 {
+            let ids = Arc::clone(&ids);
+            g.add_task("t", [Access::Write(i % 3)], move || {
+                ids.lock().push(std::thread::current().id());
+            });
+        }
+        Executor::new(1, SchedPolicy::Fifo).execute(g);
+        assert_eq!(*ids.lock(), vec![caller; 8]);
+    }
+
+    #[test]
+    fn tasks_see_the_executor_width() {
+        let seen = Arc::new(PlMutex::new(Vec::new()));
+        let mut g = TaskGraph::new();
+        for i in 0..6 {
+            let seen = Arc::clone(&seen);
+            g.add_task("t", [Access::Write(i)], move || {
+                seen.lock().push(rayon::current_num_threads());
+            });
+        }
+        Executor::new(3, SchedPolicy::CriticalPath).execute(g);
+        assert_eq!(*seen.lock(), vec![3; 6]);
     }
 
     // ---- work-stealing tests --------------------------------------------

@@ -8,11 +8,13 @@
 //! `ThreadPoolBuilder::install` for thread-count sweeps.
 //!
 //! Unlike rayon's lazy work-stealing iterators, [`ParIter`] materializes
-//! its items and fans them out as contiguous stripes over scoped OS
-//! threads — one stripe per worker, order-preserving. That is exactly the
-//! bulk-synchronous shape every `xsc` call site uses, so semantics match;
-//! only the scheduling (static stripes vs work stealing) differs. Panics in
-//! worker closures propagate to the caller, as with rayon.
+//! its items and fans them out as contiguous stripes, one per thread,
+//! order-preserving. That is exactly the bulk-synchronous shape every
+//! `xsc` call site uses, so semantics match; only the scheduling (static
+//! stripes vs work stealing) differs. Stripes and [`broadcast`] calls share
+//! one spawn loop, whose first call runs on the calling thread, so `p`
+//! threads start `p − 1`. Panics in worker closures propagate to the
+//! caller, as with rayon.
 
 #![forbid(unsafe_code)]
 
@@ -45,8 +47,39 @@ pub fn current_num_threads() -> usize {
     }
 }
 
-/// Applies `f` to every item on a striped scoped-thread pool, preserving
-/// input order in the output.
+/// Runs `op` once per input, all calls live at once, and returns the
+/// results in input order. The first call runs on the calling thread; the
+/// others run on scoped threads that inherit the caller's
+/// [`ThreadPool::install`] count. This is the only place the shim starts
+/// threads. A panic in any call propagates to the caller once all calls
+/// have returned.
+fn run_each<I: Send, R: Send>(inputs: Vec<I>, op: impl Fn(I) -> R + Sync) -> Vec<R> {
+    let installed = POOL_THREADS.with(Cell::get);
+    let op = &op;
+    let mut inputs = inputs.into_iter();
+    let Some(first) = inputs.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = inputs
+            .map(|input| {
+                s.spawn(move || {
+                    POOL_THREADS.with(|c| c.set(installed));
+                    op(input)
+                })
+            })
+            .collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(op(first));
+        for h in handles {
+            out.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        out
+    })
+}
+
+/// Applies `f` to every item in one contiguous stripe per thread,
+/// preserving input order in the output.
 fn run_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let threads = current_num_threads().min(items.len());
     if threads <= 1 {
@@ -62,18 +95,12 @@ fn run_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
         let tail = rest.split_off(take);
         stripes.push(std::mem::replace(&mut rest, tail));
     }
-    let f = &f;
-    let per_stripe: Vec<Vec<R>> = std::thread::scope(|s| {
-        let handles: Vec<_> = stripes
-            .into_iter()
-            .map(|stripe| s.spawn(move || stripe.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    per_stripe.into_iter().flatten().collect()
+    run_each(stripes, |stripe| {
+        stripe.into_iter().map(&f).collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// What one [`broadcast`] call knows about where it runs.
@@ -109,29 +136,14 @@ where
     R: Send,
 {
     let num_threads = current_num_threads();
-    let installed = POOL_THREADS.with(Cell::get);
-    let ctx = |index| BroadcastContext {
-        index,
-        num_threads,
-        _scope: PhantomData,
-    };
-    let op = &op;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (1..num_threads)
-            .map(|index| {
-                s.spawn(move || {
-                    POOL_THREADS.with(|c| c.set(installed));
-                    op(ctx(index))
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(num_threads);
-        out.push(op(ctx(0)));
-        for h in handles {
-            out.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        out
-    })
+    let contexts = (0..num_threads)
+        .map(|index| BroadcastContext {
+            index,
+            num_threads,
+            _scope: PhantomData,
+        })
+        .collect();
+    run_each(contexts, op)
 }
 
 /// A materialized "parallel iterator": holds its items and runs terminal
@@ -388,6 +400,32 @@ mod tests {
                 "expected parallel execution, got {distinct} thread(s)"
             );
         }
+    }
+
+    #[test]
+    fn map_stripes_inherit_install() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let seen: Vec<usize> = pool.install(|| {
+            (0..3usize)
+                .into_par_iter()
+                .map(|_| current_num_threads())
+                .collect()
+        });
+        assert_eq!(seen, vec![3; 3]);
+    }
+
+    #[test]
+    fn map_runs_its_first_stripe_on_the_caller() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let caller = std::thread::current().id();
+        let ids: Vec<_> = pool.install(|| {
+            (0..4usize)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect()
+        });
+        assert_eq!(ids[..2], [caller; 2]);
+        assert!(ids[2..].iter().all(|&id| id != caller));
     }
 
     #[test]
