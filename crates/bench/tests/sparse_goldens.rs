@@ -4,7 +4,9 @@
 //! residual history; and the modeled SpMV/SymGS traffic of every level of
 //! a three-level hierarchy. The HPCG set-up is pinned too: the operator,
 //! its Gauss–Seidel schedule and the right-hand side on a grid big enough
-//! to split across threads, and the 96³ schedule's shape. The cross-format tests in
+//! to split across threads, and the 96³ schedule's shape. The scheduled
+//! (multi-thread) SymGS path is pinned at 32³, where the operator is big
+//! enough to run on 2 and 3 threads. The cross-format tests in
 //! `tests/tests/sparse_formats.rs` only compare formats with each other, so
 //! they cannot see a fold-order change that hits every format at once; a
 //! change that moves a single bit or byte shows up here as a hash mismatch.
@@ -282,4 +284,77 @@ fn schedule_96_counts_match_golden() {
     let s = a.gs_schedule().unwrap();
     let got = (s.num_blocks(), s.num_levels(), s.max_width());
     assert_eq!(got, SCHEDULE_96, "96³ schedule shape changed");
+}
+
+/// The 32³ operator (830,584 stored entries): big enough that SymGS runs
+/// its level schedule on a 2- or 3-thread pool instead of the one-thread
+/// natural loop every 16³ pin above runs.
+const SCHEDULED_GRID: usize = 32;
+
+/// Per-format hashes of the scheduled path, in [`SparseFormat::all`] order:
+/// the iterates after 3 SymGS applications on the 32³ operator (the same
+/// on 2 and 3 threads), and `run_hpcg_fmt(32³, 3, 10)`'s residual history
+/// on 2 threads.
+const SCHEDULED_PINS: [(SparseFormat, u64, u64); 3] = [
+    (
+        SparseFormat::CsrUsize,
+        0xccae_1831_08c7_ddc2,
+        0x204c_88e8_8ba1_44d3,
+    ),
+    (
+        SparseFormat::Csr32,
+        0xccae_1831_08c7_ddc2,
+        0x204c_88e8_8ba1_44d3,
+    ),
+    (
+        SparseFormat::SellCSigma,
+        0xccae_1831_08c7_ddc2,
+        0x204c_88e8_8ba1_44d3,
+    ),
+];
+
+fn on_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
+#[test]
+fn scheduled_symgs_iterates_match_golden_hash() {
+    let g = SCHEDULED_GRID;
+    let a = build_matrix(Geometry::new(g, g, g));
+    let n = a.nrows();
+    let (b, _) = build_rhs(&a);
+    for &(fmt, pin, _) in &SCHEDULED_PINS {
+        let m = FormatMatrix::convert(a.clone(), fmt).unwrap();
+        for threads in [2, 3] {
+            let x = on_threads(threads, || {
+                let mut x = vector(n, 3);
+                for _ in 0..3 {
+                    m.symgs(&b, &mut x);
+                }
+                x
+            });
+            let got = fnv1a(bits(&x));
+            assert_eq!(
+                got, pin,
+                "{fmt} scheduled SymGS iterates on {threads} threads changed: got {got:#018x}"
+            );
+        }
+    }
+}
+
+#[test]
+fn scheduled_hpcg_residual_history_matches_golden_hash() {
+    let g = Geometry::new(SCHEDULED_GRID, SCHEDULED_GRID, SCHEDULED_GRID);
+    for &(fmt, _, pin) in &SCHEDULED_PINS {
+        let r = on_threads(2, || run_hpcg_fmt(g, 3, 10, fmt));
+        let got = fnv1a(bits(&r.residual_history).chain([r.iterations as u64]));
+        assert_eq!(
+            got, pin,
+            "{fmt} 2-thread hpcg residual history changed: got {got:#018x}"
+        );
+    }
 }
