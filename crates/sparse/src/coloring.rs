@@ -21,13 +21,13 @@ use rayon::prelude::*;
 /// Greedy graph coloring of the matrix's adjacency structure: returns a
 /// color per row, with no two adjacent rows (i.e. `a[i][j] != 0`) sharing
 /// a color.
-pub fn greedy_coloring(a: &CsrMatrix<f64>) -> Vec<usize> {
+pub fn greedy_coloring<I: SparseIndex>(a: &Csr<f64, I>) -> Vec<usize> {
     let n = a.nrows();
     let mut colors = vec![usize::MAX; n];
     let mut forbidden = vec![usize::MAX; 64]; // forbidden[c] = row that forbade c
     for i in 0..n {
         let (cols, _) = a.row(i);
-        for &j in cols {
+        for j in cols.iter().map(|&j| j.widen()) {
             if j != i && colors[j] != usize::MAX {
                 let c = colors[j];
                 if c >= forbidden.len() {

@@ -7,16 +7,18 @@
 //!
 //! One struct, [`Csr<T, I>`], serves both index widths: [`CsrMatrix`]
 //! (`usize` indices, ~24 B/nnz through DRAM) and [`Csr32`] (`u32`
-//! indices, ~12 B/nnz, what canonical HPCG codes stream). On a
-//! bandwidth-bound kernel that factor is the attained rate. Both run the
-//! same kernels, so the per-row folds are bit-identical by construction;
-//! only the bytes streamed and the recorded traffic model
-//! ([`SparseIndex`]) differ. Conversion to `u32` is fallible: a matrix
-//! whose column space or nonzero count does not fit returns
-//! [`IndexOverflow`] instead of silently truncating indices.
+//! indices, ~12 B/nnz, what canonical HPCG codes stream and what
+//! [`run_hpcg`](crate::hpcg::run_hpcg) runs). On a bandwidth-bound kernel
+//! that factor is the attained rate. Both run the same kernels, so the
+//! per-row folds are bit-identical by construction; only the bytes
+//! streamed and the recorded traffic model ([`SparseIndex`]) differ. The
+//! HPCG stencil is written at either width directly; converting a `usize`
+//! matrix to `u32` is fallible: a matrix whose column space or nonzero
+//! count does not fit returns [`IndexOverflow`] instead of silently
+//! truncating indices.
 
 use crate::idx::{check_compact_bounds, IndexOverflow, SparseIndex};
-use crate::symgs::{GsRow, GsSchedule, XView};
+use crate::symgs::{GsFold, GsRow, GsSchedule, XView};
 use rayon::prelude::*;
 use xsc_core::{Matrix, Scalar};
 use xsc_metrics::{traffic, Traffic};
@@ -34,11 +36,14 @@ pub struct Csr<T, I> {
     gs: Option<GsSchedule>,
 }
 
-/// CSR with `usize` indices: the format every matrix is built in.
+/// CSR with `usize` indices: what triplets ([`CsrMatrix::from_triplets`])
+/// and [`build_matrix`](crate::stencil::build_matrix) build, and the
+/// legacy baseline format of the HPCG path.
 pub type CsrMatrix<T> = Csr<T, usize>;
 
-/// CSR with `u32` indices: the bandwidth-lean twin of [`CsrMatrix`],
-/// converted from it with `Csr32::try_from`.
+/// CSR with `u32` indices: the bandwidth-lean twin of [`CsrMatrix`] and
+/// the format `run_hpcg`'s hierarchy is built in. Another matrix converts
+/// to it with the checked `Csr32::try_from`.
 pub type Csr32<T> = Csr<T, u32>;
 
 impl<T: Scalar> CsrMatrix<T> {
@@ -76,7 +81,9 @@ impl<T: Scalar> CsrMatrix<T> {
         let vals = merged.into_iter().map(|(_, _, v)| v).collect();
         CsrMatrix::from_sorted_rows(nrows, ncols, row_ptr, col_idx, vals)
     }
+}
 
+impl<T: Scalar, I: SparseIndex> Csr<T, I> {
     /// Builds a CSR matrix from arrays already in CSR layout: `row_ptr`
     /// (length `nrows + 1`) starts at 0, never decreases and ends at the
     /// entry count; each row's columns strictly increase and are below
@@ -86,21 +93,25 @@ impl<T: Scalar> CsrMatrix<T> {
     pub(crate) fn from_sorted_rows(
         nrows: usize,
         ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        row_ptr: Vec<I>,
+        col_idx: Vec<I>,
         vals: Vec<T>,
     ) -> Self {
         assert_eq!(row_ptr.len(), nrows + 1, "row_ptr needs nrows + 1 entries");
-        assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
+        assert_eq!(row_ptr[0].widen(), 0, "row_ptr must start at 0");
         assert_eq!(
             col_idx.len(),
             vals.len(),
             "col_idx and vals differ in length"
         );
-        assert_eq!(row_ptr[nrows], col_idx.len(), "row_ptr must end at nnz");
+        assert_eq!(
+            row_ptr[nrows].widen(),
+            col_idx.len(),
+            "row_ptr must end at nnz"
+        );
         check_rows(&row_ptr, &col_idx, ncols, kernel_threads(col_idx.len()));
         let gs = (nrows == ncols).then(|| GsSchedule::build(&row_ptr, &col_idx));
-        CsrMatrix {
+        Csr {
             nrows,
             ncols,
             row_ptr,
@@ -111,11 +122,11 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
-/// The per-row checks of [`CsrMatrix::from_sorted_rows`] over `tasks`
+/// The per-row checks of [`Csr::from_sorted_rows`] over `tasks`
 /// contiguous row ranges on the pool, for a `row_ptr` that starts at 0
 /// and ends at `col_idx.len()`: it never decreases, and each row's
 /// columns strictly increase and are below `ncols`.
-pub(crate) fn check_rows(row_ptr: &[usize], col_idx: &[usize], ncols: usize, tasks: usize) {
+pub(crate) fn check_rows<I: SparseIndex>(row_ptr: &[I], col_idx: &[I], ncols: usize, tasks: usize) {
     let nrows = row_ptr.len() - 1;
     (0..tasks).into_par_iter().for_each(|t| {
         let rows = nrows * t / tasks..nrows * (t + 1) / tasks;
@@ -124,16 +135,18 @@ pub(crate) fn check_rows(row_ptr: &[usize], col_idx: &[usize], ncols: usize, tas
         // later on.
         let ptrs = &row_ptr[rows.start..=rows.end];
         assert!(
-            ptrs.windows(2).all(|w| w[0] <= w[1]) && ptrs[ptrs.len() - 1] <= col_idx.len(),
+            ptrs.windows(2).all(|w| w[0].widen() <= w[1].widen())
+                && ptrs[ptrs.len() - 1].widen() <= col_idx.len(),
             "row_ptr must not decrease"
         );
         for (i, w) in rows.zip(ptrs.windows(2)) {
-            let cols = &col_idx[w[0]..w[1]];
+            let cols = &col_idx[w[0].widen()..w[1].widen()];
             assert!(
-                cols.windows(2).all(|p| p[0] < p[1]),
+                cols.windows(2).all(|p| p[0].widen() < p[1].widen()),
                 "row {i}: columns must strictly increase"
             );
             if let Some(&last) = cols.last() {
+                let last = last.widen();
                 assert!(last < ncols, "row {i}: column {last} out of bounds");
             }
         }
@@ -433,18 +446,32 @@ impl<I: SparseIndex> GsRow for Csr<f64, I> {
     #[inline]
     fn gs_row<X: XView + ?Sized>(&self, i: usize, b: &[f64], x: &X) -> f64 {
         let (cols, vals) = self.row(i);
-        let mut acc = b[i];
-        let mut diag = 0.0;
-        for (&c, &v) in cols.iter().zip(vals.iter()) {
-            let c = c.widen();
-            if c == i {
-                diag = v;
-            } else {
-                acc -= v * x.at(c);
-            }
+        let mut row = GsFold::new(i, b);
+        for (&c, &v) in cols.iter().zip(vals) {
+            row.step(c.widen(), v, x);
         }
-        debug_assert!(diag != 0.0, "zero diagonal at row {i}");
-        acc / diag
+        row.finish()
+    }
+
+    /// Folds rows `i` and `j` in one loop over their common length, one
+    /// entry of each per step, then the longer row's rest: each row still
+    /// folds its own entries in stored order.
+    #[inline]
+    fn gs_pair<X: XView + ?Sized>(&self, i: usize, j: usize, b: &[f64], x: &X) -> (f64, f64) {
+        let ((ci, vi), (cj, vj)) = (self.row(i), self.row(j));
+        let (mut ri, mut rj) = (GsFold::new(i, b), GsFold::new(j, b));
+        for ((&c, &v), (&d, &w)) in ci.iter().zip(vi).zip(cj.iter().zip(vj)) {
+            ri.step(c.widen(), v, x);
+            rj.step(d.widen(), w, x);
+        }
+        let common = ci.len().min(cj.len());
+        for (&c, &v) in ci[common..].iter().zip(&vi[common..]) {
+            ri.step(c.widen(), v, x);
+        }
+        for (&d, &w) in cj[common..].iter().zip(&vj[common..]) {
+            rj.step(d.widen(), w, x);
+        }
+        (ri.finish(), rj.finish())
     }
 
     fn gs_schedule(&self) -> Option<&GsSchedule> {
@@ -648,7 +675,7 @@ mod tests {
     #[should_panic(expected = "row 4: columns must strictly increase")]
     fn split_row_checks_catch_a_bad_row_in_a_later_range() {
         let row_ptr = [0, 1, 2, 3, 4, 6, 7];
-        check_rows(&row_ptr, &[0, 1, 2, 0, 3, 3, 1], 4, 3);
+        check_rows::<usize>(&row_ptr, &[0, 1, 2, 0, 3, 3, 1], 4, 3);
     }
 
     #[test]
@@ -656,7 +683,7 @@ mod tests {
     fn split_row_checks_catch_a_pointer_that_drops_in_a_later_range() {
         // The first range's pointers climb past the entry count; only the
         // second range sees them drop.
-        check_rows(&[0, 3, 5, 1, 2], &[0, 1], 2, 2);
+        check_rows::<u32>(&[0, 3, 5, 1, 2], &[0, 1], 2, 2);
     }
 
     #[test]

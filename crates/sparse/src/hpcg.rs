@@ -2,7 +2,7 @@
 //!
 //! Mirrors the official benchmark's structure: build the multigrid
 //! hierarchy, whose level 0 is the 27-point operator (built once, straight
-//! into CSR, and shared with CG), run a fixed number of MG-preconditioned
+//! into the chosen format's arrays, and shared with CG), run a fixed number of MG-preconditioned
 //! CG iterations, and report Gflop/s using HPCG's flop accounting. The
 //! resulting rate — compared against the same machine's HPL rate — is the
 //! keynote's headline figure (experiment E01).
@@ -47,8 +47,14 @@ pub struct HpcgResult {
 /// Runs the HPCG-like benchmark on an `nx × ny × nz` grid with `levels`
 /// multigrid levels and `iters` CG iterations (the official benchmark uses
 /// 4 levels and optimizes for 50-iteration batches).
+///
+/// Every level is stored as [`SparseFormat::Csr32`], built in place at
+/// that width: the reference HPCG's `local_int_t` is a 32-bit `int`, so
+/// its operator streams 12 B per nonzero, not the 24 B of `usize`
+/// indices. The iterates are the same bits in every format
+/// ([`run_hpcg_fmt`] runs the others).
 pub fn run_hpcg(g: Geometry, levels: usize, iters: usize) -> HpcgResult {
-    run_hpcg_fmt(g, levels, iters, SparseFormat::CsrUsize)
+    run_hpcg_fmt(g, levels, iters, SparseFormat::Csr32)
 }
 
 /// [`run_hpcg`] with the operator and every multigrid level stored in the
@@ -161,6 +167,17 @@ mod tests {
             assert_eq!(r.iterations, base.iterations, "{fmt}");
             assert_eq!(r.residual_history, base.residual_history, "{fmt}");
         }
+    }
+
+    #[test]
+    fn run_hpcg_runs_csr32_with_the_usize_history() {
+        // 32³ runs the fine level's kernels on every pool thread.
+        let g = Geometry::new(32, 32, 32);
+        let res = run_hpcg(g, 3, 10);
+        assert_eq!(res.format, SparseFormat::Csr32);
+        let base = run_hpcg_fmt(g, 3, 10, SparseFormat::CsrUsize);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&res.residual_history), bits(&base.residual_history));
     }
 
     #[test]

@@ -23,10 +23,11 @@ use crate::abft::{CheckedApply, SdcDetected};
 use crate::cg::Preconditioner;
 use crate::chebyshev::ChebyshevSmoother;
 use crate::coloring::{color_classes, greedy_coloring};
-use crate::csr::RowSet;
+use crate::csr::{Csr, RowSet};
 use crate::error::SolverError;
+use crate::idx::{check_compact_bounds, IndexOverflow, SparseIndex};
 use crate::ops::{FormatMatrix, SparseFormat, SparseOps};
-use crate::stencil::{build_matrix, f2c_map, Geometry};
+use crate::stencil::{build_csr, f2c_map, stencil_nnz, Geometry};
 use std::cell::RefCell;
 use xsc_core::blas1;
 use xsc_metrics::Traffic;
@@ -81,6 +82,39 @@ struct Level {
     scratch: RefCell<Scratch>,
 }
 
+impl Level {
+    /// The level on `geom`: its operator built once at index width `I`,
+    /// its smoother's set-up data derived from that operator, then the
+    /// operator handed to `store` for the level's format. With `restrict`
+    /// (a coarser level follows) it lists the rows injection reads.
+    fn build<I: SparseIndex>(
+        geom: Geometry,
+        restrict: bool,
+        smoother: Smoother,
+        store: impl FnOnce(Csr<f64, I>) -> Result<FormatMatrix, IndexOverflow>,
+    ) -> Result<Level, IndexOverflow> {
+        let a = build_csr::<I>(geom);
+        let f2c = if restrict {
+            RowSet::new(&a, f2c_map(geom))
+        } else {
+            RowSet::default()
+        };
+        let smoother = match smoother {
+            Smoother::SymGs => LevelSmoother::SymGs,
+            Smoother::Colored => LevelSmoother::Colored(color_classes(&greedy_coloring(&a))),
+            Smoother::Chebyshev { degree } => {
+                LevelSmoother::Chebyshev(ChebyshevSmoother::for_matrix(&a, degree, 30.0))
+            }
+        };
+        Ok(Level {
+            a: store(a)?,
+            smoother,
+            f2c,
+            scratch: RefCell::default(),
+        })
+    }
+}
+
 /// Per-level vectors, sized on first use and reused after.
 #[derive(Default)]
 struct Scratch {
@@ -118,10 +152,12 @@ impl MgPreconditioner {
     }
 
     /// Like [`MgPreconditioner::with_smoother`] but storing every level in
-    /// the chosen [`SparseFormat`]. Smoother setup data (colorings,
-    /// Chebyshev eigenvalue estimates) is derived from the CSR operator
-    /// before conversion, so the hierarchy is numerically identical across
-    /// formats. Fails if the operator does not fit the format's indices.
+    /// the chosen [`SparseFormat`]. Each CSR level is built once, at its
+    /// index width; SELL-C-σ is converted from a `usize` CSR. Smoother
+    /// setup data (colorings, Chebyshev eigenvalue bounds) is derived from
+    /// the CSR operator, so the hierarchy is numerically identical across
+    /// formats. Fails, before building anything, if the finest operator
+    /// does not fit the format's indices.
     pub fn with_format(
         g: Geometry,
         num_levels: usize,
@@ -148,37 +184,31 @@ impl MgPreconditioner {
         if num_levels < 1 {
             return Err(SolverError::NoLevels);
         }
+        if format != SparseFormat::CsrUsize {
+            // Every coarser level is smaller than the finest.
+            check_compact_bounds(g.len(), stencil_nnz(g))?;
+        }
         let mut levels = Vec::with_capacity(num_levels);
         let mut geom = g;
         for l in 0..num_levels {
-            let a_csr = build_matrix(geom);
             let last = l + 1 == num_levels;
-            let f2c = if last {
-                RowSet::default()
-            } else {
-                if !geom.coarsenable() {
-                    return Err(SolverError::NotCoarsenable {
-                        geometry: geom,
-                        level: l + 1,
-                    });
+            if !last && !geom.coarsenable() {
+                return Err(SolverError::NotCoarsenable {
+                    geometry: geom,
+                    level: l + 1,
+                });
+            }
+            levels.push(match format {
+                SparseFormat::CsrUsize => {
+                    Level::build(geom, !last, smoother, |a| Ok(FormatMatrix::CsrUsize(a)))
                 }
-                RowSet::new(&a_csr, f2c_map(geom))
-            };
-            let level_smoother = match smoother {
-                Smoother::SymGs => LevelSmoother::SymGs,
-                Smoother::Colored => {
-                    LevelSmoother::Colored(color_classes(&greedy_coloring(&a_csr)))
+                SparseFormat::Csr32 => {
+                    Level::build(geom, !last, smoother, |a| Ok(FormatMatrix::Csr32(a)))
                 }
-                Smoother::Chebyshev { degree } => {
-                    LevelSmoother::Chebyshev(ChebyshevSmoother::for_matrix(&a_csr, degree, 30.0))
-                }
-            };
-            levels.push(Level {
-                a: FormatMatrix::convert(a_csr, format)?,
-                smoother: level_smoother,
-                f2c,
-                scratch: RefCell::default(),
-            });
+                SparseFormat::SellCSigma => Level::build(geom, !last, smoother, |a| {
+                    FormatMatrix::convert(a, SparseFormat::SellCSigma)
+                }),
+            }?);
             if !last {
                 geom = geom.coarsen();
             }
@@ -403,7 +433,7 @@ impl MgPreconditioner {
 mod tests {
     use super::*;
     use crate::csr::CsrMatrix;
-    use crate::stencil::build_rhs;
+    use crate::stencil::{build_matrix, build_rhs};
     use crate::symgs::symgs;
 
     fn residual_norm(a: &CsrMatrix<f64>, x: &[f64], b: &[f64]) -> f64 {
@@ -484,6 +514,16 @@ mod tests {
         // More levels -> more flops (coarse grids add work).
         assert!(mg3.flops_per_cycle() > 0);
         assert_eq!(mg2.num_levels(), 2);
+    }
+
+    #[test]
+    fn compact_hierarchy_checks_its_bounds_before_building() {
+        // 3070³ ≈ 2.9e10 stored entries: the check must refuse the shape
+        // before a single array is allocated.
+        let g = Geometry::new(1024, 1024, 1024);
+        let err = MgPreconditioner::with_format(g, 1, Smoother::SymGs, SparseFormat::Csr32);
+        let nnz = 3070 * 3070 * 3070;
+        assert_eq!(err.err(), Some(IndexOverflow::Nnz { nnz }));
     }
 
     #[test]

@@ -188,8 +188,10 @@ impl SparseOps for SellCSigma<f64> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SparseFormat {
     /// `usize`-index CSR (the legacy baseline; ~24 B/nnz matrix stream).
+    /// Kept as the reference the compact formats are compared against.
     CsrUsize,
-    /// `u32`-index CSR (~12 B/nnz matrix stream).
+    /// `u32`-index CSR (~12 B/nnz matrix stream): `run_hpcg`'s format,
+    /// as the reference HPCG's 32-bit `local_int_t` indices.
     Csr32,
     /// SELL-C-σ with `u32` indices (~12 B/nnz plus a small padding tax).
     SellCSigma,

@@ -22,7 +22,7 @@
 
 use crate::csr::{for_row_ranges, kernel_threads, CsrMatrix, RowSet};
 use crate::idx::{check_compact_bounds, widen, IndexOverflow, SparseIndex};
-use crate::symgs::{GsRow, GsSchedule, XView};
+use crate::symgs::{GsFold, GsRow, GsSchedule, XView};
 use rayon::prelude::*;
 use xsc_core::cast::count_f64;
 use xsc_core::Scalar;
@@ -370,17 +370,9 @@ impl<T: Scalar> SellCSigma<T> {
 impl GsRow for SellCSigma<f64> {
     #[inline]
     fn gs_row<X: XView + ?Sized>(&self, i: usize, b: &[f64], x: &X) -> f64 {
-        let mut acc = b[i];
-        let mut diag = 0.0;
-        self.for_row(i, |c, v| {
-            if c == i {
-                diag = v;
-            } else {
-                acc -= v * x.at(c);
-            }
-        });
-        debug_assert!(diag != 0.0, "zero diagonal at row {i}");
-        acc / diag
+        let mut row = GsFold::new(i, b);
+        self.for_row(i, |c, v| row.step(c, v, x));
+        row.finish()
     }
 
     fn gs_schedule(&self) -> Option<&GsSchedule> {

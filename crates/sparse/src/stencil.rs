@@ -6,7 +6,8 @@
 //! there and symmetric positive definite overall). This synthetic PDE
 //! operator is what HPCG measures machines with.
 
-use crate::csr::{kernel_threads, CsrMatrix};
+use crate::csr::{kernel_threads, Csr, CsrMatrix};
+use crate::idx::SparseIndex;
 use crate::ops::SparseOps;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -83,13 +84,27 @@ impl Geometry {
 /// rows' entries and row pointers, so the arrays are the same on any
 /// thread count.
 pub fn build_matrix(g: Geometry) -> CsrMatrix<f64> {
+    build_csr(g)
+}
+
+/// Stored entries of the operator on `g`: per dimension of size `m` there
+/// are `3m - 2` in-range neighbour pairs, and the stencil factorizes.
+pub(crate) fn stencil_nnz(g: Geometry) -> usize {
+    (3 * g.nx - 2) * (3 * g.ny - 2) * (3 * g.nz - 2)
+}
+
+/// [`build_matrix`] with indices stored as `I`, written at that width
+/// from the start. Panics if an index does not fit `I`; callers that
+/// build a compact operator check the shape first (`check_compact_bounds`
+/// on `g.len()` and [`stencil_nnz`]).
+pub(crate) fn build_csr<I: SparseIndex>(g: Geometry) -> Csr<f64, I> {
     let n = g.len();
     let plane = g.nx * g.ny;
-    // Per dimension of size m there are 3m - 2 in-range neighbour pairs.
     let per_plane = (3 * g.nx - 2) * (3 * g.ny - 2);
-    let nnz = per_plane * (3 * g.nz - 2);
-    let mut row_ptr = vec![0usize; n + 1];
-    let mut col_idx = vec![0usize; nnz];
+    let nnz = stencil_nnz(g);
+    let zero = I::narrow(0).expect("0 fits every index type");
+    let mut row_ptr = vec![zero; n + 1];
+    let mut col_idx = vec![zero; nnz];
     let mut vals = vec![0.0f64; nnz];
     let slabs = kernel_threads(nnz);
     let mut parts = Vec::with_capacity(slabs);
@@ -109,7 +124,7 @@ pub fn build_matrix(g: Geometry) -> CsrMatrix<f64> {
     parts
         .into_par_iter()
         .for_each(|(z, first, ptr, cols, vals)| fill_slab(g, z, first, ptr, cols, vals));
-    CsrMatrix::from_sorted_rows(n, n, row_ptr, col_idx, vals)
+    Csr::from_sorted_rows(n, n, row_ptr, col_idx, vals)
 }
 
 /// In-range neighbour indices of `i` along a dimension of size `m`.
@@ -120,14 +135,15 @@ fn near(i: usize, m: usize) -> Range<usize> {
 /// Writes the rows of z-planes `z` of the operator on `g`: their entries
 /// into `cols`/`vals` (which start at entry `first`) and the row pointer
 /// after each row into `ptr`.
-fn fill_slab(
+fn fill_slab<I: SparseIndex>(
     g: Geometry,
     z: Range<usize>,
     first: usize,
-    ptr: &mut [usize],
-    cols: &mut [usize],
+    ptr: &mut [I],
+    cols: &mut [I],
     vals: &mut [f64],
 ) {
+    let index = |i: usize| I::narrow(i).expect("the operator's shape fits its index type");
     let mut k = 0;
     let mut rows = ptr.iter_mut();
     for iz in z {
@@ -138,13 +154,13 @@ fn fill_slab(
                     for jy in near(iy, g.ny) {
                         for jx in near(ix, g.nx) {
                             let col = g.index(jx, jy, jz);
-                            cols[k] = col;
+                            cols[k] = index(col);
                             vals[k] = if col == row { 26.0 } else { -1.0 };
                             k += 1;
                         }
                     }
                 }
-                *rows.next().expect("one pointer per row") = first + k;
+                *rows.next().expect("one pointer per row") = index(first + k);
             }
         }
     }
@@ -182,6 +198,7 @@ pub fn f2c_map(fine: Geometry) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Csr32;
 
     #[test]
     fn geometry_indexing_is_x_fastest() {
@@ -219,6 +236,28 @@ mod tests {
             let got = build_matrix(g);
             assert!(got.gs_schedule().is_some());
             assert_eq!(got, want, "{g:?}");
+        }
+    }
+
+    /// The operator written at `u32` width equals the `usize` one
+    /// narrowed, schedule included, on one thread and on four (where the
+    /// bigger grids split into slabs).
+    #[test]
+    fn u32_assembly_equals_the_converted_operator() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        for (nx, ny, nz) in [(1, 1, 1), (5, 1, 3), (7, 6, 5), (48, 32, 40)] {
+            let g = Geometry::new(nx, ny, nz);
+            let want = Csr32::try_from(&build_matrix(g)).unwrap();
+            assert_eq!(build_csr::<u32>(g), want, "{g:?}");
+            assert_eq!(
+                pool.install(|| build_csr::<u32>(g)),
+                want,
+                "{g:?} on 4 threads"
+            );
+            assert_eq!(stencil_nnz(g), want.nnz(), "{g:?}");
         }
     }
 

@@ -28,6 +28,13 @@
 //! order as before, so the iterates are bit-identical to the natural loop
 //! on any thread count.
 //!
+//! Blocks of one level share no stored entry, so a thread takes its
+//! level's blocks two at a time and folds one row of each per step in one
+//! loop (`GsRow::gs_pair`). A row's fold is a chain of dependent
+//! subtractions; two independent chains overlap in the core, so the sweep
+//! waits less on each subtraction's latency. Each row still folds
+//! its own entries in stored order, so nothing changes a bit.
+//!
 //! This module owns the crate's only natural-order sweep; the multicolour
 //! sweep lives in [`crate::coloring`]. Both are generic over `GsRow`, the
 //! one per-row update each storage layout implements (CSR of either index
@@ -62,11 +69,59 @@ impl XView for [AtomicU64] {
     }
 }
 
+/// The running fold of one Gauss–Seidel row update: `acc` starts at
+/// `b_i` and each off-diagonal entry subtracts `a_ij·x_j` in stored order;
+/// the diagonal is kept aside for the one divide at the end. Every format
+/// and both the single-row and the pair update step through it, so they
+/// all fold a row the same way.
+pub(crate) struct GsFold {
+    i: usize,
+    acc: f64,
+    diag: f64,
+}
+
+impl GsFold {
+    /// The fold of row `i`, before its first entry.
+    #[inline(always)]
+    pub(crate) fn new(i: usize, b: &[f64]) -> Self {
+        GsFold {
+            i,
+            acc: b[i],
+            diag: 0.0,
+        }
+    }
+
+    /// Folds in the stored entry `a_ic = v`.
+    #[inline(always)]
+    pub(crate) fn step<X: XView + ?Sized>(&mut self, c: usize, v: f64, x: &X) {
+        if c == self.i {
+            self.diag = v;
+        } else {
+            self.acc -= v * x.at(c);
+        }
+    }
+
+    /// The updated `x_i`: `acc / a_ii`.
+    #[inline(always)]
+    pub(crate) fn finish(self) -> f64 {
+        debug_assert!(self.diag != 0.0, "zero diagonal at row {}", self.i);
+        self.acc / self.diag
+    }
+}
+
 /// One Gauss–Seidel row update, implemented once per storage layout.
 pub(crate) trait GsRow: SparseOps + Sync {
     /// `(b_i - Σ_{j≠i} a_ij·x_j) / a_ii`, folding row `i`'s entries in
     /// stored (CSR) order.
     fn gs_row<X: XView + ?Sized>(&self, i: usize, b: &[f64], x: &X) -> f64;
+
+    /// The updates of two rows that share no stored entry, both read from
+    /// the same `x`: equal bit for bit to two [`GsRow::gs_row`] calls. A
+    /// layout overrides it to fold the two rows in one loop, so that their
+    /// independent chains of dependent subtractions overlap in the core.
+    fn gs_pair<X: XView + ?Sized>(&self, i: usize, j: usize, b: &[f64], x: &X) -> (f64, f64) {
+        (self.gs_row(i, b, x), self.gs_row(j, b, x))
+    }
 
     /// The level schedule built with the matrix (`None` if not square).
     fn gs_schedule(&self) -> Option<&GsSchedule>;
@@ -305,29 +360,43 @@ fn natural_sweeps<M: GsRow>(a: &M, b: &[f64], x: &mut [f64]) {
     sweep(a, (0..n).rev(), b, x);
 }
 
-/// Updates the rows of `blocks` (all on one level) two blocks at a time,
-/// alternating between the pair's rows so that their two independent
-/// fold chains overlap in the core. `backward` walks each block's rows in
-/// reverse; the order across blocks of one level does not matter.
-fn run_blocks(s: &GsSchedule, blocks: &[usize], backward: bool, update: impl Fn(usize)) {
-    for pair in blocks.chunks(2) {
-        let p = s.rows(pair[0]);
-        let q = pair.get(1).map_or(0..0, |&q| s.rows(q));
+/// Updates the rows of `blocks` (all on one level) in the shared `xs`, two
+/// blocks at a time: the first rows the pair has in common go through
+/// [`GsRow::gs_pair`], one row of each block per step, so their two
+/// independent fold chains overlap in the core; the longer block's rest
+/// goes row by row. `backward` walks each block's rows in reverse; the
+/// order across blocks of one level does not matter.
+fn run_blocks<M: GsRow>(
+    a: &M,
+    s: &GsSchedule,
+    blocks: &[usize],
+    backward: bool,
+    b: &[f64],
+    xs: &[AtomicU64],
+) {
+    let store = |i: usize, v: f64| xs[i].store(v.to_bits(), Ordering::Relaxed);
+    let single = |i: usize| store(i, a.gs_row(i, b, xs));
+    let pair = |i: usize, j: usize| {
+        let (u, v) = a.gs_pair(i, j, b, xs);
+        store(i, u);
+        store(j, v);
+    };
+    for blocks in blocks.chunks(2) {
+        let p = s.rows(blocks[0]);
+        let q = blocks.get(1).map_or(0..0, |&q| s.rows(q));
         let common = p.len().min(q.len());
         if backward {
             for k in 1..=common {
-                update(p.end - k);
-                update(q.end - k);
+                pair(p.end - k, q.end - k);
             }
-            (p.start..p.end - common).rev().for_each(&update);
-            (q.start..q.end - common).rev().for_each(&update);
+            (p.start..p.end - common).rev().for_each(single);
+            (q.start..q.end - common).rev().for_each(single);
         } else {
             for k in 0..common {
-                update(p.start + k);
-                update(q.start + k);
+                pair(p.start + k, q.start + k);
             }
-            (p.start + common..p.end).for_each(&update);
-            (q.start + common..q.end).for_each(&update);
+            (p.start + common..p.end).for_each(single);
+            (q.start + common..q.end).for_each(single);
         }
     }
 }
@@ -341,7 +410,6 @@ pub(crate) fn scheduled_sweeps<M: GsRow>(a: &M, s: &GsSchedule, b: &[f64], x: &m
     assert_eq!(s.block_start.last().copied().unwrap_or(0), a.nrows());
     let shared: Vec<AtomicU64> = x.iter().map(|xi| AtomicU64::new(xi.to_bits())).collect();
     let xs = &shared[..];
-    let update = |i: usize| xs[i].store(a.gs_row(i, b, xs).to_bits(), Ordering::Relaxed);
     let barrier = SpinBarrier::new(rayon::current_num_threads());
     let levels = s.num_levels();
     rayon::broadcast(|ctx| {
@@ -349,7 +417,7 @@ pub(crate) fn scheduled_sweeps<M: GsRow>(a: &M, s: &GsSchedule, b: &[f64], x: &m
         let (t, threads) = (ctx.index(), ctx.num_threads());
         assert_eq!(threads, barrier.threads);
         for l in 0..levels {
-            run_blocks(s, s.stripe(l, t, threads), false, update);
+            run_blocks(a, s, s.stripe(l, t, threads), false, b, xs);
             if l + 1 < levels {
                 barrier.wait();
             }
@@ -357,7 +425,7 @@ pub(crate) fn scheduled_sweeps<M: GsRow>(a: &M, s: &GsSchedule, b: &[f64], x: &m
         // The backward sweep starts on the top level, where this thread
         // owns the same blocks it just finished, so it needs no barrier.
         for l in (0..levels).rev() {
-            run_blocks(s, s.stripe(l, t, threads), true, update);
+            run_blocks(a, s, s.stripe(l, t, threads), true, b, xs);
             if l > 0 {
                 barrier.wait();
             }
@@ -602,6 +670,60 @@ pub(crate) mod tests {
         assert_scheduled_is_natural(&a);
         assert_scheduled_is_natural(&SellCSigma::try_from(&a).unwrap());
         assert_scheduled_is_natural(&build_matrix(Geometry::new(8, 4, 12)));
+    }
+
+    /// `gs_pair(i, j)` equals `(gs_row(i), gs_row(j))` bit for bit for
+    /// every ordered pair of `rows`.
+    fn assert_pair_is_two_rows<M: GsRow>(a: &M, rows: &[usize], b: &[f64], x: &[f64]) {
+        for &i in rows {
+            for &j in rows {
+                let (u, v) = a.gs_pair(i, j, b, x);
+                let (want_u, want_v) = (a.gs_row(i, b, x), a.gs_row(j, b, x));
+                let name = a.format_name();
+                assert_eq!(
+                    u.to_bits(),
+                    want_u.to_bits(),
+                    "{name}: row {i} of ({i}, {j})"
+                );
+                assert_eq!(
+                    v.to_bits(),
+                    want_v.to_bits(),
+                    "{name}: row {j} of ({i}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pair_update_is_two_single_row_folds() {
+        let g = Geometry::new(5, 4, 3);
+        let a = irregular(g, 11);
+        let n = a.nrows();
+        // A corner, an edge, a face and an interior row, and the last row.
+        let rows = [
+            g.index(0, 0, 0),
+            g.index(1, 0, 0),
+            g.index(1, 1, 0),
+            g.index(1, 1, 1),
+            n - 1,
+        ];
+        let lens: Vec<usize> = rows.iter().map(|&i| a.row(i).0.len()).collect();
+        assert_eq!(lens, [8, 12, 18, 27, 8]);
+        // The corner row's 8 entries end before the interior row reaches
+        // its diagonal, so the pair's lockstep loop never sees that one.
+        let diag_at = a.row(rows[3]).0.iter().position(|&c| c == rows[3]);
+        assert!(diag_at.is_some_and(|d| d >= lens[0]));
+        let b: Vec<f64> = (0..n).map(|i| (i * 37 % 101) as f64 * 0.02 - 1.0).collect();
+        let x: Vec<f64> = (0..n).map(|i| ((i * 29 % 83) as f64).sin()).collect();
+        assert_pair_is_two_rows(&a, &rows, &b, &x);
+        assert_pair_is_two_rows(&Csr32::try_from(&a).unwrap(), &rows, &b, &x);
+        assert_pair_is_two_rows(&SellCSigma::try_from(&a).unwrap(), &rows, &b, &x);
+    }
+
+    #[test]
+    fn scheduled_sweep_is_natural_on_an_operator_built_at_u32() {
+        let a = crate::stencil::build_csr::<u32>(Geometry::new(16, 16, 16));
+        assert_scheduled_is_natural(&a);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! compares a ratio, not absolute seconds.
 
 use xsc_metrics::Stopwatch;
-use xsc_sparse::mg::MgPreconditioner;
+use xsc_sparse::mg::{MgPreconditioner, Smoother};
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
-use xsc_sparse::CsrMatrix;
+use xsc_sparse::{CsrMatrix, SparseFormat};
 
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
@@ -70,10 +70,11 @@ fn direct_assembly_beats_triplets_at_48() {
     );
 }
 
-/// `run_hpcg`'s set-up: the hierarchy, whose level 0 is the operator, and
-/// `b` from that operator.
+/// `run_hpcg`'s set-up: the `csr32` hierarchy, whose level 0 is the
+/// operator, and `b` from that operator.
 fn setup(g: Geometry) -> (MgPreconditioner, Vec<f64>) {
-    let mg = MgPreconditioner::new(g, 4);
+    let mg = MgPreconditioner::with_format(g, 4, Smoother::SymGs, SparseFormat::Csr32)
+        .expect("a 64³ operator fits u32 indices");
     let (b, _) = build_rhs(mg.fine_matrix());
     (mg, b)
 }
