@@ -8,7 +8,11 @@
 //! inputs come from, and the bits of `run_hpl`'s scaled residual. So are
 //! the small-matrix loops: `potrf_unblocked`, `potrf_solve`, `trsv` in all
 //! eight `(uplo, trans, diag)` combinations, and xsc-batched's Cholesky and
-//! LU factor-and-solve paths with their error text. Every
+//! LU factor-and-solve paths with their error text. So are E03's
+//! mixed-precision solvers: `lu_ir_solve` in fp32 and fp16,
+//! `gmres_ir_solve`, `full_f64_solve`, LU-IR's stall error and
+//! `adaptive_solve`'s choice, estimate and solution, which must be the
+//! solution of the tier it names. Every
 //! micro-kernel variant is bit-identical to the scalar one, so the same
 //! constants hold in the `simd` build. A change to the micro-kernel, the
 //! packed loop nest, the small-problem dispatch or the LU step loop that
@@ -23,6 +27,9 @@ use xsc_core::gemm::{self, GemmParams, Transpose, MR, NR};
 use xsc_core::trsm::trsv;
 use xsc_core::{factor, gen, Diag, Matrix, Scalar, TileMatrix, Uplo};
 use xsc_dense::{hpl, lu, rbt};
+use xsc_precision::gmres_ir::gmres_ir_solve;
+use xsc_precision::ir::full_f64_solve;
+use xsc_precision::{adaptive_solve, lu_ir_solve, Half, SolverChoice};
 use xsc_runtime::{Executor, SchedPolicy};
 
 /// Hash of every `gemm` output over [`shapes`], in order.
@@ -451,4 +458,209 @@ fn unblocked_cholesky_and_trsv_match_golden_hash() {
         }
     }
     assert_eq!(fnv1a(words), TRSV, "trsv bits changed");
+}
+
+/// `(label, hash)` of `lu_ir_solve` on `gen::diag_dominant(n, seed)` with
+/// the unit-solution right-hand side (fp32 with 30 steps, fp16 with 60):
+/// the solution bits, then the residual history bits, then the iteration
+/// count.
+const LU_IR: [(&str, u64); 8] = [
+    ("fp32 n=48 default tol", 0xb754_7272_883d_1635),
+    ("fp32 n=48 tol 1e-8", 0x3738_520e_7cf3_c6ca),
+    ("fp16 n=48 default tol", 0x0e9b_bdb8_3b3e_a7ca),
+    ("fp16 n=48 tol 1e-8", 0x0e9b_bdb8_3b3e_a7ca),
+    ("fp32 n=200 default tol", 0x3db5_3ef6_9047_359a),
+    ("fp32 n=200 tol 1e-8", 0x082b_e401_dc95_1206),
+    ("fp16 n=200 default tol", 0xd038_01f9_dfdb_f910),
+    ("fp16 n=200 tol 1e-8", 0xd038_01f9_dfdb_f910),
+];
+
+/// `(label, hash)` of `gmres_ir_solve::<f32>`, hashed as [`LU_IR`] with the
+/// outer then the inner iteration count: on `gen::diag_dominant(48, 1)`
+/// with 10 outer steps and restart 20, and on
+/// `gen::ill_conditioned_spd(64, 3e8, 2)` with 25 and 30.
+const GMRES_IR: [(&str, u64); 4] = [
+    ("n=48 default tol", 0x3e60_a6a7_b24f_3bb7),
+    ("n=48 tol 1e-8", 0x4a43_2c30_98cf_2881),
+    ("κ=3e8 default tol", 0x2574_1d09_45ca_2ed2),
+    ("κ=3e8 tol 1e-8", 0x2f79_9f2a_2df5_c18a),
+];
+
+/// Hash of the solutions `full_f64_solve` gives on
+/// `gen::diag_dominant(48, 1)` then `(200, 3)`.
+const FULL_F64: u64 = 0x0b0d_a511_d984_1f8e;
+
+/// `(label, iterations, residual bits)` of the `DidNotConverge` error that
+/// fp32 LU-IR gives on `gen::ill_conditioned_spd(64, 3e8, 2)` (30 steps)
+/// and fp16 LU-IR on `(64, 1e9, 5)` (60 steps).
+const LU_IR_STALLS: [(&str, usize, u64); 2] = [
+    ("fp32 κ=3e8", 1, 0x3e43_aa62_c2b7_3676),
+    ("fp16 κ=1e9", 1, 0x3f0d_7943_a153_a975),
+];
+
+/// `(κ, choice, fallbacks, cond_estimate bits, solution hash)` of
+/// `adaptive_solve` on `gen::ill_conditioned_spd(48, κ, 7 + i)`, `i` the
+/// row index.
+const ADAPTIVE: [(f64, SolverChoice, usize, u64, u64); 3] = [
+    (
+        1e2,
+        SolverChoice::ClassicIr,
+        0,
+        0x4077_9668_e60e_00ad,
+        0xdeef_f3a3_411f_1448,
+    ),
+    (
+        3e8,
+        SolverChoice::GmresIr,
+        0,
+        0x41df_5f40_25a9_fb63,
+        0x51b4_d1a9_178d_9829,
+    ),
+    (
+        1e13,
+        SolverChoice::FullPrecision,
+        1,
+        0x4218_431b_f373_14c3,
+        0xacd8_0bfa_679e_5674,
+    ),
+];
+
+#[test]
+fn lu_ir_solutions_and_histories_match_golden_hash() {
+    let mut wants = LU_IR.iter();
+    for (n, seed) in [(48, 1), (200, 3)] {
+        let a = gen::diag_dominant::<f64>(n, seed);
+        let b = gen::rhs_for_unit_solution(&a);
+        for name in ["fp32", "fp16"] {
+            for (tol_name, tol) in [("default tol", None), ("tol 1e-8", Some(1e-8))] {
+                let &(label, want) = wants.next().expect("one constant per case");
+                assert_eq!(format!("{name} n={n} {tol_name}"), label);
+                let run = if name == "fp32" {
+                    lu_ir_solve::<f32>(&a, &b, 30, tol)
+                } else {
+                    lu_ir_solve::<Half>(&a, &b, 60, tol)
+                };
+                let (x, rep) = run.expect("diag-dominant system converges");
+                let got = fnv1a(
+                    slice_bits(&x)
+                        .chain(slice_bits(&rep.residual_history))
+                        .chain([rep.iterations as u64]),
+                );
+                assert_eq!(got, want, "lu_ir_solve bits changed: {label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn gmres_ir_solutions_and_histories_match_golden_hash() {
+    let systems = [
+        (gen::diag_dominant::<f64>(48, 1), 10, 20, "n=48"),
+        (gen::ill_conditioned_spd::<f64>(64, 3e8, 2), 25, 30, "κ=3e8"),
+    ];
+    let mut wants = GMRES_IR.iter();
+    for (a, outer, restart, name) in &systems {
+        let b = gen::rhs_for_unit_solution(a);
+        for (tol_name, tol) in [("default tol", None), ("tol 1e-8", Some(1e-8))] {
+            let &(want_label, want) = wants.next().expect("one constant per case");
+            assert_eq!(format!("{name} {tol_name}"), want_label);
+            let (x, rep) = gmres_ir_solve::<f32>(a, &b, *outer, *restart, tol)
+                .expect("GMRES-IR converges on both systems");
+            let got = fnv1a(
+                slice_bits(&x)
+                    .chain(slice_bits(&rep.residual_history))
+                    .chain([rep.outer_iterations as u64, rep.inner_iterations as u64]),
+            );
+            assert_eq!(got, want, "gmres_ir_solve bits changed: {want_label}");
+        }
+    }
+}
+
+#[test]
+fn full_f64_solutions_match_golden_hash() {
+    let mut words = Vec::new();
+    for (n, seed) in [(48, 1), (200, 3)] {
+        let a = gen::diag_dominant::<f64>(n, seed);
+        let b = gen::rhs_for_unit_solution(&a);
+        words.extend(full_f64_solve(&a, &b).expect("nonsingular"));
+    }
+    assert_eq!(
+        fnv1a(slice_bits(&words)),
+        FULL_F64,
+        "full_f64_solve bits changed"
+    );
+}
+
+#[test]
+fn lu_ir_stalls_match_golden_error() {
+    let cases = [
+        (gen::ill_conditioned_spd::<f64>(64, 3e8, 2), true, 30),
+        (gen::ill_conditioned_spd::<f64>(64, 1e9, 5), false, 60),
+    ];
+    for ((a, fp32, iters), (label, want_iters, want_bits)) in cases.iter().zip(LU_IR_STALLS) {
+        let b = gen::rhs_for_unit_solution(a);
+        let run = if *fp32 {
+            lu_ir_solve::<f32>(a, &b, *iters, None)
+        } else {
+            lu_ir_solve::<Half>(a, &b, *iters, None)
+        };
+        match run {
+            Err(xsc_core::Error::DidNotConverge {
+                iterations,
+                residual,
+            }) => assert_eq!(
+                (iterations, residual.to_bits()),
+                (want_iters, want_bits),
+                "LU-IR stall changed: {label}"
+            ),
+            other => panic!("{label}: expected DidNotConverge, got {other:?}"),
+        }
+    }
+}
+
+/// The system [`ADAPTIVE`]'s row `i` solves.
+fn adaptive_system(i: usize, kappa: f64) -> (Matrix<f64>, Vec<f64>) {
+    let a = gen::ill_conditioned_spd::<f64>(48, kappa, 7 + i as u64);
+    let b = gen::rhs_for_unit_solution(&a);
+    (a, b)
+}
+
+#[test]
+fn adaptive_choices_and_solutions_match_golden_hash() {
+    for (i, (kappa, choice, fallbacks, cond_bits, want)) in ADAPTIVE.into_iter().enumerate() {
+        let (a, b) = adaptive_system(i, kappa);
+        let (x, rep) = adaptive_solve(&a, &b).expect("adaptive_solve always has a tier left");
+        assert_eq!(
+            (rep.choice, rep.fallbacks, rep.cond_estimate.to_bits()),
+            (choice, fallbacks, cond_bits),
+            "adaptive_solve report changed at κ={kappa:e}"
+        );
+        assert_eq!(
+            fnv1a(slice_bits(&x)),
+            want,
+            "adaptive_solve solution bits changed at κ={kappa:e}"
+        );
+    }
+}
+
+/// `adaptive_solve` returns exactly what the tier it names returns when
+/// called on its own with the dispatcher's settings.
+#[test]
+fn adaptive_solution_is_its_tiers_solution() {
+    for (i, &(kappa, ..)) in ADAPTIVE.iter().enumerate() {
+        let (a, b) = adaptive_system(i, kappa);
+        let (x, rep) = adaptive_solve(&a, &b).expect("adaptive_solve always has a tier left");
+        let tier = match rep.choice {
+            SolverChoice::ClassicIr => lu_ir_solve::<f32>(&a, &b, 30, None).map(|(x, _)| x),
+            SolverChoice::GmresIr => gmres_ir_solve::<f32>(&a, &b, 30, 30, None).map(|(x, _)| x),
+            SolverChoice::FullPrecision => full_f64_solve(&a, &b),
+        }
+        .expect("the chosen tier succeeds on its own");
+        let same = x.iter().zip(&tier).all(|(p, q)| p.to_bits() == q.to_bits());
+        assert!(
+            same && x.len() == tier.len(),
+            "adaptive_solve's x differs from its {:?} tier at κ={kappa:e}",
+            rep.choice
+        );
+    }
 }
