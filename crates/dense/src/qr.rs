@@ -15,7 +15,6 @@
 //! of the tile size `nb` with `rows >= cols` (edge-tile TPQRT needs
 //! rectangular-pentagonal kernels the paper's evaluation does not exercise).
 
-use crate::poison::Poison;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -45,7 +44,7 @@ fn check_shape<T: Scalar>(a: &TileMatrix<T>) {
 
 /// Builds the task graph for the tiled QR of `a`, allocating the `τ` slots
 /// that the returned [`TiledQr`] will own.
-pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, TiledQr<T>) {
+pub fn build_graph<T: Scalar>(a: TileMatrix<T>) -> (TaskGraph, TiledQr<T>) {
     check_shape(&a);
     let mt = a.tile_rows();
     let nt = a.tile_cols();
@@ -64,15 +63,11 @@ pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, 
         {
             let tkk = a.tile(k, k);
             let tau = Arc::clone(&taus_diag[k]);
-            let p = poison.clone();
             g.add_task_with_cost(
                 format!("geqrt({k})"),
                 [Access::Write(a.data_id(k, k))],
                 flops::qr(nb, nb),
                 move || {
-                    if p.is_set() {
-                        return;
-                    }
                     let mut tile = tkk.write();
                     *tau.lock() = geqrf(&mut tile);
                 },
@@ -82,7 +77,6 @@ pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, 
             let tkk = a.tile(k, k);
             let tkj = a.tile(k, j);
             let tau = Arc::clone(&taus_diag[k]);
-            let p = poison.clone();
             g.add_task_with_cost(
                 format!("gemqrt({k},{j})"),
                 [
@@ -91,9 +85,6 @@ pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, 
                 ],
                 flops::gemm(nb, nb, nb),
                 move || {
-                    if p.is_set() {
-                        return;
-                    }
                     let v = tkk.read();
                     let tau = tau.lock();
                     ormqr(Transpose::Yes, &v, &tau, &mut tkj.write());
@@ -105,7 +96,6 @@ pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, 
                 let tkk = a.tile(k, k);
                 let tik = a.tile(i, k);
                 let tau = Arc::clone(&taus_ts[&(i, k)]);
-                let p = poison.clone();
                 g.add_task_with_cost(
                     format!("tpqrt({i},{k})"),
                     [
@@ -114,9 +104,6 @@ pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, 
                     ],
                     2 * flops::gemm(nb, nb, nb),
                     move || {
-                        if p.is_set() {
-                            return;
-                        }
                         let mut r = tkk.write();
                         let mut b = tik.write();
                         *tau.lock() = tpqrt(&mut r, &mut b);
@@ -128,7 +115,6 @@ pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, 
                 let tkj = a.tile(k, j);
                 let tij = a.tile(i, j);
                 let tau = Arc::clone(&taus_ts[&(i, k)]);
-                let p = poison.clone();
                 g.add_task_with_cost(
                     format!("tpmqrt({i},{j},{k})"),
                     [
@@ -138,9 +124,6 @@ pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, 
                     ],
                     2 * flops::gemm(nb, nb, nb),
                     move || {
-                        if p.is_set() {
-                            return;
-                        }
                         let v2 = tik.read();
                         let tau = tau.lock();
                         tpmqrt(
@@ -168,20 +151,16 @@ pub fn build_graph<T: Scalar>(a: TileMatrix<T>, poison: &Poison) -> (TaskGraph, 
 /// Dataflow tiled QR: consumes `a` and returns the factorization plus the
 /// execution trace.
 pub fn qr_dag<T: Scalar>(a: TileMatrix<T>, executor: &Executor) -> Result<(TiledQr<T>, Trace)> {
-    let poison = Poison::new();
-    let (g, fact) = build_graph(a, &poison);
+    let (g, fact) = build_graph(a);
     let trace = executor.execute(g);
-    poison.into_result()?;
     Ok((fact, trace))
 }
 
 /// Sequential tiled QR (serial execution of the same kernel sequence) —
 /// the reference the DAG engine is tested against.
 pub fn qr_seq<T: Scalar>(a: TileMatrix<T>) -> Result<TiledQr<T>> {
-    let poison = Poison::new();
-    let (g, fact) = build_graph(a, &poison);
+    let (g, fact) = build_graph(a);
     g.execute_serial();
-    poison.into_result()?;
     Ok(fact)
 }
 

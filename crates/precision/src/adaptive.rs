@@ -9,12 +9,13 @@
 //! * `κ·u₃₂² < 0.1`         → GMRES-IR with the fp32 factors;
 //! * otherwise               → full f64 factorization.
 //!
-//! The condition estimate reuses the fp32 factorization (Hager's method is
-//! `O(n²)`), so mis-prediction costs little.
+//! `A` is factored in fp32 once per call: the `O(n²)` condition estimate
+//! (Hager's method) and whichever fp32 tier runs, including GMRES-IR after
+//! classic IR stalls, all reuse it, so mis-prediction costs little.
 
-use crate::gmres_ir::gmres_ir_solve;
-use crate::ir::{full_f64_solve, lu_ir_solve};
-use xsc_core::{cond, factor, Matrix, Result};
+use crate::gmres_ir::gmres_ir;
+use crate::ir::{full_f64_solve, lu_ir, LowLu};
+use xsc_core::{cond, Matrix, Result};
 
 /// Which path the adaptive solver took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,64 +41,37 @@ pub struct AdaptiveReport {
 
 /// Solves `A x = b` choosing the cheapest reliable precision strategy.
 pub fn adaptive_solve(a: &Matrix<f64>, b: &[f64]) -> Result<(Vec<f64>, AdaptiveReport)> {
-    let n = a.rows();
     assert!(a.is_square(), "adaptive_solve requires a square matrix");
-    assert_eq!(b.len(), n, "rhs length mismatch");
+    assert_eq!(b.len(), a.rows(), "rhs length mismatch");
     let u32_ = f64::from(f32::EPSILON);
 
-    // Probe factorization in fp32; its failure alone routes to f64.
+    // The one fp32 factorization, freed before the f64 tier; its failure
+    // alone routes to f64.
+    let lu = LowLu::<f32>::new(a).ok();
+    let cond_estimate = lu.as_ref().map_or(f64::INFINITY, |lu| lu.condest(a));
     let mut fallbacks = 0usize;
-    let cond_estimate = {
-        let a32: Matrix<f32> = a.convert();
-        let mut lu = a32;
-        match factor::getrf_blocked(&mut lu, 64.min(n.max(1))) {
-            Ok(piv) => {
-                let a_as_f32: Matrix<f32> = a.convert();
-                cond::condest(&a_as_f32, &lu, &piv)
-            }
-            Err(_) => f64::INFINITY,
-        }
+    let report = |choice, fallbacks| AdaptiveReport {
+        choice,
+        cond_estimate,
+        fallbacks,
     };
 
-    if cond::ir_should_converge(cond_estimate, u32_) {
-        match lu_ir_solve::<f32>(a, b, 30, None) {
-            Ok((x, _)) => {
-                return Ok((
-                    x,
-                    AdaptiveReport {
-                        choice: SolverChoice::ClassicIr,
-                        cond_estimate,
-                        fallbacks,
-                    },
-                ))
+    if let Some(lu) = lu {
+        if cond::ir_should_converge(cond_estimate, u32_) {
+            match lu_ir(&lu, a, b, 30, None) {
+                Ok((x, _)) => return Ok((x, report(SolverChoice::ClassicIr, fallbacks))),
+                Err(_) => fallbacks += 1, // estimate was optimistic; escalate
             }
-            Err(_) => fallbacks += 1, // estimate was optimistic; escalate
         }
-    }
-    if cond_estimate * u32_ * u32_ < 0.1 {
-        match gmres_ir_solve::<f32>(a, b, 30, 30, None) {
-            Ok((x, _)) => {
-                return Ok((
-                    x,
-                    AdaptiveReport {
-                        choice: SolverChoice::GmresIr,
-                        cond_estimate,
-                        fallbacks,
-                    },
-                ))
+        if cond_estimate * u32_ * u32_ < 0.1 {
+            match gmres_ir(&lu, a, b, 30, 30, None) {
+                Ok((x, _)) => return Ok((x, report(SolverChoice::GmresIr, fallbacks))),
+                Err(_) => fallbacks += 1,
             }
-            Err(_) => fallbacks += 1,
         }
     }
     let x = full_f64_solve(a, b)?;
-    Ok((
-        x,
-        AdaptiveReport {
-            choice: SolverChoice::FullPrecision,
-            cond_estimate,
-            fallbacks,
-        },
-    ))
+    Ok((x, report(SolverChoice::FullPrecision, fallbacks)))
 }
 
 #[cfg(test)]

@@ -6,8 +6,13 @@
 //! preconditioned operator `U⁻¹L⁻¹A` has condition number ~`1 + κ(A)·u_low`,
 //! so GMRES-IR tolerates condition numbers up to ~`1/u_low²` where classic
 //! IR stops at ~`1/u_low`.
+//!
+//! It shares LU-IR's factorization and refinement loop ([`crate::ir`]): the
+//! loop starts from `x = 0` (left out of the residual history) and each
+//! correction is a GMRES solve of the preconditioned correction equation.
 
-use xsc_core::{factor, gemm, norms, Float, Matrix, Result, Transpose};
+use crate::ir::{refine, LowLu};
+use xsc_core::{gemm, Float, Matrix, Result, Transpose};
 
 /// Report from a [`gmres_ir_solve`] run.
 #[derive(Debug, Clone)]
@@ -37,7 +42,7 @@ fn gmres<F: Fn(&[f64], &mut [f64])>(
     let mut total_iters = 0;
     let bnorm = xsc_core::blas1::nrm2(rhs).max(f64::MIN_POSITIVE);
 
-    'outer: loop {
+    loop {
         // r = rhs - op(x).
         let mut r = vec![0.0f64; n];
         op(&x, &mut r);
@@ -61,6 +66,7 @@ fn gmres<F: Fn(&[f64], &mut [f64])>(
 
         for j in 0..m {
             total_iters += 1;
+            k_used = j + 1;
             let mut w = vec![0.0f64; n];
             op(&v[j], &mut w);
             for (i, vi) in v.iter().enumerate().take(j + 1) {
@@ -79,7 +85,6 @@ fn gmres<F: Fn(&[f64], &mut [f64])>(
             // New rotation to annihilate h[j+1][j].
             let denom = (h[j][j] * h[j][j] + hnext * hnext).sqrt();
             if denom == 0.0 {
-                k_used = j + 1;
                 break;
             }
             cs[j] = h[j][j] / denom;
@@ -87,7 +92,6 @@ fn gmres<F: Fn(&[f64], &mut [f64])>(
             h[j][j] = denom;
             g[j + 1] = -sn[j] * g[j];
             g[j] *= cs[j];
-            k_used = j + 1;
             if g[j + 1].abs() / bnorm <= tol || hnext == 0.0 {
                 break;
             }
@@ -109,8 +113,6 @@ fn gmres<F: Fn(&[f64], &mut [f64])>(
         if total_iters >= max_iters {
             return (x, total_iters);
         }
-        // Loop back for the restart; convergence re-checked at the top.
-        continue 'outer;
     }
 }
 
@@ -123,79 +125,42 @@ pub fn gmres_ir_solve<Lo: Float>(
     inner_restart: usize,
     tol: Option<f64>,
 ) -> Result<(Vec<f64>, GmresIrReport)> {
-    let n = a.rows();
     assert!(a.is_square(), "gmres_ir_solve requires a square matrix");
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    let tol = tol.unwrap_or_else(|| crate::ir::default_tolerance(n));
+    assert_eq!(b.len(), a.rows(), "rhs length mismatch");
+    gmres_ir(&LowLu::<Lo>::new(a)?, a, b, max_outer, inner_restart, tol)
+}
 
-    let a_lo: Matrix<Lo> = a.convert();
-    let mut lu = a_lo;
-    let piv = factor::getrf_blocked(&mut lu, 64.min(n.max(1)))?;
-
-    // Preconditioned operator: y = U⁻¹L⁻¹ (A x), with the triangular solves
-    // done in the low precision (as the factors are stored there).
-    let precond_solve = |v: &mut Vec<f64>| {
-        let mut lo: Vec<Lo> = v.iter().map(|&x| Lo::from_f64(x)).collect();
-        factor::getrf_solve(&lu, &piv, &mut lo);
-        for (o, l) in v.iter_mut().zip(lo.iter()) {
-            *o = l.to_f64();
-        }
-    };
+/// [`gmres_ir_solve`] on a factorization already made.
+pub(crate) fn gmres_ir<Lo: Float>(
+    lu: &LowLu<Lo>,
+    a: &Matrix<f64>,
+    b: &[f64],
+    max_outer: usize,
+    inner_restart: usize,
+    tol: Option<f64>,
+) -> Result<(Vec<f64>, GmresIrReport)> {
+    // Preconditioned operator y = U⁻¹L⁻¹(A·x), solved in the low precision.
     let op = |x: &[f64], y: &mut [f64]| {
         gemm::gemv(Transpose::No, 1.0, a, x, 0.0, y);
-        let mut t = y.to_vec();
-        precond_solve(&mut t);
-        y.copy_from_slice(&t);
+        y.copy_from_slice(&lu.solve(y));
     };
-
-    let anorm = norms::inf_norm(a).max(f64::MIN_POSITIVE);
-    let backward_error = |x: &[f64], r: &[f64]| {
-        norms::vec_inf_norm(r) / (anorm * norms::vec_inf_norm(x).max(f64::MIN_POSITIVE))
-    };
-
-    let mut x = vec![0.0f64; n];
-    let mut r = b.to_vec();
-    let mut history = Vec::new();
-    let mut inner_total = 0;
-    let mut outer = 0;
-    let mut converged = false;
-
-    for _ in 0..max_outer {
-        // Precondition the residual and solve the correction equation.
-        let mut rhs = r.clone();
-        precond_solve(&mut rhs);
-        let (d, inner) = gmres(&op, &rhs, inner_restart, inner_restart * 4, 1e-8);
-        inner_total += inner;
-        outer += 1;
-        for (xi, di) in x.iter_mut().zip(d.iter()) {
-            *xi += di;
-        }
-        // True residual in f64.
-        r.copy_from_slice(b);
-        gemm::gemv(Transpose::No, -1.0, a, &x, 1.0, &mut r);
-        let be = backward_error(&x, &r);
-        history.push(be);
-        if be <= tol {
-            converged = true;
-            break;
-        }
-    }
-
+    let mut inner_iterations = 0;
+    let (x, steps, history) = refine(a, b, None, tol, max_outer, false, |r| {
+        let (d, inner) = gmres(&op, &lu.solve(r), inner_restart, inner_restart * 4, 1e-8);
+        inner_iterations += inner;
+        d
+    })?;
     let report = GmresIrReport {
-        outer_iterations: outer,
-        inner_iterations: inner_total,
-        converged,
+        outer_iterations: steps,
+        inner_iterations,
+        converged: true,
         residual_history: history,
     };
-    if converged {
-        Ok((x, report))
-    } else {
-        Err(xsc_core::Error::DidNotConverge {
-            iterations: outer,
-            residual: report.residual_history.last().copied().unwrap_or(f64::NAN),
-        })
-    }
+    Ok((x, report))
 }
+
+#[cfg(test)]
+use xsc_core::norms;
 
 #[cfg(test)]
 mod tests {

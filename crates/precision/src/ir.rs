@@ -1,4 +1,5 @@
-//! LU-based mixed-precision iterative refinement.
+//! LU-based mixed-precision iterative refinement, and the two pieces every
+//! solver in this crate is built from.
 //!
 //! The keynote's recipe (Langou et al. / the PLASMA `dsgesv` routine):
 //! factor `A` once in a *low* precision (fp32 or fp16) — the `O(n³)` work —
@@ -14,8 +15,13 @@
 //!
 //! Converges when `κ(A) · u_low < 1`; the speedup comes from doing the cubic
 //! work at the faster precision (~2× for fp32 on fp32-double-rate hardware).
+//!
+//! This factorization and the `repeat` loop are the crate's only copies:
+//! [`crate::gmres_ir`] corrects with preconditioned GMRES in the same loop,
+//! [`full_f64_solve`] factors at `Lo = f64`, and [`crate::adaptive`]
+//! factors once for whichever tier it picks.
 
-use xsc_core::{factor, gemm, norms, Float, Matrix, Result, Transpose};
+use xsc_core::{cond, factor, gemm, norms, Float, Matrix, Result, Transpose};
 
 /// Convergence report from [`lu_ir_solve`].
 #[derive(Debug, Clone)]
@@ -37,6 +43,85 @@ pub fn default_tolerance(n: usize) -> f64 {
     xsc_core::cast::count_f64(n as u64).sqrt() * f64::EPSILON
 }
 
+/// `A` rounded to precision `Lo` and LU-factored there (partial pivoting,
+/// 64-wide panels): the `O(n³)` work, done once per solve.
+pub(crate) struct LowLu<Lo> {
+    lu: Matrix<Lo>,
+    piv: Vec<usize>,
+}
+
+impl<Lo: Float> LowLu<Lo> {
+    /// Factors `a` in `Lo`; fails with [`xsc_core::Error::Singular`].
+    pub(crate) fn new(a: &Matrix<f64>) -> Result<Self> {
+        let mut lu: Matrix<Lo> = a.convert();
+        let piv = factor::getrf_blocked(&mut lu, 64.min(a.rows().max(1)))?;
+        Ok(Self { lu, piv })
+    }
+
+    /// `U⁻¹L⁻¹ r`: `r` rounded to `Lo`, solved there, widened back.
+    pub(crate) fn solve(&self, r: &[f64]) -> Vec<f64> {
+        let mut v: Vec<Lo> = r.iter().map(|&x| Lo::from_f64(x)).collect();
+        factor::getrf_solve(&self.lu, &self.piv, &mut v);
+        v.into_iter().map(|x| x.to_f64()).collect()
+    }
+
+    /// Hager's `O(n²)` estimate of `κ₁(A)` from these factors and `a`
+    /// rounded to `Lo`.
+    pub(crate) fn condest(&self, a: &Matrix<f64>) -> f64 {
+        cond::condest(&a.convert::<Lo>(), &self.lu, &self.piv)
+    }
+}
+
+/// The refinement loop. From `start` (`None`: zero, neither measured nor
+/// recorded), compute `r = b − A·x` in `f64` and the backward error
+/// `‖r‖∞ / (‖A‖∞‖x‖∞)`; stop at `tol` (default [`default_tolerance`]),
+/// after `max_steps` corrections or, with `stall`, once a step fails to
+/// halve the error; otherwise add `correct(r)` to `x`. Returns `x`, the
+/// steps taken and every measured iterate's backward error, or fails with
+/// [`xsc_core::Error::DidNotConverge`] (the steps and the last error).
+pub(crate) fn refine(
+    a: &Matrix<f64>,
+    b: &[f64],
+    start: Option<Vec<f64>>,
+    tol: Option<f64>,
+    max_steps: usize,
+    stall: bool,
+    mut correct: impl FnMut(&[f64]) -> Vec<f64>,
+) -> Result<(Vec<f64>, usize, Vec<f64>)> {
+    let tol = tol.unwrap_or_else(|| default_tolerance(b.len()));
+    let anorm = norms::inf_norm(a).max(f64::MIN_POSITIVE);
+    let measure = |x: &[f64], r: &mut [f64]| {
+        r.copy_from_slice(b);
+        gemm::gemv(Transpose::No, -1.0, a, x, 1.0, r);
+        norms::vec_inf_norm(r) / (anorm * norms::vec_inf_norm(x).max(f64::MIN_POSITIVE))
+    };
+    let mut r = b.to_vec();
+    let mut history: Vec<f64> = start.iter().map(|x| measure(x, &mut r)).collect();
+    let mut x = start.unwrap_or_else(|| vec![0.0; b.len()]);
+    let (mut iterations, mut stalled) = (0, false);
+    loop {
+        let last = history.last().copied();
+        if last.is_some_and(|be| be <= tol) {
+            return Ok((x, iterations, history));
+        }
+        if stalled || iterations == max_steps {
+            return Err(xsc_core::Error::DidNotConverge {
+                iterations,
+                residual: last.unwrap_or(f64::NAN),
+            });
+        }
+        iterations += 1;
+        for (xi, di) in x.iter_mut().zip(correct(&r)) {
+            *xi += di;
+        }
+        let be = measure(&x, &mut r);
+        // Refinement that works at least halves the error each step; one
+        // that does not is beyond this precision's reach.
+        stalled = stall && last.is_some_and(|prev| be >= prev * 0.5);
+        history.push(be);
+    }
+}
+
 /// Solves `A x = b` by LU factorization in precision `Lo` plus `f64`
 /// refinement. Returns the solution and a convergence report.
 ///
@@ -51,88 +136,34 @@ pub fn lu_ir_solve<Lo: Float>(
     max_iters: usize,
     tol: Option<f64>,
 ) -> Result<(Vec<f64>, IrReport)> {
-    let n = a.rows();
     assert!(a.is_square(), "lu_ir_solve requires a square matrix");
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    let tol = tol.unwrap_or_else(|| default_tolerance(n));
+    assert_eq!(b.len(), a.rows(), "rhs length mismatch");
+    lu_ir(&LowLu::<Lo>::new(a)?, a, b, max_iters, tol)
+}
 
-    // Low-precision factorization (the O(n³) work).
-    let a_lo: Matrix<Lo> = a.convert();
-    let mut lu = a_lo;
-    let piv = factor::getrf_blocked(&mut lu, 64.min(n.max(1)))?;
-
-    let solve_lo = |rhs_f64: &[f64]| -> Vec<f64> {
-        let mut v: Vec<Lo> = rhs_f64.iter().map(|&x| Lo::from_f64(x)).collect();
-        factor::getrf_solve(&lu, &piv, &mut v);
-        v.into_iter().map(|x| x.to_f64()).collect()
-    };
-
-    // Initial solve.
-    let mut x = solve_lo(b);
-    let anorm = norms::inf_norm(a).max(f64::MIN_POSITIVE);
-
-    let backward_error = |x: &[f64], r: &[f64]| -> f64 {
-        let xnorm = norms::vec_inf_norm(x).max(f64::MIN_POSITIVE);
-        norms::vec_inf_norm(r) / (anorm * xnorm)
-    };
-
-    let mut r = vec![0.0f64; n];
-    let residual = |x: &[f64], r: &mut [f64]| {
-        r.copy_from_slice(b);
-        gemm::gemv(Transpose::No, -1.0, a, x, 1.0, r);
-    };
-
-    residual(&x, &mut r);
-    let mut history = vec![backward_error(&x, &r)];
-    let mut converged = history[0] <= tol;
-    let mut iterations = 0;
-
-    while !converged && iterations < max_iters {
-        iterations += 1;
-        let d = solve_lo(&r);
-        for (xi, di) in x.iter_mut().zip(d.iter()) {
-            *xi += di;
-        }
-        residual(&x, &mut r);
-        let be = backward_error(&x, &r);
-        // Stall detection: refinement must contract; if the error stops
-        // improving before reaching tol, the conditioning is too bad for
-        // this low precision.
-        let stalled = history
-            .last()
-            .is_some_and(|&prev| be >= prev * 0.5 && be > tol);
-        history.push(be);
-        if be <= tol {
-            converged = true;
-        } else if stalled {
-            break;
-        }
-    }
-
+/// [`lu_ir_solve`] on a factorization already made.
+pub(crate) fn lu_ir<Lo: Float>(
+    lu: &LowLu<Lo>,
+    a: &Matrix<f64>,
+    b: &[f64],
+    max_iters: usize,
+    tol: Option<f64>,
+) -> Result<(Vec<f64>, IrReport)> {
+    let x0 = lu.solve(b);
+    let (x, steps, history) = refine(a, b, Some(x0), tol, max_iters, true, |r| lu.solve(r))?;
     let report = IrReport {
-        iterations,
-        converged,
+        iterations: steps,
+        converged: true,
         residual_history: history,
         factor_precision: Lo::precision_name(),
     };
-    if converged {
-        Ok((x, report))
-    } else {
-        Err(xsc_core::Error::DidNotConverge {
-            iterations,
-            residual: report.residual_history.last().copied().unwrap_or(f64::NAN),
-        })
-    }
+    Ok((x, report))
 }
 
 /// Reference full-`f64` direct solve (factor + solve), for the speedup and
 /// accuracy comparisons in experiment E03.
 pub fn full_f64_solve(a: &Matrix<f64>, b: &[f64]) -> Result<Vec<f64>> {
-    let mut lu = a.clone();
-    let piv = factor::getrf_blocked(&mut lu, 64)?;
-    let mut x = b.to_vec();
-    factor::getrf_solve(&lu, &piv, &mut x);
-    Ok(x)
+    Ok(LowLu::<f64>::new(a)?.solve(b))
 }
 
 #[cfg(test)]

@@ -14,6 +14,10 @@
 //!   conditioning than classic refinement;
 //! * [`adaptive`] — the condition-estimate-driven dispatcher that picks
 //!   between classic IR, GMRES-IR, and a full-precision fallback.
+//!
+//! All of them run on one low-precision LU (convert `A`, factor, solve in
+//! the low precision) and one `f64` refinement loop, both in [`ir`]; the
+//! dispatcher factors `A` once and hands that factorization to its tier.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -458,11 +458,6 @@ pub fn forward_sweep<I: SparseIndex>(a: &Csr<f64, I>, b: &[f64], x: &mut [f64]) 
     sweep(a, 0..a.nrows(), b, x);
 }
 
-/// One backward Gauss–Seidel sweep (rows in reverse order).
-pub fn backward_sweep<I: SparseIndex>(a: &Csr<f64, I>, b: &[f64], x: &mut [f64]) {
-    sweep(a, (0..a.nrows()).rev(), b, x);
-}
-
 /// One symmetric Gauss–Seidel application (forward then backward sweep) —
 /// the HPCG `ComputeSYMGS` reference kernel, in natural row order, on the
 /// current pool's threads along the matrix's [`GsSchedule`].
