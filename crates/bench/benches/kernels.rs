@@ -11,6 +11,7 @@ use xsc_precision::ir::lu_ir_solve;
 use xsc_runtime::{Executor, SchedPolicy};
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
 use xsc_sparse::symgs::symgs;
+use xsc_sparse::SparseOps;
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");

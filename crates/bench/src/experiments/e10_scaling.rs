@@ -9,6 +9,7 @@ use xsc_core::gemm::{par_gemm, Transpose};
 use xsc_core::{flops, gen, Matrix};
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
 use xsc_sparse::symgs::symgs;
+use xsc_sparse::SparseOps;
 
 /// Runs the experiment and prints its table.
 pub fn run(scale: Scale) {

@@ -8,7 +8,7 @@ use xsc_machine::{collective_time, Collective, KrylovIterModel, MachineModel};
 use xsc_sparse::pipelined::pipelined_cg;
 use xsc_sparse::sstep::s_step_cg;
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
-use xsc_sparse::{pcg, Identity};
+use xsc_sparse::{pcg, Identity, SparseOps};
 
 /// Runs the experiment and prints its tables.
 pub fn run(scale: Scale) {

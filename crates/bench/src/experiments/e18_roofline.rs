@@ -17,7 +17,7 @@ use xsc_core::{blas1, flops, gen, microkernel, Matrix, MicroKernel};
 use xsc_dense::hpl;
 use xsc_metrics::{roofline, MachineEnvelope, RooflinePoint, Stopwatch};
 use xsc_sparse::stencil::{build_matrix, build_rhs};
-use xsc_sparse::{mg::MgPreconditioner, symgs, Geometry, Preconditioner};
+use xsc_sparse::{mg::MgPreconditioner, symgs, Geometry, Preconditioner, SparseOps};
 
 /// Measures sustainable memory bandwidth (GB/s) from the instrumented
 /// axpy's own counters: bytes declared by the traffic model over measured

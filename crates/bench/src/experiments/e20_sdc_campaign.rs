@@ -46,7 +46,7 @@ use xsc_ft::sdc::{
 use xsc_runtime::RecoveryPolicy;
 use xsc_sparse::mg::{MgPreconditioner, Smoother};
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
-use xsc_sparse::{pcg, FormatMatrix, SparseFormat};
+use xsc_sparse::{pcg, FormatMatrix, SparseFormat, SparseOps};
 
 /// Campaign base seed; every (rate, trial) cell derives its plan seed from
 /// this, so the whole sweep replays byte-for-byte.
@@ -70,7 +70,7 @@ const TOL: f64 = 1e-8;
 const MAX_ITERS: usize = 100;
 
 struct CampaignProblem {
-    a_csr: xsc_sparse::CsrMatrix<f64>,
+    a_csr: xsc_sparse::CsrMatrix,
     b: Vec<f64>,
     mg: MgPreconditioner,
     trials: usize,

@@ -6,6 +6,7 @@ use crate::plan::FaultPlan;
 use std::ops::Deref;
 use xsc_core::blas1;
 use xsc_sparse::cg::{CgHooks, CgState, Flow, Identity, Preconditioner};
+use xsc_sparse::ops::unfused_residual;
 use xsc_sparse::CsrMatrix;
 
 /// Recovery strategy for [`resilient_cg`].
@@ -55,7 +56,7 @@ pub struct ResilienceReport {
 /// recurrence from it.
 #[allow(clippy::too_many_arguments)]
 pub fn resilient_cg(
-    a: &CsrMatrix<f64>,
+    a: &CsrMatrix,
     b: &[f64],
     max_iters: usize,
     tol: f64,
@@ -79,7 +80,7 @@ pub fn resilient_cg(
     let state = CgState::new(a, b, &mut x, &Identity).unwrap_or_else(|e| panic!("{e}"));
     let bnorm = state.bnorm;
     let res = state.run(max_iters, tol, &Identity, &mut hooks);
-    a.residual(&x, b, &mut hooks.scratch);
+    unfused_residual(a, &x, b, &mut hooks.scratch);
     let report = &mut hooks.report;
     report.converged = res.converged;
     report.iterations = res.iterations;
@@ -88,7 +89,7 @@ pub fn resilient_cg(
 }
 
 /// The hook set of [`resilient_cg`]. Its residuals go through the unfused
-/// SpMV-then-subtract `CsrMatrix::residual`, as E12 always has.
+/// SpMV-then-subtract [`unfused_residual`], as E12 always has.
 struct Resilient<'p> {
     plan: &'p FaultPlan<FaultKind>,
     recovery: Recovery,
@@ -107,19 +108,19 @@ struct Resilient<'p> {
 impl Resilient<'_> {
     /// Rolls `x` back to the checkpoint (checkpoint mode only), then resets
     /// `r = b − Ax` and asks the loop to restart the recurrence.
-    fn recover<R: Deref<Target = CsrMatrix<f64>>>(&mut self, s: &mut CgState<'_, R>) -> Flow {
+    fn recover<R: Deref<Target = CsrMatrix>>(&mut self, s: &mut CgState<'_, R>) -> Flow {
         self.report.recoveries += 1;
         if let Recovery::Checkpoint { .. } = self.recovery {
             s.x.copy_from_slice(&self.saved_x);
             self.report.wasted_iterations += s.iteration - self.mark;
         }
         self.mark = s.iteration;
-        s.a.residual(s.x, s.b, &mut s.r);
+        unfused_residual(&*s.a, s.x, s.b, &mut s.r);
         Flow::Restart
     }
 }
 
-impl<R: Deref<Target = CsrMatrix<f64>>, P: Preconditioner> CgHooks<R, P> for Resilient<'_> {
+impl<R: Deref<Target = CsrMatrix>, P: Preconditioner> CgHooks<R, P> for Resilient<'_> {
     /// State corrupted badly enough to break positive-definiteness.
     fn curvature(&mut self, s: &mut CgState<'_, R>, pap: f64) -> Flow {
         if pap <= 0.0 {
@@ -143,7 +144,7 @@ impl<R: Deref<Target = CsrMatrix<f64>>, P: Preconditioner> CgHooks<R, P> for Res
     /// Validate with the true residual before declaring victory — a
     /// corrupted `x` can leave the recurrence residual small.
     fn converged(&mut self, s: &mut CgState<'_, R>) -> Flow {
-        s.a.residual(s.x, s.b, &mut self.scratch);
+        unfused_residual(&*s.a, s.x, s.b, &mut self.scratch);
         if blas1::nrm2(&self.scratch) / s.bnorm <= self.tol * 10.0 {
             return Flow::Stop;
         }
@@ -154,7 +155,7 @@ impl<R: Deref<Target = CsrMatrix<f64>>, P: Preconditioner> CgHooks<R, P> for Res
     /// checkpointing.
     fn end(&mut self, s: &mut CgState<'_, R>) -> Flow {
         if s.iteration.is_multiple_of(self.check_interval) {
-            s.a.residual(s.x, s.b, &mut self.scratch);
+            unfused_residual(&*s.a, s.x, s.b, &mut self.scratch);
             let diff: Vec<f64> = self.scratch.iter().zip(&s.r).map(|(t, r)| t - r).collect();
             if blas1::nrm2(&diff) / s.bnorm > self.detect_tol {
                 return self.recover(s);
@@ -177,7 +178,7 @@ mod tests {
     use super::*;
     use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
 
-    fn problem() -> (CsrMatrix<f64>, Vec<f64>) {
+    fn problem() -> (CsrMatrix, Vec<f64>) {
         let g = Geometry::new(8, 8, 8);
         let a = build_matrix(g);
         // A non-smooth random rhs keeps CG busy for dozens of iterations,

@@ -15,13 +15,14 @@
 
 use crate::csr::{Csr, CsrMatrix};
 use crate::idx::SparseIndex;
+use crate::ops::SparseOps;
 use crate::symgs::GsRow;
 use rayon::prelude::*;
 
 /// Greedy graph coloring of the matrix's adjacency structure: returns a
 /// color per row, with no two adjacent rows (i.e. `a[i][j] != 0`) sharing
 /// a color.
-pub fn greedy_coloring<I: SparseIndex>(a: &Csr<f64, I>) -> Vec<usize> {
+pub fn greedy_coloring<I: SparseIndex>(a: &Csr<I>) -> Vec<usize> {
     let n = a.nrows();
     let mut colors = vec![usize::MAX; n];
     let mut forbidden = vec![usize::MAX; 64]; // forbidden[c] = row that forbade c
@@ -56,7 +57,7 @@ pub fn color_classes(colors: &[usize]) -> Vec<Vec<usize>> {
 }
 
 /// Checks that no two adjacent rows share a color (testing/validation).
-pub fn is_valid_coloring(a: &CsrMatrix<f64>, colors: &[usize]) -> bool {
+pub fn is_valid_coloring(a: &CsrMatrix, colors: &[usize]) -> bool {
     for i in 0..a.nrows() {
         let (cols, _) = a.row(i);
         for &j in cols {
@@ -95,25 +96,21 @@ pub(crate) fn colored_sweeps<M: GsRow>(a: &M, classes: &[Vec<usize>], b: &[f64],
 
 /// One parallel multi-color symmetric Gauss–Seidel application on a CSR
 /// matrix (classes from [`color_classes`]).
-pub fn colored_symgs<I: SparseIndex>(
-    a: &Csr<f64, I>,
-    classes: &[Vec<usize>],
-    b: &[f64],
-    x: &mut [f64],
-) {
+pub fn colored_symgs<I: SparseIndex>(a: &Csr<I>, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
     colored_sweeps(a, classes, b, x);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::unfused_residual;
     use crate::stencil::{build_matrix, build_rhs, Geometry};
     use crate::symgs::symgs;
     use xsc_core::blas1;
 
-    fn residual_norm(a: &CsrMatrix<f64>, x: &[f64], b: &[f64]) -> f64 {
+    fn residual_norm(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
         let mut r = vec![0.0; b.len()];
-        a.residual(x, b, &mut r);
+        unfused_residual(a, x, b, &mut r);
         blas1::nrm2(&r)
     }
 

@@ -1,37 +1,41 @@
-//! Compressed sparse row storage and SpMV, generic over the index width.
+//! Compressed sparse row storage and its kernels.
 //!
 //! SpMV is the canonical memory-bound kernel: ~2 flops per 12–24 bytes of
 //! traffic, so its rate is pinned to memory bandwidth no matter how many
 //! flops the machine has — the arithmetic behind the HPCG side of E01 and
 //! the flat scaling curve of E10.
 //!
-//! One struct, [`Csr<T, I>`], serves both index widths: [`CsrMatrix`]
-//! (`usize` indices, ~24 B/nnz through DRAM) and [`Csr32`] (`u32`
-//! indices, ~12 B/nnz, what canonical HPCG codes stream and what
-//! [`run_hpcg`](crate::hpcg::run_hpcg) runs). On a bandwidth-bound kernel
-//! that factor is the attained rate. Both run the same kernels, so the
-//! per-row folds are bit-identical by construction; only the bytes
-//! streamed and the recorded traffic model ([`SparseIndex`]) differ. The
-//! HPCG stencil is written at either width directly; converting a `usize`
-//! matrix to `u32` is fallible: a matrix whose column space or nonzero
-//! count does not fit returns [`IndexOverflow`] instead of silently
-//! truncating indices.
+//! One struct, [`Csr<I>`], holds `f64` values and serves both index
+//! widths: [`CsrMatrix`] (`usize` indices, ~24 B/nnz through DRAM) and
+//! [`Csr32`] (`u32` indices, ~12 B/nnz, what canonical HPCG codes stream
+//! and what [`run_hpcg`](crate::hpcg::run_hpcg) runs). On a
+//! bandwidth-bound kernel that factor is the attained rate. Its kernels
+//! (SpMV, the fused residual, the diagonal, the column sums, SymGS) are
+//! its [`SparseOps`] implementation, the only definition of each, so both
+//! widths run the same per-row folds, bit-identical by construction; only
+//! the bytes streamed and the recorded traffic model ([`SparseIndex`])
+//! differ. The HPCG stencil is written at either width directly;
+//! converting a `usize` matrix to `u32` is fallible: a matrix whose column
+//! space or nonzero count does not fit returns [`IndexOverflow`] instead
+//! of silently truncating indices.
 
+use crate::coloring::colored_sweeps;
 use crate::idx::{check_compact_bounds, IndexOverflow, SparseIndex};
-use crate::symgs::{GsFold, GsRow, GsSchedule, XView};
+use crate::ops::SparseOps;
+use crate::symgs::{symgs_sweeps, GsFold, GsRow, GsSchedule, XView};
 use rayon::prelude::*;
-use xsc_core::{Matrix, Scalar};
+use xsc_core::Matrix;
 use xsc_metrics::{traffic, Traffic};
 
 /// A sparse matrix in compressed sparse row format, with column indices
 /// and row pointers stored as `I` ([`SparseIndex`]: `usize` or `u32`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Csr<T, I> {
+pub struct Csr<I> {
     nrows: usize,
     ncols: usize,
     row_ptr: Vec<I>,
     col_idx: Vec<I>,
-    vals: Vec<T>,
+    vals: Vec<f64>,
     /// Gauss–Seidel level schedule of the pattern (square matrices only).
     gs: Option<GsSchedule>,
 }
@@ -39,14 +43,14 @@ pub struct Csr<T, I> {
 /// CSR with `usize` indices: what triplets ([`CsrMatrix::from_triplets`])
 /// and [`build_matrix`](crate::stencil::build_matrix) build, and the
 /// legacy baseline format of the HPCG path.
-pub type CsrMatrix<T> = Csr<T, usize>;
+pub type CsrMatrix = Csr<usize>;
 
 /// CSR with `u32` indices: the bandwidth-lean twin of [`CsrMatrix`] and
 /// the format `run_hpcg`'s hierarchy is built in. Another matrix converts
 /// to it with the checked `Csr32::try_from`.
-pub type Csr32<T> = Csr<T, u32>;
+pub type Csr32 = Csr<u32>;
 
-impl<T: Scalar> CsrMatrix<T> {
+impl CsrMatrix {
     /// Builds a CSR matrix from `(row, col, value)` triplets. Duplicate
     /// `(row, col)` entries are **summed deterministically in input
     /// order** (the sort is stable, so duplicates fold left-to-right as
@@ -55,15 +59,15 @@ impl<T: Scalar> CsrMatrix<T> {
     pub fn from_triplets(
         nrows: usize,
         ncols: usize,
-        triplets: impl IntoIterator<Item = (usize, usize, T)>,
+        triplets: impl IntoIterator<Item = (usize, usize, f64)>,
     ) -> Self {
-        let mut trips: Vec<(usize, usize, T)> = triplets.into_iter().collect();
+        let mut trips: Vec<(usize, usize, f64)> = triplets.into_iter().collect();
         for &(r, c, _) in &trips {
             assert!(r < nrows && c < ncols, "triplet ({r},{c}) out of bounds");
         }
         trips.sort_by_key(|&(r, c, _)| (r, c));
         // Sum duplicates.
-        let mut merged: Vec<(usize, usize, T)> = Vec::with_capacity(trips.len());
+        let mut merged: Vec<(usize, usize, f64)> = Vec::with_capacity(trips.len());
         for (r, c, v) in trips {
             match merged.last_mut() {
                 Some(last) if last.0 == r && last.1 == c => last.2 += v,
@@ -83,7 +87,7 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
-impl<T: Scalar, I: SparseIndex> Csr<T, I> {
+impl<I: SparseIndex> Csr<I> {
     /// Builds a CSR matrix from arrays already in CSR layout: `row_ptr`
     /// (length `nrows + 1`) starts at 0, never decreases and ends at the
     /// entry count; each row's columns strictly increase and are below
@@ -95,7 +99,7 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
         ncols: usize,
         row_ptr: Vec<I>,
         col_idx: Vec<I>,
-        vals: Vec<T>,
+        vals: Vec<f64>,
     ) -> Self {
         assert_eq!(row_ptr.len(), nrows + 1, "row_ptr needs nrows + 1 entries");
         assert_eq!(row_ptr[0].widen(), 0, "row_ptr must start at 0");
@@ -119,6 +123,95 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
             vals,
             gs,
         }
+    }
+
+    /// `(columns, values)` of row `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> (&[I], &[f64]) {
+        let (s, e) = (self.row_ptr[i].widen(), self.row_ptr[i + 1].widen());
+        (&self.col_idx[s..e], &self.vals[s..e])
+    }
+
+    /// The Gauss–Seidel level schedule built with the matrix (`None` if
+    /// it is not square).
+    pub fn gs_schedule(&self) -> Option<&GsSchedule> {
+        self.gs.as_ref()
+    }
+
+    #[inline]
+    fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
+        let (cols, vals) = self.row(i);
+        let mut acc = 0.0;
+        for (&c, &v) in cols.iter().zip(vals.iter()) {
+            acc += v * x[c.widen()];
+        }
+        acc
+    }
+
+    /// Row `i` of `b - A x`, folding `acc ← acc - a_ij·x_j` from `b_i`.
+    #[inline]
+    fn residual_row(&self, i: usize, x: &[f64], b: &[f64]) -> f64 {
+        let (cols, vals) = self.row(i);
+        let mut acc = b[i];
+        for (&c, &v) in cols.iter().zip(vals.iter()) {
+            acc -= v * x[c.widen()];
+        }
+        acc
+    }
+
+    /// Modeled traffic of [`Csr::residual_at`] over `rows`: the SpMV
+    /// model on the touched rows and their entries, plus `b` at those rows.
+    pub(crate) fn residual_at_model(&self, rows: &RowSet) -> Traffic {
+        let t = traffic::spmv_csr(rows.len(), self.ncols, rows.nnz, 8, I::BYTES, I::GATHER);
+        t.plus(rhs_read(rows.len()))
+    }
+
+    /// `out[c] = (b - A x)[rows[c]]`: the fused residual at the listed
+    /// rows only, each with the same fold, so it equals the full residual
+    /// gathered at `rows` bit for bit. One contiguous range of `out` per
+    /// pool thread, threads sized by the touched entries.
+    pub(crate) fn residual_at(&self, rows: &RowSet, x: &[f64], b: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "residual_at x length mismatch");
+        assert_eq!(b.len(), self.nrows, "residual_at b length mismatch");
+        assert_eq!(out.len(), rows.len(), "residual_at out length mismatch");
+        let _scope = xsc_metrics::record("spmv", self.residual_at_model(rows));
+        for_row_ranges(out, kernel_threads(rows.nnz), |c| {
+            self.residual_row(rows.idx[c], x, b)
+        });
+    }
+
+    /// Dense materialization (testing helper; quadratic memory).
+    pub fn to_dense(&self) -> Matrix<f64> {
+        let mut m = Matrix::zeros(self.nrows, self.ncols);
+        for i in 0..self.nrows {
+            let (cols, vals) = self.row(i);
+            for (&c, &v) in cols.iter().zip(vals.iter()) {
+                m.set(i, c.widen(), m.get(i, c.widen()) + v);
+            }
+        }
+        m
+    }
+
+    /// `true` if the sparsity pattern and values are symmetric (within
+    /// `tol`); the HPCG operator must be, or CG loses its guarantees.
+    pub fn is_symmetric(&self, tol: f64) -> bool {
+        if self.nrows != self.ncols {
+            return false;
+        }
+        for i in 0..self.nrows {
+            let (cols, vals) = self.row(i);
+            for (&j, &v) in cols.iter().zip(vals.iter()) {
+                let (jc, jv) = self.row(j.widen());
+                let back = jc
+                    .iter()
+                    .position(|&c| c.widen() == i)
+                    .map_or(0.0, |p| jv[p]);
+                if (back - v).abs() > tol {
+                    return false;
+                }
+            }
+        }
+        true
     }
 }
 
@@ -153,10 +246,10 @@ pub(crate) fn check_rows<I: SparseIndex>(row_ptr: &[I], col_idx: &[I], ncols: us
     });
 }
 
-impl<T: Scalar> TryFrom<&CsrMatrix<T>> for Csr32<T> {
+impl TryFrom<&CsrMatrix> for Csr32 {
     type Error = IndexOverflow;
 
-    fn try_from(a: &CsrMatrix<T>) -> Result<Self, IndexOverflow> {
+    fn try_from(a: &CsrMatrix) -> Result<Self, IndexOverflow> {
         check_compact_bounds(a.ncols, a.nnz())?;
         let narrow = |idx: &[usize], err| -> Result<Vec<u32>, IndexOverflow> {
             idx.iter().map(|&i| u32::narrow(i).ok_or(err)).collect()
@@ -172,97 +265,62 @@ impl<T: Scalar> TryFrom<&CsrMatrix<T>> for Csr32<T> {
     }
 }
 
-impl<T: Scalar, I: SparseIndex> Csr<T, I> {
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
+impl<I: SparseIndex> SparseOps for Csr<I> {
+    fn nrows(&self) -> usize {
         self.nrows
     }
 
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
+    fn ncols(&self) -> usize {
         self.ncols
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
+    fn nnz(&self) -> usize {
         self.vals.len()
     }
 
-    /// `(columns, values)` of row `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> (&[I], &[T]) {
-        let (s, e) = (self.row_ptr[i].widen(), self.row_ptr[i + 1].widen());
-        (&self.col_idx[s..e], &self.vals[s..e])
+    fn format_name(&self) -> &'static str {
+        I::FORMAT.name()
     }
 
-    /// The Gauss–Seidel level schedule built with the matrix (`None` if
-    /// it is not square).
-    pub fn gs_schedule(&self) -> Option<&GsSchedule> {
-        self.gs.as_ref()
-    }
-
-    /// The raw stored values, in row-major CSR order.
-    pub fn values(&self) -> &[T] {
-        &self.vals
-    }
-
-    /// Mutable raw stored values — the surface memory-fault campaigns
-    /// corrupt and checkpoint restore writes back into. Value-only:
-    /// callers may rewrite entries but the sparsity structure is fixed.
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.vals
-    }
-
-    /// Column sums `eᵀA` over the stored entries — the ABFT reference
-    /// checksum behind the SpMV invariant `eᵀ(Ax) = (eᵀA)·x`.
-    pub fn column_sums(&self) -> Vec<T> {
-        let mut c = vec![T::zero(); self.ncols];
-        for (&j, &v) in self.col_idx.iter().zip(self.vals.iter()) {
-            c[j.widen()] += v;
-        }
-        c
-    }
-
-    /// Modeled traffic of one SpMV under this index width's convention.
-    pub(crate) fn spmv_model(&self) -> Traffic {
-        let w = std::mem::size_of::<T>() as u64;
-        traffic::spmv_csr(self.nrows, self.ncols, self.nnz(), w, I::BYTES, I::GATHER)
-    }
-
-    #[inline]
-    fn row_dot(&self, i: usize, x: &[T]) -> T {
-        let (cols, vals) = self.row(i);
-        let mut acc = T::zero();
-        for (&c, &v) in cols.iter().zip(vals.iter()) {
-            acc = v.mul_add(x[c.widen()], acc);
-        }
-        acc
-    }
-
-    /// Sequential sparse matrix–vector product `y <- A x`.
-    pub fn spmv(&self, x: &[T], y: &mut [T]) {
+    fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        let _scope = xsc_metrics::record("spmv", self.spmv_model());
+        let _scope = xsc_metrics::record("spmv", self.spmv_traffic());
         for (i, yi) in y.iter_mut().enumerate() {
             *yi = self.row_dot(i, x);
         }
     }
 
-    /// Thread-parallel SpMV: one contiguous row range per pool thread,
-    /// on the calling thread alone below half a million stored entries.
-    /// Bit-identical to the sequential version: each row's dot product is
-    /// computed in the same order regardless of thread count.
-    pub fn spmv_par(&self, x: &[T], y: &mut [T]) {
+    /// One contiguous row range per pool thread, on the calling thread
+    /// alone below half a million stored entries. Each row's dot product
+    /// is computed in the same order regardless of thread count.
+    fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        let _scope = xsc_metrics::record("spmv", self.spmv_model());
+        let _scope = xsc_metrics::record("spmv", self.spmv_traffic());
         for_row_ranges(y, kernel_threads(self.nnz()), |i| self.row_dot(i, x));
     }
 
-    /// The diagonal entries (zero where a row has no diagonal entry).
-    pub fn diagonal(&self) -> Vec<T> {
-        let mut d = vec![T::zero(); self.nrows];
+    /// Each row folds `acc ← acc - a_ij·x_j` starting from `b_i`, so `b`
+    /// is read in the same pass that streams `A` — one fewer traversal of
+    /// `r` than [`unfused_residual`](crate::ops::unfused_residual)'s
+    /// SpMV-then-subtract. The rows split as in `spmv_par`. Every sparse
+    /// format implements the same fold order, so results are bitwise
+    /// comparable across formats.
+    fn fused_residual(&self, x: &[f64], b: &[f64], r: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "fused_residual x length mismatch");
+        assert_eq!(b.len(), self.nrows, "fused_residual b length mismatch");
+        assert_eq!(r.len(), self.nrows, "fused_residual r length mismatch");
+        let model = self.spmv_traffic().plus(rhs_read(self.nrows));
+        let _scope = xsc_metrics::record("spmv", model);
+        for_row_ranges(r, kernel_threads(self.nnz()), |i| {
+            self.residual_row(i, x, b)
+        });
+    }
+
+    /// Zero where a row has no diagonal entry.
+    fn diagonal(&self) -> Vec<f64> {
+        let mut d = vec![0.0; self.nrows];
         for i in 0..self.nrows.min(self.ncols) {
             let (cols, vals) = self.row(i);
             for (&c, &v) in cols.iter().zip(vals.iter()) {
@@ -274,109 +332,48 @@ impl<T: Scalar, I: SparseIndex> Csr<T, I> {
         d
     }
 
-    /// Residual `r = b - A x`, computed sequentially.
-    pub fn residual(&self, x: &[T], b: &[T], r: &mut [T]) {
-        self.spmv(x, r);
-        for (ri, &bi) in r.iter_mut().zip(b.iter()) {
-            *ri = bi - *ri;
+    fn symgs(&self, b: &[f64], x: &mut [f64]) {
+        symgs_sweeps(self, b, x);
+    }
+
+    fn colored_symgs(&self, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
+        colored_sweeps(self, classes, b, x);
+    }
+
+    fn spmv_traffic(&self) -> Traffic {
+        traffic::spmv_csr(self.nrows, self.ncols, self.nnz(), 8, I::BYTES, I::GATHER)
+    }
+
+    fn symgs_traffic(&self) -> Traffic {
+        traffic::symgs_csr(self.nrows, self.ncols, self.nnz(), 8, I::BYTES, I::GATHER)
+    }
+
+    /// In row-major CSR order.
+    fn values(&self) -> &[f64] {
+        &self.vals
+    }
+
+    /// Callers may rewrite entries but the sparsity structure is fixed.
+    fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.vals
+    }
+
+    fn column_sums(&self) -> Vec<f64> {
+        let mut c = vec![0.0; self.ncols];
+        for (&j, &v) in self.col_idx.iter().zip(self.vals.iter()) {
+            c[j.widen()] += v;
         }
+        c
     }
+}
 
-    /// Fused residual `r = b - A x` in a **single** sweep over the matrix:
-    /// each row folds `acc ← acc - a_ij·x_j` starting from `b_i`, so `b`
-    /// is read in the same pass that streams `A` — one fewer traversal of
-    /// `r` than [`Csr::residual`]'s SpMV-then-subtract. The rows split
-    /// into one contiguous range per pool thread, as in [`Csr::spmv_par`].
-    /// Every sparse format implements the same fold order, so results are
-    /// bitwise comparable across formats (see `xsc_sparse::ops`).
-    pub fn fused_residual(&self, x: &[T], b: &[T], r: &mut [T]) {
-        assert_eq!(x.len(), self.ncols, "fused_residual x length mismatch");
-        assert_eq!(b.len(), self.nrows, "fused_residual b length mismatch");
-        assert_eq!(r.len(), self.nrows, "fused_residual r length mismatch");
-        let w = std::mem::size_of::<T>() as u64;
-        let _scope = xsc_metrics::record(
-            "spmv",
-            self.spmv_model().plus(Traffic {
-                flops: 0,
-                bytes_read: w * self.nrows as u64,
-                bytes_written: 0,
-            }),
-        );
-        for_row_ranges(r, kernel_threads(self.nnz()), |i| {
-            self.residual_row(i, x, b)
-        });
-    }
-
-    /// Row `i` of `b - A x`, folding `acc ← acc - a_ij·x_j` from `b_i`.
-    #[inline]
-    fn residual_row(&self, i: usize, x: &[T], b: &[T]) -> T {
-        let (cols, vals) = self.row(i);
-        let mut acc = b[i];
-        for (&c, &v) in cols.iter().zip(vals.iter()) {
-            acc = (-v).mul_add(x[c.widen()], acc);
-        }
-        acc
-    }
-
-    /// Modeled traffic of [`Csr::residual_at`] over `rows`: the SpMV
-    /// model on the touched rows and their entries, plus `b` at those rows.
-    pub(crate) fn residual_at_model(&self, rows: &RowSet) -> Traffic {
-        let w = std::mem::size_of::<T>() as u64;
-        let t = traffic::spmv_csr(rows.len(), self.ncols, rows.nnz, w, I::BYTES, I::GATHER);
-        t.plus(Traffic {
-            flops: 0,
-            bytes_read: w * rows.len() as u64,
-            bytes_written: 0,
-        })
-    }
-
-    /// `out[c] = (b - A x)[rows[c]]`: [`Csr::fused_residual`] at the
-    /// listed rows only, each with the same fold, so it equals the full
-    /// residual gathered at `rows` bit for bit. One contiguous range of
-    /// `out` per pool thread, threads sized by the touched entries.
-    pub(crate) fn residual_at(&self, rows: &RowSet, x: &[T], b: &[T], out: &mut [T]) {
-        assert_eq!(x.len(), self.ncols, "residual_at x length mismatch");
-        assert_eq!(b.len(), self.nrows, "residual_at b length mismatch");
-        assert_eq!(out.len(), rows.len(), "residual_at out length mismatch");
-        let _scope = xsc_metrics::record("spmv", self.residual_at_model(rows));
-        for_row_ranges(out, kernel_threads(rows.nnz), |c| {
-            self.residual_row(rows.idx[c], x, b)
-        });
-    }
-
-    /// Dense materialization (testing helper; quadratic memory).
-    pub fn to_dense(&self) -> Matrix<T> {
-        let mut m = Matrix::zeros(self.nrows, self.ncols);
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                m.set(i, c.widen(), m.get(i, c.widen()) + v);
-            }
-        }
-        m
-    }
-
-    /// `true` if the sparsity pattern and values are symmetric (within
-    /// `tol`); the HPCG operator must be, or CG loses its guarantees.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.nrows != self.ncols {
-            return false;
-        }
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals.iter()) {
-                let (jc, jv) = self.row(j.widen());
-                let back = jc
-                    .iter()
-                    .position(|&c| c.widen() == i)
-                    .map(|p| jv[p])
-                    .unwrap_or_else(T::zero);
-                if (back - v).abs().to_f64() > tol {
-                    return false;
-                }
-            }
-        }
-        true
+/// The extra read of `b` a residual kernel makes over `rows` rows, on top
+/// of its SpMV traffic.
+pub(crate) fn rhs_read(rows: usize) -> Traffic {
+    Traffic {
+        flops: 0,
+        bytes_read: 8 * rows as u64,
+        bytes_written: 0,
     }
 }
 
@@ -392,7 +389,7 @@ pub(crate) struct RowSet {
 
 impl RowSet {
     /// The rows `idx` of `a` (each must be below `a.nrows()`).
-    pub(crate) fn new<T: Scalar, I: SparseIndex>(a: &Csr<T, I>, idx: Vec<usize>) -> Self {
+    pub(crate) fn new<I: SparseIndex>(a: &Csr<I>, idx: Vec<usize>) -> Self {
         let nnz = idx.iter().fold(0, |acc, &i| acc + a.row(i).0.len());
         RowSet { idx, nnz }
     }
@@ -442,7 +439,7 @@ pub(crate) fn for_row_ranges<T: Send>(
     });
 }
 
-impl<I: SparseIndex> GsRow for Csr<f64, I> {
+impl<I: SparseIndex> GsRow for Csr<I> {
     #[inline]
     fn gs_row<X: XView + ?Sized>(&self, i: usize, b: &[f64], x: &X) -> f64 {
         let (cols, vals) = self.row(i);
@@ -482,10 +479,10 @@ impl<I: SparseIndex> GsRow for Csr<f64, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::SparseOps;
+    use crate::ops::{unfused_residual, SparseOps};
     use crate::stencil::{build_matrix, build_rhs, Geometry};
 
-    fn sample() -> CsrMatrix<f64> {
+    fn sample() -> CsrMatrix {
         // [[2, 0, 1], [0, 3, 0], [1, 0, 4]]
         CsrMatrix::from_triplets(
             3,
@@ -613,7 +610,7 @@ mod tests {
         let mut b = vec![0.0; 3];
         a.spmv(&x, &mut b);
         let mut r = vec![1.0; 3];
-        a.residual(&x, &b, &mut r);
+        unfused_residual(&a, &x, &b, &mut r);
         assert!(r.iter().all(|&v| v.abs() < 1e-15));
     }
 
@@ -624,7 +621,7 @@ mod tests {
         let b = vec![1.0, 2.0, 3.0];
         let mut r1 = vec![0.0; 3];
         let mut r2 = vec![0.0; 3];
-        a.residual(&x, &b, &mut r1);
+        unfused_residual(&a, &x, &b, &mut r1);
         a.fused_residual(&x, &b, &mut r2);
         for i in 0..3 {
             assert!((r1[i] - r2[i]).abs() < 1e-14);
@@ -688,7 +685,7 @@ mod tests {
 
     #[test]
     fn empty_rows_are_fine() {
-        let a = CsrMatrix::<f64>::from_triplets(3, 3, vec![(0, 0, 1.0)]);
+        let a = CsrMatrix::from_triplets(3, 3, vec![(0, 0, 1.0)]);
         let mut y = vec![9.0; 3];
         a.spmv(&[1.0, 1.0, 1.0], &mut y);
         assert_eq!(y, vec![1.0, 0.0, 0.0]);
@@ -696,7 +693,7 @@ mod tests {
 
     // --- u32 indices -----------------------------------------------------
 
-    fn stencil() -> CsrMatrix<f64> {
+    fn stencil() -> CsrMatrix {
         build_matrix(Geometry::new(5, 4, 3))
     }
 
@@ -784,7 +781,7 @@ mod tests {
 
     #[test]
     fn huge_ncols_is_rejected_not_truncated() {
-        let wide = CsrMatrix::<f64>::from_triplets(1, u32::MAX as usize + 2, vec![]);
+        let wide = CsrMatrix::from_triplets(1, u32::MAX as usize + 2, vec![]);
         let err = Csr32::try_from(&wide).unwrap_err();
         assert_eq!(
             err,

@@ -5,15 +5,18 @@
 //! of peak run a memory-bound PDE solve at 1–5 %. This crate rebuilds the
 //! HPCG benchmark stack from scratch:
 //!
-//! * [`csr::Csr`] — compressed sparse row storage with sequential and
-//!   thread-parallel SpMV, generic over its index width ([`idx`]):
-//!   [`CsrMatrix`] (`usize`) and the bandwidth-lean [`Csr32`] (`u32`);
+//! * [`csr::Csr`] — compressed sparse row storage of `f64` values,
+//!   generic over its index width ([`idx`]): [`CsrMatrix`] (`usize`) and
+//!   the bandwidth-lean [`Csr32`] (`u32`); its kernels (sequential and
+//!   thread-parallel SpMV, the fused residual, SymGS) are its
+//!   [`SparseOps`] impl;
 //! * [`sell::SellCSigma`] — chunked, vectorization-friendly SELL-C-σ with
 //!   `u32` indices; like `Csr32` it halves the matrix stream while
 //!   computing bit-identical results;
 //! * [`ops`] — the [`SparseOps`] trait the whole solver
-//!   path is written against, plus [`FormatMatrix`]
-//!   for runtime format selection;
+//!   path is written against, [`FormatMatrix`]
+//!   for runtime format selection, and the two-pass
+//!   [`ops::unfused_residual`];
 //! * [`stencil`] — the 27-point 3-D stencil problem generator (the HPCG
 //!   operator) and its geometric coarsening;
 //! * [`symgs`] — the symmetric Gauss–Seidel smoother, in natural order on

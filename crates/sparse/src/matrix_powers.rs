@@ -8,6 +8,7 @@
 //! reduction in message rounds that motivates s-step methods.
 
 use crate::csr::CsrMatrix;
+use crate::ops::SparseOps;
 
 /// The Krylov basis `[x, Ax, …, Aˢx]` plus the communication accounting of
 /// computing it naively vs with a single deepened-ghost-zone exchange.
@@ -31,7 +32,7 @@ pub struct MatrixPowers {
 /// partitioning (for the stencil: one grid plane per neighbor). The CA
 /// variant exchanges an `s`-deep halo once: `s × halo_rows` words, but a
 /// single latency.
-pub fn matrix_powers(a: &CsrMatrix<f64>, x: &[f64], s: usize, halo_rows: usize) -> MatrixPowers {
+pub fn matrix_powers(a: &CsrMatrix, x: &[f64], s: usize, halo_rows: usize) -> MatrixPowers {
     assert!(s >= 1, "need at least one power");
     assert_eq!(x.len(), a.ncols(), "vector length mismatch");
     let mut basis = Vec::with_capacity(s + 1);

@@ -91,7 +91,7 @@ impl Level {
         geom: Geometry,
         restrict: bool,
         smoother: Smoother,
-        store: impl FnOnce(Csr<f64, I>) -> Result<FormatMatrix, IndexOverflow>,
+        store: impl FnOnce(Csr<I>) -> Result<FormatMatrix, IndexOverflow>,
     ) -> Result<Level, IndexOverflow> {
         let a = build_csr::<I>(geom);
         let f2c = if restrict {
@@ -433,12 +433,13 @@ impl MgPreconditioner {
 mod tests {
     use super::*;
     use crate::csr::CsrMatrix;
+    use crate::ops::unfused_residual;
     use crate::stencil::{build_matrix, build_rhs};
     use crate::symgs::symgs;
 
-    fn residual_norm(a: &CsrMatrix<f64>, x: &[f64], b: &[f64]) -> f64 {
+    fn residual_norm(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
         let mut r = vec![0.0; b.len()];
-        a.residual(x, b, &mut r);
+        unfused_residual(a, x, b, &mut r);
         xsc_core::blas1::nrm2(&r)
     }
 
@@ -489,7 +490,7 @@ mod tests {
         let mut prev = r0;
         for _ in 0..8 {
             let mut r = vec![0.0; n];
-            a.residual(&x, &b, &mut r);
+            unfused_residual(&a, &x, &b, &mut r);
             let mut z = vec![0.0; n];
             mg.apply(&r, &mut z);
             for (xi, zi) in x.iter_mut().zip(z.iter()) {

@@ -11,18 +11,18 @@
 //! a [`CsrMatrix`] because the compact formats reject shapes that overflow
 //! `u32` indices.
 //!
-//! There are two implementations, not three: one generic over the CSR
-//! index width ([`Csr<f64, I>`](Csr), monomorphized per [`SparseIndex`])
-//! and one for SELL-C-σ. Both smooth through the crate's single natural
-//! sweep ([`crate::symgs`]) and single multicolour sweep
-//! ([`crate::coloring`]); each format supplies only its row update.
+//! There are two implementations, not three, each in its format's own
+//! file and holding that format's kernels: one generic over the CSR index
+//! width ([`Csr<I>`](crate::csr::Csr), monomorphized per
+//! [`SparseIndex`](crate::idx::SparseIndex)) and one for SELL-C-σ. Both
+//! smooth through the crate's single natural sweep ([`crate::symgs`]) and
+//! single multicolour sweep ([`crate::coloring`]); each format supplies
+//! only its row update. [`unfused_residual`] is the one two-pass residual,
+//! written once over the trait.
 
-use crate::coloring::colored_sweeps;
-use crate::csr::{Csr, Csr32, CsrMatrix, RowSet};
-use crate::idx::{IndexOverflow, SparseIndex};
+use crate::csr::{Csr32, CsrMatrix, RowSet};
+use crate::idx::IndexOverflow;
 use crate::sell::SellCSigma;
-use crate::symgs::symgs_sweeps;
-use xsc_metrics::traffic::{self, XGather};
 use xsc_metrics::Traffic;
 
 /// Format-agnostic sparse kernels: everything the HPCG path needs from a
@@ -80,107 +80,15 @@ pub trait SparseOps {
     }
 }
 
-impl<I: SparseIndex> SparseOps for Csr<f64, I> {
-    fn nrows(&self) -> usize {
-        Csr::nrows(self)
-    }
-    fn ncols(&self) -> usize {
-        Csr::ncols(self)
-    }
-    fn nnz(&self) -> usize {
-        Csr::nnz(self)
-    }
-    fn format_name(&self) -> &'static str {
-        I::FORMAT.name()
-    }
-    fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        Csr::spmv(self, x, y);
-    }
-    fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
-        Csr::spmv_par(self, x, y);
-    }
-    fn fused_residual(&self, x: &[f64], b: &[f64], r: &mut [f64]) {
-        Csr::fused_residual(self, x, b, r);
-    }
-    fn diagonal(&self) -> Vec<f64> {
-        Csr::diagonal(self)
-    }
-    fn symgs(&self, b: &[f64], x: &mut [f64]) {
-        symgs_sweeps(self, b, x);
-    }
-    fn colored_symgs(&self, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
-        colored_sweeps(self, classes, b, x);
-    }
-    fn spmv_traffic(&self) -> Traffic {
-        self.spmv_model()
-    }
-    fn symgs_traffic(&self) -> Traffic {
-        let (nrows, ncols, nnz) = (Csr::nrows(self), Csr::ncols(self), Csr::nnz(self));
-        traffic::symgs_csr(nrows, ncols, nnz, 8, I::BYTES, I::GATHER)
-    }
-    fn values(&self) -> &[f64] {
-        Csr::values(self)
-    }
-    fn values_mut(&mut self) -> &mut [f64] {
-        Csr::values_mut(self)
-    }
-    fn column_sums(&self) -> Vec<f64> {
-        Csr::column_sums(self)
-    }
-}
-
-impl SparseOps for SellCSigma<f64> {
-    fn nrows(&self) -> usize {
-        SellCSigma::nrows(self)
-    }
-    fn ncols(&self) -> usize {
-        SellCSigma::ncols(self)
-    }
-    fn nnz(&self) -> usize {
-        SellCSigma::nnz(self)
-    }
-    fn format_name(&self) -> &'static str {
-        SparseFormat::SellCSigma.name()
-    }
-    fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        SellCSigma::spmv(self, x, y);
-    }
-    fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
-        SellCSigma::spmv_par(self, x, y);
-    }
-    fn fused_residual(&self, x: &[f64], b: &[f64], r: &mut [f64]) {
-        SellCSigma::fused_residual(self, x, b, r);
-    }
-    fn diagonal(&self) -> Vec<f64> {
-        SellCSigma::diagonal(self)
-    }
-    fn symgs(&self, b: &[f64], x: &mut [f64]) {
-        symgs_sweeps(self, b, x);
-    }
-    fn colored_symgs(&self, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
-        colored_sweeps(self, classes, b, x);
-    }
-    fn spmv_traffic(&self) -> Traffic {
-        self.spmv_model()
-    }
-    fn symgs_traffic(&self) -> Traffic {
-        traffic::symgs_sell(
-            SellCSigma::nrows(self),
-            SellCSigma::ncols(self),
-            SellCSigma::nnz(self),
-            self.nchunks(),
-            8,
-            XGather::Streamed,
-        )
-    }
-    fn values(&self) -> &[f64] {
-        SellCSigma::values(self)
-    }
-    fn values_mut(&mut self) -> &mut [f64] {
-        SellCSigma::values_mut(self)
-    }
-    fn column_sums(&self) -> Vec<f64> {
-        SellCSigma::column_sums(self)
+/// Residual `r = b - Ax` in two passes: [`SparseOps::spmv`] into `r`,
+/// then `r_i ← b_i - r_i`. It records one `spmv` and folds each row as
+/// the SpMV does, so its bits differ from [`SparseOps::residual`]'s fused
+/// fold; E12's resilient CG, E13's pipelined and s-step CG and E15
+/// measure their true residuals with it.
+pub fn unfused_residual<A: SparseOps + ?Sized>(a: &A, x: &[f64], b: &[f64], r: &mut [f64]) {
+    a.spmv(x, r);
+    for (ri, &bi) in r.iter_mut().zip(b) {
+        *ri = bi - *ri;
     }
 }
 
@@ -229,17 +137,17 @@ impl std::fmt::Display for SparseFormat {
 #[derive(Debug, Clone)]
 pub enum FormatMatrix {
     /// `usize`-index CSR.
-    CsrUsize(CsrMatrix<f64>),
+    CsrUsize(CsrMatrix),
     /// Compact `u32`-index CSR.
-    Csr32(Csr32<f64>),
+    Csr32(Csr32),
     /// SELL-C-σ.
-    Sell(SellCSigma<f64>),
+    Sell(SellCSigma),
 }
 
 impl FormatMatrix {
     /// Converts a CSR matrix into the requested format. Compact formats
     /// fail with [`IndexOverflow`] rather than truncating indices.
-    pub fn convert(a: CsrMatrix<f64>, format: SparseFormat) -> Result<Self, IndexOverflow> {
+    pub fn convert(a: CsrMatrix, format: SparseFormat) -> Result<Self, IndexOverflow> {
         Ok(match format {
             SparseFormat::CsrUsize => FormatMatrix::CsrUsize(a),
             SparseFormat::Csr32 => FormatMatrix::Csr32(Csr32::try_from(&a)?),

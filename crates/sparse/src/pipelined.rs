@@ -8,6 +8,7 @@
 //! three extra vectors and slightly weaker numerical robustness.
 
 use crate::csr::CsrMatrix;
+use crate::ops::{unfused_residual, SparseOps};
 use xsc_core::blas1;
 
 /// Result of a pipelined CG solve.
@@ -32,7 +33,7 @@ pub struct PipelinedCgResult {
 /// distributed run the SpMV overlaps the reduction; here the *schedule* is
 /// reproduced and the reduction phases are counted for the scale model.
 pub fn pipelined_cg(
-    a: &CsrMatrix<f64>,
+    a: &CsrMatrix,
     b: &[f64],
     x: &mut [f64],
     max_iters: usize,
@@ -44,7 +45,7 @@ pub fn pipelined_cg(
     let bnorm = blas1::nrm2(b).max(f64::MIN_POSITIVE);
 
     let mut r = vec![0.0; n];
-    a.residual(x, b, &mut r);
+    unfused_residual(a, x, b, &mut r);
     let mut w = vec![0.0; n];
     a.spmv_par(&r, &mut w); // w = A r
 
@@ -104,7 +105,7 @@ pub fn pipelined_cg(
         // Pipelined CG's recurrence residual drifts; periodically replace
         // it with the true residual (standard residual-replacement remedy).
         if !converged && iterations.is_multiple_of(50) {
-            a.residual(x, b, &mut r);
+            unfused_residual(a, x, b, &mut r);
             a.spmv_par(&r, &mut w);
             gamma = blas1::dot_pairwise(&r, &r);
             delta = blas1::dot_pairwise(&w, &r);
@@ -136,7 +137,7 @@ mod tests {
     use crate::cg::{pcg, Identity};
     use crate::stencil::{build_matrix, build_rhs, Geometry};
 
-    fn problem(g: Geometry) -> (CsrMatrix<f64>, Vec<f64>) {
+    fn problem(g: Geometry) -> (CsrMatrix, Vec<f64>) {
         let a = build_matrix(g);
         let (mut b, _) = build_rhs(&a);
         for (i, v) in b.iter_mut().enumerate() {
@@ -156,7 +157,7 @@ mod tests {
             res.residual_history.last()
         );
         let mut r = vec![0.0; a.nrows()];
-        a.residual(&x, &b, &mut r);
+        unfused_residual(&a, &x, &b, &mut r);
         assert!(
             blas1::nrm2(&r) / blas1::nrm2(&b) < 1e-7,
             "true residual {}",
@@ -212,7 +213,7 @@ mod tests {
         let mut x = vec![0.0; a.nrows()];
         let res = pipelined_cg(&a, &b, &mut x, 2000, 1e-13);
         let mut r = vec![0.0; a.nrows()];
-        a.residual(&x, &b, &mut r);
+        unfused_residual(&a, &x, &b, &mut r);
         let true_rel = blas1::nrm2(&r) / blas1::nrm2(&b);
         assert!(
             true_rel < 1e-10,

@@ -8,25 +8,29 @@
 //! rows. Indices are `u32`, so the matrix stream matches [`Csr32`]'s
 //! ~12 B/nnz rather than the `usize` CSR's ~24.
 //!
-//! Padding slots carry `col = 0, val = 0`, an exact no-op under `mul_add`,
-//! and every row records its real length so the Gauss–Seidel sweeps (which
-//! divide by the diagonal) never touch padding. All kernels fold each
-//! row's entries in the original CSR order, so results are bit-identical
-//! to the other formats.
+//! Padding slots carry `col = 0, val = 0`, an exact no-op in the SpMV's
+//! multiply-add, and every row records its real length so the
+//! Gauss–Seidel sweeps (which divide by the diagonal) never touch padding.
+//! All kernels fold each row's entries in the original CSR order, so
+//! results are bit-identical to the other formats.
 //!
-//! SELL-C-σ keeps its own SpMV over the chunked layout; its Gauss–Seidel
-//! row update (`GsRow`) plugs into the crate's one natural sweep
-//! ([`crate::symgs`]) and one multicolour sweep ([`crate::coloring`]).
+//! The kernels are the [`SparseOps`] implementation, the only definition
+//! of each: SELL-C-σ keeps its own SpMV over the chunked layout, and its
+//! Gauss–Seidel row update (`GsRow`) plugs into the crate's one natural
+//! sweep ([`crate::symgs`]) and one multicolour sweep
+//! ([`crate::coloring`]).
 //!
 //! [`Csr32`]: crate::csr::Csr32
 
-use crate::csr::{for_row_ranges, kernel_threads, CsrMatrix, RowSet};
+use crate::coloring::colored_sweeps;
+use crate::csr::{for_row_ranges, kernel_threads, rhs_read, CsrMatrix, RowSet};
 use crate::idx::{check_compact_bounds, widen, IndexOverflow, SparseIndex};
-use crate::symgs::{GsFold, GsRow, GsSchedule, XView};
+use crate::ops::{SparseFormat, SparseOps};
+use crate::symgs::{symgs_sweeps, GsFold, GsRow, GsSchedule, XView};
 use rayon::prelude::*;
 use xsc_core::cast::count_f64;
-use xsc_core::Scalar;
-use xsc_metrics::traffic::XGather;
+use xsc_metrics::traffic::{self, XGather};
+use xsc_metrics::Traffic;
 
 /// Default chunk height (lanes per chunk).
 pub const DEFAULT_C: usize = 8;
@@ -36,7 +40,7 @@ pub const DEFAULT_SIGMA: usize = 64;
 
 /// A sparse matrix in SELL-C-σ layout (sliced ELLPACK, sorted chunks).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SellCSigma<T> {
+pub struct SellCSigma {
     nrows: usize,
     ncols: usize,
     c: usize,
@@ -45,7 +49,7 @@ pub struct SellCSigma<T> {
     /// Start of each chunk's slab in `col_idx`/`vals` (length `nchunks+1`).
     chunk_off: Vec<usize>,
     col_idx: Vec<u32>,
-    vals: Vec<T>,
+    vals: Vec<f64>,
     /// Real (unpadded) length of the row at each sorted slot.
     row_len: Vec<u32>,
     /// `perm[slot]` = original row stored at sorted slot `slot`.
@@ -56,19 +60,19 @@ pub struct SellCSigma<T> {
     gs: Option<GsSchedule>,
 }
 
-impl<T: Scalar> TryFrom<&CsrMatrix<T>> for SellCSigma<T> {
+impl TryFrom<&CsrMatrix> for SellCSigma {
     type Error = IndexOverflow;
 
-    fn try_from(a: &CsrMatrix<T>) -> Result<Self, IndexOverflow> {
+    fn try_from(a: &CsrMatrix) -> Result<Self, IndexOverflow> {
         SellCSigma::from_csr(a, DEFAULT_C, DEFAULT_SIGMA)
     }
 }
 
-impl<T: Scalar> SellCSigma<T> {
+impl SellCSigma {
     /// Converts a CSR matrix into SELL-C-σ with chunk height `c` and sort
     /// window `sigma` (a multiple of `c`). Fails with [`IndexOverflow`] if
     /// the shape does not fit `u32` indexing.
-    pub fn from_csr(a: &CsrMatrix<T>, c: usize, sigma: usize) -> Result<Self, IndexOverflow> {
+    pub fn from_csr(a: &CsrMatrix, c: usize, sigma: usize) -> Result<Self, IndexOverflow> {
         assert!(c >= 1, "chunk height must be at least 1");
         assert!(
             sigma >= c && sigma.is_multiple_of(c),
@@ -113,7 +117,7 @@ impl<T: Scalar> SellCSigma<T> {
                         vals.push(v[j]);
                     } else {
                         col_idx.push(0);
-                        vals.push(T::zero());
+                        vals.push(0.0);
                     }
                 }
             }
@@ -137,21 +141,6 @@ impl<T: Scalar> SellCSigma<T> {
             inv,
             gs: a.gs_schedule().cloned(),
         })
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Number of **real** stored entries (padding excluded).
-    pub fn nnz(&self) -> usize {
-        self.nnz
     }
 
     /// Total stored slots including zero padding (what SpMV streams).
@@ -189,37 +178,9 @@ impl<T: Scalar> SellCSigma<T> {
         self.gs.as_ref()
     }
 
-    /// The raw stored value slab (chunked layout, padding slots included —
-    /// padding holds exact zeros, so sums over the whole slab are exact).
-    pub fn values(&self) -> &[T] {
-        &self.vals
-    }
-
-    /// Mutable raw stored value slab (value-only; structure is fixed). A
-    /// memory fault landing on a padding slot is a real corruption: SpMV
-    /// streams padding, so a non-zero pad perturbs that lane's row.
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.vals
-    }
-
-    /// Column sums `eᵀA` over every stored slot (ABFT reference checksum).
-    /// Padding slots contribute their stored value at column `col_idx[k]`,
-    /// so a corrupted pad shows up here exactly as it does in SpMV.
-    pub fn column_sums(&self) -> Vec<T> {
-        let mut c = vec![T::zero(); self.ncols];
-        for (k, &j) in self.col_idx.iter().enumerate() {
-            c[widen(j)] += self.vals[k];
-        }
-        c
-    }
-
-    fn width(&self) -> u64 {
-        std::mem::size_of::<T>() as u64
-    }
-
     /// Folds `f` over the real entries of original row `i` in CSR order.
     #[inline]
-    fn for_row(&self, i: usize, mut f: impl FnMut(usize, T)) {
+    fn for_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
         let slot = widen(self.inv[i]);
         let ch = slot / self.c;
         let lane = slot - ch * self.c;
@@ -234,61 +195,25 @@ impl<T: Scalar> SellCSigma<T> {
     /// Per-chunk lane accumulators for `A x` over chunk `ch`, padding
     /// included (an exact no-op); lane order = sorted-slot order.
     #[inline]
-    fn chunk_accs(&self, ch: usize, x: &[T]) -> Vec<T> {
+    fn chunk_accs(&self, ch: usize, x: &[f64]) -> Vec<f64> {
         let s0 = ch * self.c;
         let rows_in = (self.nrows - s0).min(self.c);
         let base = self.chunk_off[ch];
         let width = (self.chunk_off[ch + 1] - base) / rows_in.max(1);
-        let mut accs = vec![T::zero(); rows_in];
+        let mut accs = vec![0.0; rows_in];
         for j in 0..width {
             let row_base = base + j * rows_in;
             for (l, acc) in accs.iter_mut().enumerate() {
                 let k = row_base + l;
-                *acc = self.vals[k].mul_add(x[widen(self.col_idx[k])], *acc);
+                *acc += self.vals[k] * x[widen(self.col_idx[k])];
             }
         }
         accs
     }
 
-    /// Modeled traffic of one SpMV over the padded slab.
-    pub(crate) fn spmv_model(&self) -> xsc_metrics::Traffic {
-        xsc_metrics::traffic::spmv_sell(
-            self.nrows,
-            self.ncols,
-            self.nnz,
-            self.padded_slots(),
-            self.nchunks(),
-            self.width(),
-            XGather::Streamed,
-        )
-    }
-
-    /// Sequential SpMV `y ← Ax` over the chunked layout. Each lane's fold
-    /// visits its row's entries in CSR order (then exact-zero padding), so
-    /// the result is bit-identical to the CSR formats.
-    pub fn spmv(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        let _scope = xsc_metrics::record("spmv", self.spmv_model());
-        for ch in 0..self.nchunks() {
-            let accs = self.chunk_accs(ch, x);
-            let s0 = ch * self.c;
-            for (l, acc) in accs.into_iter().enumerate() {
-                y[widen(self.perm[s0 + l])] = acc;
-            }
-        }
-    }
-
-    /// Thread-parallel SpMV (chunks fan out), bit-identical to
-    /// [`SellCSigma::spmv`].
-    pub fn spmv_par(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
-        let _scope = xsc_metrics::record("spmv", self.spmv_model());
-        let per_chunk: Vec<Vec<T>> = (0..self.nchunks())
-            .into_par_iter()
-            .map(|ch| self.chunk_accs(ch, x))
-            .collect();
+    /// Writes the lane accumulators of every chunk in `per_chunk` (chunk
+    /// order) to their original rows of `y`.
+    fn scatter(&self, per_chunk: impl IntoIterator<Item = Vec<f64>>, y: &mut [f64]) {
         for (ch, accs) in per_chunk.into_iter().enumerate() {
             let s0 = ch * self.c;
             for (l, acc) in accs.into_iter().enumerate() {
@@ -297,52 +222,25 @@ impl<T: Scalar> SellCSigma<T> {
         }
     }
 
-    /// Fused residual `r = b - Ax` in one sweep; same per-row fold as
-    /// [`CsrMatrix::fused_residual`](crate::csr::CsrMatrix::fused_residual).
-    pub fn fused_residual(&self, x: &[T], b: &[T], r: &mut [T]) {
-        assert_eq!(x.len(), self.ncols, "fused_residual x length mismatch");
-        assert_eq!(b.len(), self.nrows, "fused_residual b length mismatch");
-        assert_eq!(r.len(), self.nrows, "fused_residual r length mismatch");
-        let w = self.width();
-        let _scope = xsc_metrics::record(
-            "spmv",
-            self.spmv_model().plus(xsc_metrics::Traffic {
-                flops: 0,
-                bytes_read: w * self.nrows as u64,
-                bytes_written: 0,
-            }),
-        );
-        for (i, ri) in r.iter_mut().enumerate() {
-            *ri = self.residual_row(i, x, b);
-        }
-    }
-
     /// Row `i` of `b - A x`, folding `acc ← acc - a_ij·x_j` from `b_i`.
     #[inline]
-    fn residual_row(&self, i: usize, x: &[T], b: &[T]) -> T {
+    fn residual_row(&self, i: usize, x: &[f64], b: &[f64]) -> f64 {
         let mut acc = b[i];
-        self.for_row(i, |c, v| acc = (-v).mul_add(x[c], acc));
+        self.for_row(i, |c, v| acc -= v * x[c]);
         acc
     }
 
     /// Modeled traffic of [`SellCSigma::residual_at`] over `rows`: the
     /// SpMV model on the touched rows and their entries (no padding: rows
     /// are walked by their real length, one chunk offset each), plus `b`.
-    pub(crate) fn residual_at_model(&self, rows: &RowSet) -> xsc_metrics::Traffic {
-        let (nr, nz, w) = (rows.len(), rows.nnz(), self.width());
-        xsc_metrics::traffic::spmv_sell(nr, self.ncols, nz, nz, nr, w, XGather::Streamed).plus(
-            xsc_metrics::Traffic {
-                flops: 0,
-                bytes_read: w * nr as u64,
-                bytes_written: 0,
-            },
-        )
+    pub(crate) fn residual_at_model(&self, rows: &RowSet) -> Traffic {
+        let (nr, nz) = (rows.len(), rows.nnz());
+        traffic::spmv_sell(nr, self.ncols, nz, nz, nr, 8, XGather::Streamed).plus(rhs_read(nr))
     }
 
-    /// [`SellCSigma::fused_residual`] at the listed rows only, with the
-    /// same per-row fold; see
-    /// [`CsrMatrix::residual_at`](crate::csr::Csr::residual_at).
-    pub(crate) fn residual_at(&self, rows: &RowSet, x: &[T], b: &[T], out: &mut [T]) {
+    /// The fused residual at the listed rows only, with the same per-row
+    /// fold; see [`Csr::residual_at`](crate::csr::Csr::residual_at).
+    pub(crate) fn residual_at(&self, rows: &RowSet, x: &[f64], b: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "residual_at x length mismatch");
         assert_eq!(b.len(), self.nrows, "residual_at b length mismatch");
         assert_eq!(out.len(), rows.len(), "residual_at out length mismatch");
@@ -352,10 +250,63 @@ impl<T: Scalar> SellCSigma<T> {
             self.residual_row(idx[c], x, b)
         });
     }
+}
 
-    /// The diagonal entries (zero where a row has no diagonal entry).
-    pub fn diagonal(&self) -> Vec<T> {
-        let mut d = vec![T::zero(); self.nrows];
+impl SparseOps for SellCSigma {
+    fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// Real stored entries only (padding excluded).
+    fn nnz(&self) -> usize {
+        self.nnz
+    }
+
+    fn format_name(&self) -> &'static str {
+        SparseFormat::SellCSigma.name()
+    }
+
+    /// Over the chunked layout. Each lane's fold visits its row's entries
+    /// in CSR order (then exact-zero padding), so the result is
+    /// bit-identical to the CSR formats.
+    fn spmv(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
+        assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
+        let _scope = xsc_metrics::record("spmv", self.spmv_traffic());
+        self.scatter((0..self.nchunks()).map(|ch| self.chunk_accs(ch, x)), y);
+    }
+
+    /// Chunks fan out over the pool.
+    fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "spmv x length mismatch");
+        assert_eq!(y.len(), self.nrows, "spmv y length mismatch");
+        let _scope = xsc_metrics::record("spmv", self.spmv_traffic());
+        let per_chunk: Vec<Vec<f64>> = (0..self.nchunks())
+            .into_par_iter()
+            .map(|ch| self.chunk_accs(ch, x))
+            .collect();
+        self.scatter(per_chunk, y);
+    }
+
+    /// Same per-row fold as the CSR formats' fused residual.
+    fn fused_residual(&self, x: &[f64], b: &[f64], r: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "fused_residual x length mismatch");
+        assert_eq!(b.len(), self.nrows, "fused_residual b length mismatch");
+        assert_eq!(r.len(), self.nrows, "fused_residual r length mismatch");
+        let model = self.spmv_traffic().plus(rhs_read(self.nrows));
+        let _scope = xsc_metrics::record("spmv", model);
+        for (i, ri) in r.iter_mut().enumerate() {
+            *ri = self.residual_row(i, x, b);
+        }
+    }
+
+    /// Zero where a row has no diagonal entry.
+    fn diagonal(&self) -> Vec<f64> {
+        let mut d = vec![0.0; self.nrows];
         for (i, di) in d.iter_mut().enumerate().take(self.nrows.min(self.ncols)) {
             self.for_row(i, |c, v| {
                 if c == i {
@@ -365,9 +316,52 @@ impl<T: Scalar> SellCSigma<T> {
         }
         d
     }
+
+    fn symgs(&self, b: &[f64], x: &mut [f64]) {
+        symgs_sweeps(self, b, x);
+    }
+
+    fn colored_symgs(&self, classes: &[Vec<usize>], b: &[f64], x: &mut [f64]) {
+        colored_sweeps(self, classes, b, x);
+    }
+
+    /// Over the padded slab.
+    fn spmv_traffic(&self) -> Traffic {
+        let (nrows, ncols, nnz) = (self.nrows, self.ncols, self.nnz);
+        let (slots, chunks) = (self.padded_slots(), self.nchunks());
+        traffic::spmv_sell(nrows, ncols, nnz, slots, chunks, 8, XGather::Streamed)
+    }
+
+    fn symgs_traffic(&self) -> Traffic {
+        let (nrows, ncols, nnz, chunks) = (self.nrows, self.ncols, self.nnz, self.nchunks());
+        traffic::symgs_sell(nrows, ncols, nnz, chunks, 8, XGather::Streamed)
+    }
+
+    /// The chunked slab, padding slots included — padding holds exact
+    /// zeros, so sums over the whole slab are exact.
+    fn values(&self) -> &[f64] {
+        &self.vals
+    }
+
+    /// A memory fault landing on a padding slot is a real corruption:
+    /// SpMV streams padding, so a non-zero pad perturbs that lane's row.
+    fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.vals
+    }
+
+    /// Over every stored slot: padding slots contribute their stored
+    /// value at column `col_idx[k]`, so a corrupted pad shows up here
+    /// exactly as it does in SpMV.
+    fn column_sums(&self) -> Vec<f64> {
+        let mut c = vec![0.0; self.ncols];
+        for (&j, &v) in self.col_idx.iter().zip(self.vals.iter()) {
+            c[widen(j)] += v;
+        }
+        c
+    }
 }
 
-impl GsRow for SellCSigma<f64> {
+impl GsRow for SellCSigma {
     #[inline]
     fn gs_row<X: XView + ?Sized>(&self, i: usize, b: &[f64], x: &X) -> f64 {
         let mut row = GsFold::new(i, b);
@@ -386,7 +380,7 @@ mod tests {
     use crate::ops::SparseOps;
     use crate::stencil::{build_matrix, build_rhs, Geometry};
 
-    fn sample() -> CsrMatrix<f64> {
+    fn sample() -> CsrMatrix {
         build_matrix(Geometry::new(5, 4, 3))
     }
 
@@ -494,7 +488,7 @@ mod tests {
 
     #[test]
     fn huge_ncols_is_rejected() {
-        let wide = CsrMatrix::<f64>::from_triplets(1, u32::MAX as usize + 2, vec![]);
+        let wide = CsrMatrix::from_triplets(1, u32::MAX as usize + 2, vec![]);
         assert!(matches!(
             SellCSigma::try_from(&wide),
             Err(IndexOverflow::Cols { .. })

@@ -83,7 +83,7 @@ impl Geometry {
 /// alone below the row kernels' size cutoff). Each slab writes its own
 /// rows' entries and row pointers, so the arrays are the same on any
 /// thread count.
-pub fn build_matrix(g: Geometry) -> CsrMatrix<f64> {
+pub fn build_matrix(g: Geometry) -> CsrMatrix {
     build_csr(g)
 }
 
@@ -97,7 +97,7 @@ pub(crate) fn stencil_nnz(g: Geometry) -> usize {
 /// from the start. Panics if an index does not fit `I`; callers that
 /// build a compact operator check the shape first (`check_compact_bounds`
 /// on `g.len()` and [`stencil_nnz`]).
-pub(crate) fn build_csr<I: SparseIndex>(g: Geometry) -> Csr<f64, I> {
+pub(crate) fn build_csr<I: SparseIndex>(g: Geometry) -> Csr<I> {
     let n = g.len();
     let plane = g.nx * g.ny;
     let per_plane = (3 * g.nx - 2) * (3 * g.ny - 2);

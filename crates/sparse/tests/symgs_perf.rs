@@ -12,6 +12,7 @@
 use xsc_metrics::Stopwatch;
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
 use xsc_sparse::symgs::symgs;
+use xsc_sparse::SparseOps;
 
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);

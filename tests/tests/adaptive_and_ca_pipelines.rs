@@ -6,7 +6,7 @@ use xsc_precision::{adaptive_solve, SolverChoice};
 use xsc_sparse::matrix_powers::matrix_powers;
 use xsc_sparse::sstep::s_step_cg;
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
-use xsc_sparse::{pcg, pipelined_cg, Identity};
+use xsc_sparse::{pcg, pipelined_cg, Identity, SparseOps};
 
 #[test]
 fn adaptive_solver_escalates_with_conditioning() {

@@ -8,7 +8,7 @@ use xsc_core::gemm::{gemm, Transpose};
 use xsc_core::{gen, Matrix};
 use xsc_metrics::KernelCounters;
 use xsc_sparse::stencil::{build_matrix, build_rhs};
-use xsc_sparse::{run_hpcg, Geometry};
+use xsc_sparse::{run_hpcg, Geometry, SparseOps};
 
 /// The metrics registry is process-global; tests in this binary take this
 /// lock so one test's reset cannot clobber another's accumulation.

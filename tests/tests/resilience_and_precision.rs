@@ -10,7 +10,7 @@ use xsc_ft::AbftOutcome;
 use xsc_precision::ir::lu_ir_solve;
 use xsc_precision::Half;
 use xsc_sparse::stencil::{build_matrix, build_rhs, Geometry};
-use xsc_sparse::{pcg, Identity};
+use xsc_sparse::{pcg, Identity, SparseOps};
 
 #[test]
 fn abft_protected_matmul_inside_solver_pipeline() {

@@ -11,7 +11,7 @@ use xsc_sparse::{run_hpcg_fmt, Csr32, CsrMatrix, SellCSigma, SparseFormat, Spars
 
 /// A 27-point-stencil-patterned matrix with pseudo-random (seeded)
 /// off-diagonal values and a diagonal strong enough for Gauss–Seidel.
-fn random_stencil(nx: usize, ny: usize, nz: usize, seed: u64) -> CsrMatrix<f64> {
+fn random_stencil(nx: usize, ny: usize, nz: usize, seed: u64) -> CsrMatrix {
     let pattern = build_matrix(Geometry::new(nx, ny, nz));
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
     let mut next = move || {
@@ -146,7 +146,7 @@ fn hpcg_histories_are_identical_across_formats() {
 #[test]
 fn oversized_matrices_are_rejected_not_truncated() {
     // More columns than u32 can index: conversion must refuse, not wrap.
-    let wide = CsrMatrix::<f64>::from_triplets(1, u32::MAX as usize + 2, vec![]);
+    let wide = CsrMatrix::from_triplets(1, u32::MAX as usize + 2, vec![]);
     let err = Csr32::try_from(&wide).unwrap_err();
     assert!(err.to_string().contains("truncate"), "{err}");
     assert!(SellCSigma::try_from(&wide).is_err());
